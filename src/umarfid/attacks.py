@@ -62,7 +62,7 @@ class AttackReport:
     recovered_nonce: Word | None = None
     cloned_pair: PairState | None = None
     c1_rounds: int | None = None  # mask redraw rounds (bit-flip attack)
-    c2_trials: int | None = None  # tag interactions across all rounds
+    c2_trials: int | None = None  # literal probes across all rounds
     a_mask: Word | None = None  # accepted weight-2 mask applied to A
     b_mask: Word | None = None  # accepted weight-2 mask applied to B
     hw_matched: bool | None = None  # masked nonce kept its hamming weight
@@ -201,7 +201,8 @@ def attack_desync_mitm(bench: Bench, followups: int = 3) -> AttackReport:
     a different nonce of its own. Both parties accept and update, but
     under different nonces, leaving no shared pair. The old-pair
     fallback cannot recover because the tag's previous pair is the one
-    the reader just replaced.
+    the reader just replaced. Success is the claim itself: no shared
+    pair remains and no follow-up session authenticates.
     """
     first = bench.run_honest()
     if first.outcome is not Outcome.MUTUAL_SUCCESS:
@@ -239,14 +240,13 @@ def attack_desync_mitm(bench: Bench, followups: int = 3) -> AttackReport:
     # Ground truth: no pair shared anymore, and recovery stays impossible.
     still_synchronized = bench.synchronized()
     outcomes = bench.followup_outcomes(followups)
-    all_failed = all(o == str(Outcome.IDENTIFICATION_FAILED) for o in outcomes)
     return AttackReport(
         attack="desync-mitm",
         success=(
             tag_accepted
             and reader_accepted
             and not still_synchronized
-            and all_failed
+            and str(Outcome.MUTUAL_SUCCESS) not in outcomes
         ),
         recovered_key=key,
         recovered_nonce=genuine_nonce,
@@ -269,6 +269,28 @@ def weight2_words(width: int) -> Iterator[Word]:
 def weight2_count(width: int) -> int:
     """Size of the per-round mask search space: C(width, 2)."""
     return width * (width - 1) // 2
+
+
+def weight2_index(mask: Word, width: int) -> int | None:
+    """Position of mask in weight2_words(width), or None if not weight 2.
+
+    Closed form of the (lo, hi) order: the rows for lower bits below lo
+    hold lo*(2*width - lo - 1)/2 masks, then hi - lo - 1 more precede it.
+    """
+    if mask.hamming_weight() != 2:
+        return None
+    lo = (mask.value & -mask.value).bit_length() - 1
+    hi = mask.value.bit_length() - 1
+    return lo * (2 * width - lo - 1) // 2 + (hi - lo - 1)
+
+
+def weight2_mask(index: int, width: int) -> Word:
+    """Inverse of weight2_index: the mask at position index."""
+    lo = 0
+    while index >= width - 1 - lo:
+        index -= width - 1 - lo
+        lo += 1
+    return Word((1 << lo) | (1 << (lo + 1 + index)), width)
 
 
 def random_weight2(rng: WordStream, width: int) -> Word:
@@ -308,12 +330,19 @@ def attack_desync_bitflip(
 
     Captures one full honest session, then poses as a reader. Feigning
     non-recognition of the tag's fresh pseudonym forces it onto the pair
-    the captured session used. The attacker replays A xor mask_a and
-    B xor mask_b for every weight-2 mask_b in fixed order; when the tag
-    answers, it has updated off its previous pair while the reader kept
-    its state, and no shared pair remains. Rounds whose mask_a changes
-    the nonce's hamming weight admit no valid mask_b (about half), so
-    the expected number of rounds is 2, capped as a safety net.
+    the captured session used. Each round the attacker replays
+    A xor mask_a with B xor mask_b for every weight-2 mask_b in fixed
+    order; when the tag answers, it has updated off its previous pair
+    while the reader kept its state, and no shared pair remains. Rounds
+    whose mask_a changes the nonce's hamming weight admit no valid
+    mask_b (about half), so the expected number of rounds is 2, capped
+    as a safety net.
+
+    The tag evaluates each round's sweep once (TagState.respond_sweep),
+    which tells the attacker only which probe of its order would have
+    been answered. c2_trials still counts the probes the literal sweep
+    sends: up to and including the answered one, or all C(L, 2) of a
+    round without an answer.
     """
     key_before = bench.tag.current.key  # ground truth snapshot
     captured = bench.run_honest()
@@ -322,39 +351,42 @@ def attack_desync_bitflip(
     nonce_truth = captured.a ^ key_before  # ground truth, attacker never sees it
 
     width = bench.word_len
+    space = weight2_count(width)
     tag = bench.tag
     c1_rounds = 0
     c2_trials = 0
     accepted: tuple[Word, Word] | None = None
 
+    def index_of(mask: Word) -> int | None:
+        return weight2_index(mask, width)
+
     while accepted is None and c1_rounds < c1_round_cap:
         c1_rounds += 1
         a_mask = random_weight2(bench.adv_rng, width)
-        forged_a = captured.a ^ a_mask
-        for b_mask in weight2_words(width):
-            c2_trials += 1
-            # Rogue-reader dance: refuse the current pseudonym so the tag
-            # falls back to the pair the captured session used.
-            tag.present()
-            replayed = tag.present(use_previous=True)
-            if replayed != captured.presented_idts[0]:
-                return AttackReport(
-                    attack="desync-bitflip",
-                    success=False,
-                    c1_rounds=c1_rounds,
-                    c2_trials=c2_trials,
-                    detail="tag no longer holds the captured pair",
-                )
-            state_before = (tag.current, tag.previous)
-            c = tag.respond(True, forged_a, captured.b ^ b_mask)
-            if c is None:
-                # Rejected probes must be side-effect free or the
-                # enumeration would corrupt its own search space.
-                if (tag.current, tag.previous) != state_before:
-                    raise RuntimeError("tag state changed on a rejected probe")
-                continue
-            accepted = (a_mask, b_mask)
-            break
+        # Rogue-reader dance: refuse the current pseudonym so the tag
+        # falls back to the pair the captured session used.
+        tag.present()
+        replayed = tag.present(use_previous=True)
+        if replayed != captured.presented_idts[0]:
+            return AttackReport(
+                attack="desync-bitflip",
+                success=False,
+                c1_rounds=c1_rounds,
+                c2_trials=c2_trials + 1,  # the probe that found out
+                detail="tag no longer holds the captured pair",
+            )
+        state_before = (tag.current, tag.previous)
+        hit = tag.respond_sweep(True, captured.a ^ a_mask, captured.b, index_of)
+        if hit is None:
+            # A rejected sweep must be side-effect free or the next
+            # round would search against a different pair.
+            if (tag.current, tag.previous) != state_before:
+                raise RuntimeError("tag state changed on a rejected probe")
+            c2_trials += space
+            continue
+        index, _ = hit
+        c2_trials += index + 1
+        accepted = (a_mask, weight2_mask(index, width))
 
     if accepted is None:
         return AttackReport(
@@ -372,10 +404,9 @@ def attack_desync_bitflip(
     )
     still_synchronized = bench.synchronized()
     outcomes = bench.followup_outcomes(followups)
-    all_failed = all(o == str(Outcome.IDENTIFICATION_FAILED) for o in outcomes)
     return AttackReport(
         attack="desync-bitflip",
-        success=not still_synchronized and all_failed,
+        success=not still_synchronized and str(Outcome.MUTUAL_SUCCESS) not in outcomes,
         c1_rounds=c1_rounds,
         c2_trials=c2_trials,
         a_mask=a_mask,

@@ -119,6 +119,28 @@ class TagState:
         self.current = next_pair(used, nonce)
         return c
 
+    def respond_sweep(
+        self, use_previous: bool, a: Word, b: Word, index_of
+    ) -> tuple[int, Word] | None:
+        """Answer a prober's whole sweep of B-masks with one evaluation.
+
+        The prober sends (a, b xor mask) for every mask in its own fixed
+        order and stops at the first answer. With a and the selected
+        pair fixed the tag accepts exactly one B, so at most one mask can
+        be answered: expected_B xor b. index_of(mask) is the prober's
+        position for that mask, or None when its order does not contain
+        it. On a hit the tag commits through respond with the accepted B,
+        exactly as the literal probe at that position would, and returns
+        (index, C). On a miss it returns None and keeps its state
+        bit-identical. The expected B itself is never returned.
+        """
+        used = self.pair(use_previous)
+        expected = compute_b(used.key, a ^ used.key)
+        index = index_of(expected ^ b)
+        if index is None:
+            return None
+        return index, self.respond(use_previous, a, expected)
+
 
 @dataclass
 class DatabaseEntry:
@@ -384,7 +406,6 @@ def run_honest_session(
         t.outcome = Outcome.BLOCKED
         return t
 
-    session_key = tag.pair(use_previous).key
     c = tag.respond(use_previous, a_recv, b_recv)
     if c is None:
         reader.abandon()
@@ -400,9 +421,6 @@ def run_honest_session(
 
     if reader.complete(c_recv):
         t.outcome = Outcome.MUTUAL_SUCCESS
-        # Transcript identity: B xor next pseudonym equals rot(K, K) xor K
-        # for the pair the session used. Holds on every honest success.
-        assert t.b ^ tag.current.idt == session_key.rot(session_key) ^ session_key
     else:
         t.outcome = Outcome.READER_REJECTED_TAG
     return t

@@ -9,8 +9,8 @@ must not be loosened:
   3. cloning 1000/1000 with the challenge cross-check passing
   4. MITM desync 1000/1000, irreversible across 3 follow-up sessions
   5. bit-flip desync: admission rate 0.50 +/- 0.02 over 10^4 rounds,
-     search space C(L,2), 200/200 at 16 bits with the rotation closed
-     form, rejected probes side-effect free
+     search space C(L,2), 200/200 at 16 bits and 200/200 at 128 bits
+     with the rotation closed form, rejected probes side-effect free
   6. XOR identities: 10^5 random words at 128 bits, exhaustive at 8
      bits, word ops equal the naive per-bit oracle exhaustively at 8
   7. protocol soundness: 10^4 honest sessions stay synchronized, a
@@ -190,22 +190,43 @@ def test_criterion_5_desync_bitflip():
     #     b_mask = rotate(a_mask, weight(nonce xor a_mask)).
     #     Off-weight chance collisions are possible at small widths and
     #     are counted separately; this pinned run has none.
-    config = TrialConfig(experiment="desync-bitflip", trials=200, word_len=16, seed=0)
-    attack_reports, attack_stats = run_trials(config)
-    collisions = sum(1 for r in attack_reports if r.success and not r.hw_matched)
-    closed_form = True
-    for trial, result in enumerate(attack_reports):
-        if not result.success:
-            continue
+    def closed_form_holds(config, result, trial) -> bool:
         # twin bench rebuilt from the same derived seed replays the
         # captured session, exposing the ground-truth nonce
-        twin = Bench(16, derive_seed(config.seed, config.experiment, trial))
+        twin = Bench(config.word_len, derive_seed(config.seed, config.experiment, trial))
         key_before = twin.tag.current.key
         nonce = twin.run_honest().a ^ key_before
         shift = (nonce ^ result.a_mask).hamming_weight()
-        if result.b_mask != result.a_mask.rotate_left(shift):
-            closed_form = False
+        return result.b_mask == result.a_mask.rotate_left(shift)
+
+    config = TrialConfig(experiment="desync-bitflip", trials=200, word_len=16, seed=0)
+    attack_reports, attack_stats = run_trials(config)
+    collisions = sum(1 for r in attack_reports if r.success and not r.hw_matched)
+    closed_form = all(
+        closed_form_holds(config, result, trial)
+        for trial, result in enumerate(attack_reports)
+        if result.success
+    )
     part_c = attack_stats.successes == 200 and closed_form and collisions == 0
+
+    # (c) the same attack in full at 128 bits, 200/200; the closed form
+    #     holds on every trial whose accepted round kept the nonce weight
+    wide = TrialConfig(experiment="desync-bitflip", trials=200, word_len=128, seed=0)
+    wide_reports, wide_stats = run_trials(wide)
+    wide_matched = [
+        (trial, result)
+        for trial, result in enumerate(wide_reports)
+        if result.hw_matched
+    ]
+    wide_closed_form = all(
+        closed_form_holds(wide, result, trial) for trial, result in wide_matched
+    )
+    part_c = (
+        part_c
+        and wide_stats.successes == 200
+        and wide_closed_form
+        and len(wide_matched) > 0
+    )
 
     # (d) rejected probes leave the tag bit-identical: sweep the entire
     #     mask space on a round that admits nothing
@@ -233,6 +254,8 @@ def test_criterion_5_desync_bitflip():
         f"admission={fraction:.4f} (target 0.50+/-0.02), spaces 8128/120, "
         f"{attack_stats.successes}/200 attacks at L=16 closed_form={closed_form} "
         f"off-weight collisions={collisions}, "
+        f"{wide_stats.successes}/200 attacks at L=128 closed_form={wide_closed_form} "
+        f"on {len(wide_matched)} weight-matched trials, "
         f"rejected probes side-effect free={part_d}",
     )
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_bitflip import literal_desync_bitflip
 from umarfid.attacks import (
     AttackReport,
     Bench,
@@ -16,6 +17,8 @@ from umarfid.attacks import (
     recover_key,
     required_b_mask,
     weight2_count,
+    weight2_index,
+    weight2_mask,
     weight2_words,
 )
 from umarfid.protocol import (
@@ -26,7 +29,7 @@ from umarfid.protocol import (
     compute_b,
     compute_c,
 )
-from umarfid.word import Word, WordStream
+from umarfid.word import Word, WordStream, derive_seed
 
 words16 = st.integers(0, 2**16 - 1).map(lambda v: Word(v, 16))
 
@@ -143,6 +146,16 @@ class TestWeight2Machinery:
         assert all(w.hamming_weight() == 2 for w in words)
         # ordered by (lower set bit, upper set bit)
         assert [w.value for w in words[:8]] == [3, 5, 9, 17, 33, 65, 129, 6]
+
+    @pytest.mark.parametrize("width", [2, 3, 8, 16, 128])
+    def test_index_is_the_enumeration_position(self, width):
+        words = list(weight2_words(width))
+        assert [weight2_index(w, width) for w in words] == list(range(len(words)))
+        assert [weight2_mask(i, width) for i in range(len(words))] == words
+
+    @pytest.mark.parametrize("value", [0, 1, 0x80, 0x07, 0xFF])
+    def test_index_rejects_other_weights(self, value):
+        assert weight2_index(w8(value), 8) is None
 
     def test_random_weight2(self):
         rng = WordStream(16, 3)
@@ -266,6 +279,40 @@ class TestDesyncBitflip:
             assert tag.respond(True, captured.a ^ c1, captured.b ^ c2) is None
             assert (tag.current, tag.previous) == snapshot
 
+    def test_rejected_sweep_leaves_tag_state_bit_identical(self):
+        bench = Bench(16, 6)
+        captured = bench.run_honest()
+        tag = bench.tag
+        nonce = captured.a ^ tag.previous.key
+        rng = WordStream(16, 100)
+        c1 = random_weight2(rng, 16)
+        while bitflip_round_admits(nonce, c1):
+            c1 = random_weight2(rng, 16)
+        snapshot = [w.value for w in tag.words()]
+        hit = tag.respond_sweep(
+            True, captured.a ^ c1, captured.b, lambda m: weight2_index(m, 16)
+        )
+        assert hit is None
+        assert [w.value for w in tag.words()] == snapshot
+
+    def test_sweep_hit_equals_the_literal_probe(self):
+        bench = Bench(16, 6)
+        captured = bench.run_honest()
+        nonce = captured.a ^ bench.tag.previous.key
+        rng = WordStream(16, 101)
+        c1 = random_weight2(rng, 16)
+        while not bitflip_round_admits(nonce, c1):
+            c1 = random_weight2(rng, 16)
+        twin = Bench(16, 6)
+        twin.run_honest()
+        index, c = bench.tag.respond_sweep(
+            True, captured.a ^ c1, captured.b, lambda m: weight2_index(m, 16)
+        )
+        mask = required_b_mask(nonce, c1)
+        assert index == weight2_index(mask, 16)
+        assert c == twin.tag.respond(True, captured.a ^ c1, captured.b ^ mask)
+        assert bench.tag.words() == twin.tag.words()
+
     def test_round_cap_reports_failure(self):
         report = attack_desync_bitflip(Bench(16, 7), c1_round_cap=0)
         assert not report.success
@@ -276,6 +323,51 @@ class TestDesyncBitflip:
         a = attack_desync_bitflip(Bench(16, 11))
         b = attack_desync_bitflip(Bench(16, 11))
         assert attack_record(a, 0) == attack_record(b, 0)
+
+
+def _stale_capture(bench):
+    """The tag runs one more honest session right after the captured one."""
+    run = bench.run_honest
+
+    def run_then_move_on():
+        bench.run_honest = run
+        captured = run()
+        run()
+        return captured
+
+    bench.run_honest = run_then_move_on
+    return bench
+
+
+class TestBitflipAgainstLiteralOracle:
+    """The one-evaluation sweep reproduces the per-mask probe loop."""
+
+    @pytest.mark.parametrize(
+        "width, seeds, cap",
+        [(16, 500, 64), (128, 50, 64), (8, 500, 64), (16, 200, 1), (16, 20, 0)],
+    )
+    def test_records_identical(self, width, seeds, cap):
+        for seed in range(seeds):
+            sweep = attack_desync_bitflip(Bench(width, seed), c1_round_cap=cap)
+            literal = literal_desync_bitflip(Bench(width, seed), c1_round_cap=cap)
+            assert attack_record(sweep, seed) == attack_record(literal, seed)
+
+    def test_final_state_identical(self):
+        for seed in range(50):
+            sweep, literal = Bench(16, seed), Bench(16, seed)
+            attack_desync_bitflip(sweep, followups=0)
+            literal_desync_bitflip(literal, followups=0)
+            assert sweep.tag.words() == literal.tag.words()
+            assert [e.words() for e in sweep.reader.entries.values()] == [
+                e.words() for e in literal.reader.entries.values()
+            ]
+
+    def test_stale_capture_reported_after_one_probe(self):
+        sweep = attack_desync_bitflip(_stale_capture(Bench(16, 3)))
+        literal = literal_desync_bitflip(_stale_capture(Bench(16, 3)))
+        assert attack_record(sweep, 0) == attack_record(literal, 0)
+        assert sweep.detail == "tag no longer holds the captured pair"
+        assert (sweep.c1_rounds, sweep.c2_trials) == (1, 1)
 
 
 class TestBitflipExhaustive:
@@ -300,6 +392,27 @@ class TestBitflipExhaustive:
                 assert mask == c1.rotate_left(altered.hamming_weight())
         # two flipped positions, one set and one clear: half of all nonces
         assert matched == pytest.approx(2**width / 2, rel=0.02)
+
+
+class TestDesyncSuccessPredicate:
+    """A desync succeeds when no pair is shared and nothing re-authenticates,
+    whichever way the follow-up sessions fail."""
+
+    @pytest.mark.parametrize(
+        "attack, experiment, trial",
+        [
+            (attack_desync_mitm, "desync-mitm", 188),
+            (attack_desync_bitflip, "desync-bitflip", 270),
+        ],
+    )
+    def test_small_width_desync_with_rejected_followups(self, attack, experiment, trial):
+        # seed-0 trials at L=8 whose follow-ups present a pseudonym the
+        # reader knows under a different key, so the tag rejects the challenge
+        report = attack(Bench(8, derive_seed(0, experiment, trial)))
+        assert report.synchronized is False
+        assert "tag-rejected-reader" in report.followup_outcomes
+        assert "mutual-success" not in report.followup_outcomes
+        assert report.success
 
 
 class TestTraceabilityAttack:

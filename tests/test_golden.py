@@ -1,0 +1,84 @@
+"""Pinned output digests: the records a CLI run produces must not drift.
+
+Each case runs ``umarfid.cli.main`` in process with json-lines output
+and pins (exit code, SHA-256 of the output with the summary's wall-clock
+``duration_s`` removed). Any change to a record, a summary field or an
+exit code shows up as a mismatch. To print the digests of the current
+tree, run ``PYTHONPATH=src python3 tests/test_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from umarfid import cli
+
+# command (default seed 0, default width 128 unless --bits) -> (exit code, digest)
+GOLDEN = {
+    "attack full-disclosure --trials 200": (
+        0,
+        "7c61d3ab90a96d24f9f592cd5cc485ed5589d856527218c3f9a78b72ddf6947a",
+    ),
+    "attack clone --trials 200": (
+        0,
+        "3c60c38243c1879a7484dc4398d9163500f5afb52b369a6294639aa78f60fe0a",
+    ),
+    "attack desync-mitm --trials 200": (
+        0,
+        "373429a3a1c1968c22c7104e8b320d591e33166bd85ddc457b8108e8ff5e4f0a",
+    ),
+    "attack desync-bitflip --trials 200": (
+        0,
+        "b15acd90f9890c5de937b0a00af3e6a2ca4308ed6b0e9c89a2d13feebc6e22a0",
+    ),
+    "attack desync-bitflip --bits 16 --trials 200": (
+        0,
+        "c909ef6776f24dad47078c682daecdb15eceb622db2b6176f19d3c48f011ae2d",
+    ),
+    "session --trials 200": (
+        0,
+        "74ddcab9d338b710e617fd099eb02b6f2be84f1bee6ab2fb867d868d1298d537",
+    ),
+    "verify-identities --trials 200": (
+        0,
+        "729100575ff9e830a982c5b9be5f9a0714b5732175f95f004846ba241b9e2b25",
+    ),
+    "game --trials 200": (
+        0,
+        "bbcef44c1e4e6bef4e5d3917bc7b7be8604b659f03ac444d5c6f29821f458099",
+    ),
+    "game --sends 0 --trials 200": (
+        1,
+        "c9b3075a147d3018a5b7aad6fd72361b13d045614b203e5810027514994e1ba7",
+    ),
+    "game --strategy random-guess --trials 200": (
+        1,
+        "183ac4a32ccaf49d81f52499c289eaf637ee0126712e7c38458838842ec98dfe",
+    ),
+}
+
+
+def run_digest(command: str) -> tuple[int, str]:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = cli.main([*command.split(), "--format", "json-lines"])
+    h = hashlib.sha256()
+    for line in sink.getvalue().splitlines():
+        record = json.loads(line)
+        if "summary" in record:
+            del record["summary"]["duration_s"]
+        h.update(json.dumps(record).encode() + b"\n")
+    return code, h.hexdigest()
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_output_digest(command):
+    assert run_digest(command) == GOLDEN[command]
+
+
+if __name__ == "__main__":
+    for command in GOLDEN:
+        print(f"    {command!r}: {run_digest(command)!r},")

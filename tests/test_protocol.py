@@ -240,6 +240,28 @@ class TestHonestSession:
         assert tag.present() == next_pair(pair_used, nonce).idt
         assert tag.present(use_previous=True) == pair_used.idt
 
+    def test_b_xor_next_pseudonym_is_a_key_constant(self):
+        # Transcript identity on every successful session: B xor the next
+        # pseudonym equals rot(K, K) xor K for the pair the session used.
+        # Every fifth session's C is blocked, so the next one identifies
+        # through the fallback and uses the previous pair.
+        reader, tags, rng = make_system(seed=11)
+        tag = tags[0]
+        successes = 0
+        for session in range(1250):
+            channel = Channel()
+            if session % 5 == 4:
+                channel.block(session, MSG_C)
+            pairs = (tag.current, tag.previous)
+            t = run_honest_session(reader, tag, rng, channel=channel, session=session)
+            if t.outcome is not Outcome.MUTUAL_SUCCESS:
+                assert t.outcome is Outcome.BLOCKED
+                continue
+            key = pairs[len(t.presented_idts) - 1].key
+            assert t.b ^ tag.current.idt == key.rot(key) ^ key
+            successes += 1
+        assert successes == 1000
+
     def test_transcript_shape(self):
         reader, tags, rng = make_system()
         t = run_honest_session(reader, tags[0], rng, session=9)
