@@ -38,6 +38,6 @@ from .protocol import (
     run_honest_session,
     synchronized,
 )
-from .word import ProtocolParams, Word, WordStream, bitwise, derive_seed, hamming_weight, rot, rotate_left
+from .word import DEFAULT_WORD_LEN, WordStream, check_width, derive_seed, rot, to_hex
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .protocol import (
     fresh_system,
     run_honest_session,
 )
-from .word import ProtocolParams, Word, WordStream, derive_seed
+from .word import WordStream, check_width, derive_seed
 
 __all__ = [
     "AdvantageEstimate",
@@ -54,16 +54,15 @@ class BudgetError(GameError):
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Game parameters: word length, query budgets, trial count, seed."""
+    """Game parameters: word length, query budgets, seed."""
 
     word_len: int = 128
     execute_budget: int = 2
     send_budget: int = 1
-    trials: int = 1000
     seed: int = 0
 
     def __post_init__(self):
-        ProtocolParams(word_len=self.word_len, seed=self.seed)  # validate
+        check_width(self.word_len)
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,17 @@ class GameEnvironment:
         self._session += 1
         return transcript
 
-    def send(self, session: int, label: str, replace: Word | None = None) -> None:
-        """Register an interception: block the message, or substitute one."""
+    def send(self, session: int, label: str, replace: int | None = None) -> None:
+        """Register an interception: block the message, or substitute one.
+
+        A substitute is the one word a strategy injects from outside the
+        simulation, so it is checked here: it must lie in [0, 2**L).
+        """
+        if replace is not None and not 0 <= replace < 1 << self.config.word_len:
+            raise ValueError(
+                f"replacement {replace:#x} out of range for a "
+                f"{self.config.word_len}-bit word"
+            )
         if self.sends_used >= self.config.send_budget:
             raise BudgetError(f"send budget {self.config.send_budget} exhausted")
         self.sends_used += 1
@@ -130,7 +138,7 @@ class GameEnvironment:
         else:
             self.channel.replace(session, label, replace)
 
-    def test(self) -> list[Word]:
+    def test(self) -> list[int]:
         """Challenge: identify a secretly chosen tag, reveal its pseudonyms.
 
         The environment flips a hidden bit, runs the identification

@@ -40,10 +40,10 @@ from .protocol import (
     run_honest_session,
     synchronized,
 )
-from .word import ProtocolParams, Word, WordStream, derive_seed
+from .word import WordStream, check_width, derive_seed, rot, to_hex
 
 
-def recover_key(a_n: Word, b_n: Word, idt_next: Word) -> Word:
+def recover_key(a_n: int, b_n: int, idt_next: int) -> int:
     """Current secret key from three public words of sessions n and n+1.
 
     A_n xor B_n xor IDT_{n+1} telescopes to rot(K_n, K_n) xor N_n, which
@@ -58,13 +58,13 @@ class AttackReport:
 
     attack: str
     success: bool
-    recovered_key: Word | None = None
-    recovered_nonce: Word | None = None
+    recovered_key: int | None = None
+    recovered_nonce: int | None = None
     cloned_pair: PairState | None = None
     c1_rounds: int | None = None  # mask redraw rounds (bit-flip attack)
     c2_trials: int | None = None  # literal probes across all rounds
-    a_mask: Word | None = None  # accepted weight-2 mask applied to A
-    b_mask: Word | None = None  # accepted weight-2 mask applied to B
+    a_mask: int | None = None  # accepted weight-2 mask applied to A
+    b_mask: int | None = None  # accepted weight-2 mask applied to B
     hw_matched: bool | None = None  # masked nonce kept its hamming weight
     synchronized: bool | None = None  # post-attack tag/reader sync state
     followup_outcomes: tuple[str, ...] | None = None
@@ -79,7 +79,7 @@ class Bench:
     """
 
     def __init__(self, word_len: int, seed: int):
-        ProtocolParams(word_len=word_len, seed=seed)  # validate
+        check_width(word_len)
         self.word_len = word_len
         init = WordStream(word_len, derive_seed(seed, "init"))
         self.reader, tags = fresh_system(init, word_len, n_tags=1)
@@ -165,7 +165,7 @@ def attack_clone(bench: Bench) -> AttackReport:
     session_idt = second.presented_idts[0]
     key = recover_key(first.a, first.b, session_idt)
     nonce = key ^ second.a
-    if compute_b(key, nonce) != second.b:
+    if compute_b(key, nonce, bench.word_len) != second.b:
         return AttackReport(
             attack="clone",
             success=False,
@@ -173,12 +173,12 @@ def attack_clone(bench: Bench) -> AttackReport:
             recovered_nonce=nonce,
             detail="challenge cross-check failed, observation corrupted",
         )
-    cloned = next_pair(PairState(idt=session_idt, key=key), nonce)
+    cloned = next_pair(PairState(idt=session_idt, key=key), nonce, bench.word_len)
 
     # Ground truth: the clone must hold exactly what the real tag holds now.
     pair_matches = cloned == bench.tag.current
 
-    blank = TagState.fresh(id=Word.zeros(bench.word_len), pair=cloned)
+    blank = TagState.fresh(id=0, pair=cloned, width=bench.word_len)
     verification = run_honest_session(
         bench.reader, blank, bench.nonce_rng, session=bench.session
     )
@@ -217,8 +217,9 @@ def attack_desync_mitm(bench: Bench, followups: int = 3) -> AttackReport:
         return AttackReport(attack="desync-mitm", success=False, detail="reader lookup miss")
     a_genuine, b_genuine = challenge
 
+    width = bench.word_len
     genuine_nonce = key ^ a_genuine
-    if compute_b(key, genuine_nonce) != b_genuine:
+    if compute_b(key, genuine_nonce, width) != b_genuine:
         bench.reader.abandon()
         return AttackReport(
             attack="desync-mitm",
@@ -232,9 +233,11 @@ def attack_desync_mitm(bench: Bench, followups: int = 3) -> AttackReport:
     while fake_nonce == genuine_nonce:
         fake_nonce = bench.adv_rng.next_word()
 
-    c_from_tag = bench.tag.respond(False, key ^ fake_nonce, compute_b(key, fake_nonce))
+    c_from_tag = bench.tag.respond(
+        False, key ^ fake_nonce, compute_b(key, fake_nonce, width)
+    )
     tag_accepted = c_from_tag is not None  # tag updates under fake_nonce
-    reader_accepted = bench.reader.complete(compute_c(key, genuine_nonce))
+    reader_accepted = bench.reader.complete(compute_c(key, genuine_nonce, width))
     bench.session += 1
 
     # Ground truth: no pair shared anymore, and recovery stays impossible.
@@ -255,7 +258,7 @@ def attack_desync_mitm(bench: Bench, followups: int = 3) -> AttackReport:
     )
 
 
-def weight2_words(width: int) -> Iterator[Word]:
+def weight2_words(width: int) -> Iterator[int]:
     """Every width-bit word with exactly two set bits.
 
     Fixed enumeration order, lexicographic by (lower set bit, upper set
@@ -263,7 +266,7 @@ def weight2_words(width: int) -> Iterator[Word]:
     """
     for lo in range(width):
         for hi in range(lo + 1, width):
-            yield Word((1 << lo) | (1 << hi), width)
+            yield (1 << lo) | (1 << hi)
 
 
 def weight2_count(width: int) -> int:
@@ -271,38 +274,38 @@ def weight2_count(width: int) -> int:
     return width * (width - 1) // 2
 
 
-def weight2_index(mask: Word, width: int) -> int | None:
+def weight2_index(mask: int, width: int) -> int | None:
     """Position of mask in weight2_words(width), or None if not weight 2.
 
     Closed form of the (lo, hi) order: the rows for lower bits below lo
     hold lo*(2*width - lo - 1)/2 masks, then hi - lo - 1 more precede it.
     """
-    if mask.hamming_weight() != 2:
+    if mask.bit_count() != 2:
         return None
-    lo = (mask.value & -mask.value).bit_length() - 1
-    hi = mask.value.bit_length() - 1
+    lo = (mask & -mask).bit_length() - 1
+    hi = mask.bit_length() - 1
     return lo * (2 * width - lo - 1) // 2 + (hi - lo - 1)
 
 
-def weight2_mask(index: int, width: int) -> Word:
+def weight2_mask(index: int, width: int) -> int:
     """Inverse of weight2_index: the mask at position index."""
     lo = 0
     while index >= width - 1 - lo:
         index -= width - 1 - lo
         lo += 1
-    return Word((1 << lo) | (1 << (lo + 1 + index)), width)
+    return (1 << lo) | (1 << (lo + 1 + index))
 
 
-def random_weight2(rng: WordStream, width: int) -> Word:
+def random_weight2(rng: WordStream, width: int) -> int:
     """Uniform word of hamming weight exactly 2."""
     lo = rng.next_below(width)
     hi = rng.next_below(width)
     while hi == lo:
         hi = rng.next_below(width)
-    return Word((1 << lo) | (1 << hi), width)
+    return (1 << lo) | (1 << hi)
 
 
-def required_b_mask(nonce: Word, a_mask: Word) -> Word:
+def required_b_mask(nonce: int, a_mask: int, width: int) -> int:
     """Analysis side: the unique B-mask the tag would accept.
 
     Masking A by a_mask shifts the nonce the tag recovers to
@@ -310,17 +313,17 @@ def required_b_mask(nonce: Word, a_mask: Word) -> Word:
     rot(N, N) xor rot(N xor a_mask, N xor a_mask) as the B-mask.
     """
     altered = nonce ^ a_mask
-    return nonce.rot(nonce) ^ altered.rot(altered)
+    return rot(nonce, nonce, width) ^ rot(altered, altered, width)
 
 
-def bitflip_round_admits(nonce: Word, a_mask: Word) -> bool:
+def bitflip_round_admits(nonce: int, a_mask: int, width: int) -> bool:
     """Analysis side: does any weight-2 B-mask exist for this round?
 
     True exactly when the required mask itself has weight 2. For a
     uniform nonce this happens with probability 1/2: the two flipped
     positions must hit one set and one clear bit.
     """
-    return required_b_mask(nonce, a_mask).hamming_weight() == 2
+    return required_b_mask(nonce, a_mask, width).bit_count() == 2
 
 
 def attack_desync_bitflip(
@@ -355,9 +358,9 @@ def attack_desync_bitflip(
     tag = bench.tag
     c1_rounds = 0
     c2_trials = 0
-    accepted: tuple[Word, Word] | None = None
+    accepted: tuple[int, int] | None = None
 
-    def index_of(mask: Word) -> int | None:
+    def index_of(mask: int) -> int | None:
         return weight2_index(mask, width)
 
     while accepted is None and c1_rounds < c1_round_cap:
@@ -399,9 +402,7 @@ def attack_desync_bitflip(
 
     a_mask, b_mask = accepted
     # Ground truth: weight condition of the accepted round and post-state.
-    hw_matched = (
-        (nonce_truth ^ a_mask).hamming_weight() == nonce_truth.hamming_weight()
-    )
+    hw_matched = (nonce_truth ^ a_mask).bit_count() == nonce_truth.bit_count()
     still_synchronized = bench.synchronized()
     outcomes = bench.followup_outcomes(followups)
     return AttackReport(
@@ -417,30 +418,13 @@ def attack_desync_bitflip(
     )
 
 
-ATTACK_RECORD_FIELDS = [
-    "trial",
-    "attack",
-    "success",
-    "recovered_key",
-    "recovered_nonce",
-    "cloned_idt",
-    "cloned_key",
-    "c1_rounds",
-    "c2_trials",
-    "a_mask",
-    "b_mask",
-    "hw_matched",
-    "synchronized",
-    "followups",
-    "detail",
-]
+def attack_record(report: AttackReport, trial: int, width: int) -> dict:
+    """Flat serializable record for one attack trial, fixed field order
+    (the CSV header); words serialize as width // 4 lowercase hex digits.
+    """
 
-
-def attack_record(report: AttackReport, trial: int) -> dict:
-    """Flat serializable record for one attack trial, fixed field order."""
-
-    def hx(w: Word | None):
-        return None if w is None else w.to_hex()
+    def hx(w: int | None):
+        return None if w is None else to_hex(w, width)
 
     return {
         "trial": trial,

@@ -9,15 +9,29 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .adversary import GameError
 from .harness import STRATEGIES, TrialConfig, render, run_trials
 
 ATTACK_NAMES = ["full-disclosure", "clone", "desync-mitm", "desync-bitflip"]
 
 
+def _at_least(low: int):
+    """argparse type: an int no smaller than low, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
     parser.add_argument("--bits", type=int, default=128, metavar="L",
                         help="word length in bits (default 128)")
-    parser.add_argument("--trials", type=int, default=trials, metavar="N",
+    parser.add_argument("--trials", type=_at_least(1), default=trials, metavar="N",
                         help=f"number of trials (default {trials})")
     parser.add_argument("--seed", type=int, default=0, metavar="S",
                         help="base seed; every trial derives its own stream")
@@ -25,7 +39,7 @@ def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
                         default="text", help="record output format")
     parser.add_argument("--out", metavar="PATH",
                         help="write records to PATH instead of stdout")
-    parser.add_argument("--workers", type=int, default=1, metavar="W",
+    parser.add_argument("--workers", type=_at_least(1), default=1, metavar="W",
                         help="parallel worker processes (results identical)")
 
 
@@ -44,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("game", help="untraceability distinguishing games")
     _add_common(p, trials=1000)
-    p.add_argument("--executes", type=int, default=2,
+    p.add_argument("--executes", type=_at_least(0), default=2,
                    help="eavesdrop query budget per game (default 2)")
-    p.add_argument("--sends", type=int, default=1,
+    p.add_argument("--sends", type=_at_least(0), default=1,
                    help="block/alter query budget per game (default 1)")
     p.add_argument("--strategy", choices=sorted(STRATEGIES), default="distinguish",
                    help="adversary strategy (random-guess is the null baseline)")
@@ -54,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run one attack as a Monte Carlo experiment")
     p.add_argument("name", choices=ATTACK_NAMES)
     _add_common(p, trials=200)
-    p.add_argument("--followups", type=int, default=3,
+    p.add_argument("--followups", type=_at_least(0), default=3,
                    help="honest recovery attempts verified after a desync")
-    p.add_argument("--c1-cap", type=int, default=64, dest="c1_cap",
+    p.add_argument("--c1-cap", type=_at_least(1), default=64, dest="c1_cap",
                    help="bit-flip attack: cap on mask redraw rounds")
 
     p = sub.add_parser("verify-identities",
@@ -100,8 +114,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         reports, stats = run_trials(config, workers=args.workers)
-        text = render(reports, stats, args.format)
-    except ValueError as err:
+        text = render(reports, stats, config.word_len, args.format)
+    except (ValueError, GameError) as err:
         parser.exit(2, f"error: {err}\n")
 
     if args.out:

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 from . import adversary, attacks
 from .adversary import GameConfig, GameOutcome, wilson_interval
-from .attacks import ATTACK_RECORD_FIELDS, AttackReport, Bench
+from .attacks import AttackReport, Bench
 from .protocol import MSG_C, Channel, Outcome, PairState, compute_a, compute_b, next_pair
-from .word import ProtocolParams, WordStream, derive_seed
+from .word import WordStream, check_width, derive_seed, rot
 
 STRATEGIES = {
     "distinguish": attacks.distinguish_strategy,
@@ -42,7 +42,7 @@ class TrialConfig:
     strategy: str = "distinguish"
 
     def __post_init__(self):
-        ProtocolParams(word_len=self.word_len, seed=self.seed)  # validate
+        check_width(self.word_len)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -117,13 +117,14 @@ def _identities_trial(config: TrialConfig, trial: int) -> TrialResult:
     key, and B xor next pseudonym is a key-only constant.
     """
     seed = derive_seed(config.seed, config.experiment, trial)
-    rng = WordStream(config.word_len, seed)
+    width = config.word_len
+    rng = WordStream(width, seed)
     key, nonce = rng.next_word(), rng.next_word()
 
-    updated = next_pair(PairState(idt=rng.next_word(), key=key), nonce)
-    a, b = compute_a(key, nonce), compute_b(key, nonce)
+    updated = next_pair(PairState(idt=rng.next_word(), key=key), nonce, width)
+    a, b = compute_a(key, nonce), compute_b(key, nonce, width)
     key_identity = a ^ b ^ updated.idt == updated.key
-    pseudonym_identity = b ^ updated.idt == key.rot(key) ^ key
+    pseudonym_identity = b ^ updated.idt == rot(key, key, width) ^ key
     ok = key_identity and pseudonym_identity
     return TrialResult(
         label="identities",
@@ -142,7 +143,6 @@ def _game_trial(config: TrialConfig, trial: int) -> GameOutcome:
         word_len=config.word_len,
         execute_budget=config.execute_budget,
         send_budget=config.send_budget,
-        trials=config.trials,
         seed=config.seed,
     )
     return adversary.run_untraceability_game(strategy, game_config, trial)
@@ -240,11 +240,12 @@ def summarize(experiment: str, reports) -> SummaryStats:
     )
 
 
-def report_record(report, trial: int) -> dict:
+def report_record(report, trial: int, width: int) -> dict:
+    """Flat record for any report; words become width // 4 hex digits."""
     if isinstance(report, GameOutcome):
         return adversary.outcome_record(report, trial)
     if isinstance(report, AttackReport):
-        return attacks.attack_record(report, trial)
+        return attacks.attack_record(report, trial, width)
     if isinstance(report, TrialResult):
         return {
             "trial": trial,
@@ -274,9 +275,9 @@ def summary_record(stats: SummaryStats) -> dict:
     return record
 
 
-def render(reports, stats: SummaryStats, fmt: str = "text") -> str:
-    """Render reports plus summary in one of text, json-lines, csv."""
-    records = [report_record(r, i) for i, r in enumerate(reports)]
+def render(reports, stats: SummaryStats, width: int, fmt: str = "text") -> str:
+    """Render reports of a width-bit run plus summary as text, json-lines or csv."""
+    records = [report_record(r, i, width) for i, r in enumerate(reports)]
     if fmt == "text":
         lines = [
             " ".join(f"{k}={'' if v is None else v}" for k, v in rec.items())
@@ -290,12 +291,8 @@ def render(reports, stats: SummaryStats, fmt: str = "text") -> str:
         lines.append(json.dumps({"summary": summary_record(stats)}))
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        if isinstance(reports[0], AttackReport):
-            fields = ATTACK_RECORD_FIELDS
-        else:
-            fields = list(records[0].keys())
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields)
+        writer = csv.DictWriter(buf, fieldnames=list(records[0]))
         writer.writeheader()
         writer.writerows(records)
         return buf.getvalue()

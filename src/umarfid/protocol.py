@@ -17,6 +17,10 @@ After a successful exchange both sides replace {IDT, K} with
     IDT' = K xor rot(N, N)
     K'   = rot(K, K) xor N
 
+Words are plain ints in [0, 2**L). The width L is fixed per simulation:
+fresh_system gives it to the reader and every tag, and the functions
+below take it as their last argument.
+
 The tag keeps the pair it just used as "previous" so that a reader which
 missed the final C can still identify it next session; the database keeps
 a single pair per tag. The tag commits its update the moment it sends C,
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .word import Word, WordStream
+from .word import DEFAULT_WORD_LEN, WordStream, rot, to_hex
 
 MSG_IDT = "IDT"
 MSG_A = "A"
@@ -40,38 +44,38 @@ TAG_TO_READER = "tag->reader"
 READER_TO_TAG = "reader->tag"
 
 
-def compute_a(key: Word, nonce: Word) -> Word:
+def compute_a(key: int, nonce: int) -> int:
     """First challenge half: key xor nonce."""
     return key ^ nonce
 
 
-def compute_b(key: Word, nonce: Word) -> Word:
+def compute_b(key: int, nonce: int, width: int = DEFAULT_WORD_LEN) -> int:
     """Second challenge half: rot(K, K) xor rot(N, N). Proves knowledge of K."""
-    return key.rot(key) ^ nonce.rot(nonce)
+    return rot(key, key, width) ^ rot(nonce, nonce, width)
 
 
-def compute_c(key: Word, nonce: Word) -> Word:
+def compute_c(key: int, nonce: int, width: int = DEFAULT_WORD_LEN) -> int:
     """Tag response: (K or rot(N, N)) xor (rot(K, K) and N)."""
-    return (key | nonce.rot(nonce)) ^ (key.rot(key) & nonce)
+    return (key | rot(nonce, nonce, width)) ^ (rot(key, key, width) & nonce)
 
 
 @dataclass(frozen=True)
 class PairState:
     """A {pseudonym, secret key} pair shared between tag and reader."""
 
-    idt: Word
-    key: Word
+    idt: int
+    key: int
 
-    def words(self) -> tuple[Word, Word]:
+    def words(self) -> tuple[int, int]:
         return (self.idt, self.key)
 
 
-def next_pair(used: PairState, nonce: Word) -> PairState:
+def next_pair(used: PairState, nonce: int, width: int = DEFAULT_WORD_LEN) -> PairState:
     """Updated pair after a session that used `used` with nonce N."""
     key = used.key
     return PairState(
-        idt=key ^ nonce.rot(nonce),
-        key=key.rot(key) ^ nonce,
+        idt=key ^ rot(nonce, nonce, width),
+        key=rot(key, key, width) ^ nonce,
     )
 
 
@@ -79,29 +83,31 @@ def next_pair(used: PairState, nonce: Word) -> PairState:
 class TagState:
     """Tag memory: static ID plus current and previous {IDT, K} pairs.
 
-    Exactly 5 words of storage. The static ID is never transmitted.
+    Exactly 5 words of storage, each `width` bits. The static ID is
+    never transmitted.
     """
 
-    id: Word
+    id: int
     current: PairState
     previous: PairState
+    width: int
 
     @classmethod
-    def fresh(cls, id: Word, pair: PairState) -> "TagState":
+    def fresh(cls, id: int, pair: PairState, width: int) -> "TagState":
         # A tag that has never updated has nothing older to remember.
-        return cls(id=id, current=pair, previous=pair)
+        return cls(id=id, current=pair, previous=pair, width=width)
 
-    def words(self) -> tuple[Word, ...]:
+    def words(self) -> tuple[int, ...]:
         return (self.id,) + self.current.words() + self.previous.words()
 
-    def present(self, use_previous: bool = False) -> Word:
+    def present(self, use_previous: bool = False) -> int:
         """Pseudonym broadcast during identification. No state change."""
         return self.previous.idt if use_previous else self.current.idt
 
     def pair(self, use_previous: bool) -> PairState:
         return self.previous if use_previous else self.current
 
-    def respond(self, use_previous: bool, a: Word, b: Word) -> Word | None:
+    def respond(self, use_previous: bool, a: int, b: int) -> int | None:
         """Verify the reader's challenge and answer with C, or stay silent.
 
         Recovers N' = a xor K from the selected pair, recomputes B and
@@ -112,16 +118,17 @@ class TagState:
         """
         used = self.pair(use_previous)
         nonce = a ^ used.key
-        if compute_b(used.key, nonce) != b:
+        width = self.width
+        if compute_b(used.key, nonce, width) != b:
             return None
-        c = compute_c(used.key, nonce)
+        c = compute_c(used.key, nonce, width)
         self.previous = used
-        self.current = next_pair(used, nonce)
+        self.current = next_pair(used, nonce, width)
         return c
 
     def respond_sweep(
-        self, use_previous: bool, a: Word, b: Word, index_of
-    ) -> tuple[int, Word] | None:
+        self, use_previous: bool, a: int, b: int, index_of
+    ) -> tuple[int, int] | None:
         """Answer a prober's whole sweep of B-masks with one evaluation.
 
         The prober sends (a, b xor mask) for every mask in its own fixed
@@ -135,7 +142,7 @@ class TagState:
         bit-identical. The expected B itself is never returned.
         """
         used = self.pair(use_previous)
-        expected = compute_b(used.key, a ^ used.key)
+        expected = compute_b(used.key, a ^ used.key, self.width)
         index = index_of(expected ^ b)
         if index is None:
             return None
@@ -146,11 +153,11 @@ class TagState:
 class DatabaseEntry:
     """Back-end record for one tag: {IDT, K, ID}, exactly 3 words."""
 
-    idt: Word
-    key: Word
-    id: Word
+    idt: int
+    key: int
+    id: int
 
-    def words(self) -> tuple[Word, Word, Word]:
+    def words(self) -> tuple[int, int, int]:
         return (self.idt, self.key, self.id)
 
     def pair(self) -> PairState:
@@ -162,27 +169,30 @@ class _Pending:
     """In-flight reader session: matched entry, nonce, expected response."""
 
     entry: DatabaseEntry
-    nonce: Word
-    expected_c: Word
+    nonce: int
+    expected_c: int
 
 
 class ReaderState:
-    """Reader plus back-end database, keyed by pseudonym."""
+    """Reader plus back-end database of `width`-bit words, keyed by pseudonym."""
 
-    def __init__(self):
-        self.entries: dict[Word, DatabaseEntry] = {}
+    def __init__(self, width: int):
+        self.width = width
+        self.entries: dict[int, DatabaseEntry] = {}
         self.pending: _Pending | None = None
 
     def register(self, entry: DatabaseEntry) -> None:
         if entry.idt in self.entries:
-            raise ValueError(f"pseudonym collision on registration: {entry.idt}")
+            raise ValueError(
+                f"pseudonym collision on registration: {to_hex(entry.idt, self.width)}"
+            )
         self.entries[entry.idt] = entry
 
-    def knows(self, idt: Word) -> bool:
+    def knows(self, idt: int) -> bool:
         """Read-only lookup, used by identification and the Test query."""
         return idt in self.entries
 
-    def begin(self, idt: Word, rng: WordStream) -> tuple[Word, Word] | None:
+    def begin(self, idt: int, rng: WordStream) -> tuple[int, int] | None:
         """Look up the pseudonym and issue a challenge, or None if unknown.
 
         On a hit, draws a fresh nonce, remembers the expected C and
@@ -195,14 +205,15 @@ class ReaderState:
         if entry is None:
             return None
         nonce = rng.next_word()
+        width = self.width
         self.pending = _Pending(
             entry=entry,
             nonce=nonce,
-            expected_c=compute_c(entry.key, nonce),
+            expected_c=compute_c(entry.key, nonce, width),
         )
-        return compute_a(entry.key, nonce), compute_b(entry.key, nonce)
+        return compute_a(entry.key, nonce), compute_b(entry.key, nonce, width)
 
-    def complete(self, c: Word) -> bool:
+    def complete(self, c: int) -> bool:
         """Check the tag's response; update the database entry on success.
 
         Calling with no session in flight is a harness bug.
@@ -213,10 +224,12 @@ class ReaderState:
         if c != pending.expected_c:
             return False
         entry = pending.entry
-        updated = next_pair(entry.pair(), pending.nonce)
+        updated = next_pair(entry.pair(), pending.nonce, self.width)
         if updated.idt != entry.idt:
             if updated.idt in self.entries:
-                raise ValueError(f"pseudonym collision on update: {updated.idt}")
+                raise ValueError(
+                    f"pseudonym collision on update: {to_hex(updated.idt, self.width)}"
+                )
             del self.entries[entry.idt]
             self.entries[updated.idt] = entry
         entry.idt = updated.idt
@@ -251,26 +264,26 @@ class ChannelEvent:
     session: int
     direction: str  # TAG_TO_READER or READER_TO_TAG
     label: str  # IDT, A, B or C
-    payload: Word  # what the sender emitted
+    payload: int  # what the sender emitted
     disposition: str = DELIVERED
-    replacement: Word | None = None  # delivered payload when replaced
+    replacement: int | None = None  # delivered payload when replaced
 
-    def delivered_payload(self) -> Word | None:
+    def delivered_payload(self) -> int | None:
         if self.disposition == BLOCKED:
             return None
         if self.disposition == REPLACED:
             return self.replacement
         return self.payload
 
-    def line(self) -> str:
+    def line(self, width: int) -> str:
         """Fixed-order structured-text record for transcript dumps."""
         out = (
             f"session={self.session} direction={self.direction} "
-            f"message={self.label} word={self.payload.to_hex()} "
+            f"message={self.label} word={to_hex(self.payload, width)} "
             f"disposition={self.disposition}"
         )
         if self.replacement is not None:
-            out += f" replacement={self.replacement.to_hex()}"
+            out += f" replacement={to_hex(self.replacement, width)}"
         return out
 
 
@@ -300,19 +313,19 @@ class Channel:
     _FLIP = "flip"
 
     def __init__(self):
-        self._rules: dict[tuple[int, str], tuple[str, Word | None]] = {}
+        self._rules: dict[tuple[int, str], tuple[str, int | None]] = {}
 
     def block(self, session: int, label: str) -> None:
         self._rules[(session, label)] = (self._BLOCK, None)
 
-    def replace(self, session: int, label: str, payload: Word) -> None:
+    def replace(self, session: int, label: str, payload: int) -> None:
         self._rules[(session, label)] = (self._REPLACE, payload)
 
-    def flip(self, session: int, label: str, mask: Word) -> None:
+    def flip(self, session: int, label: str, mask: int) -> None:
         """Alter the message in flight by XORing a mask into it."""
         self._rules[(session, label)] = (self._FLIP, mask)
 
-    def apply(self, session: int, label: str, payload: Word) -> ChannelEvent:
+    def apply(self, session: int, label: str, payload: int) -> ChannelEvent:
         rule = self._rules.get((session, label))
         if rule is None:
             return _event(session, label, payload, DELIVERED)
@@ -320,8 +333,6 @@ class Channel:
         if action == self._BLOCK:
             return _event(session, label, payload, BLOCKED)
         replacement = payload ^ word if action == self._FLIP else word
-        if replacement.width != payload.width:
-            raise ValueError("replacement word has wrong length")
         return _event(session, label, payload, REPLACED, replacement)
 
 
@@ -330,10 +341,10 @@ class SessionTranscript:
     """Everything observable on the radio during one session."""
 
     session: int
-    presented_idts: list[Word] = field(default_factory=list)
-    a: Word | None = None
-    b: Word | None = None
-    c: Word | None = None
+    presented_idts: list[int] = field(default_factory=list)
+    a: int | None = None
+    b: int | None = None
+    c: int | None = None
     outcome: Outcome = Outcome.BLOCKED
     events: list[ChannelEvent] = field(default_factory=list)
 
@@ -346,8 +357,8 @@ class SessionTranscript:
             count += 1
         return count
 
-    def lines(self) -> list[str]:
-        out = [event.line() for event in self.events]
+    def lines(self, width: int) -> list[str]:
+        out = [event.line(width) for event in self.events]
         out.append(f"session={self.session} outcome={self.outcome}")
         return out
 
@@ -369,7 +380,7 @@ def run_honest_session(
     """
     t = SessionTranscript(session=session)
 
-    def transmit(label: str, payload: Word) -> Word | None:
+    def transmit(label: str, payload: int) -> int | None:
         if channel is None:
             event = _event(session, label, payload, DELIVERED)
         else:
@@ -378,9 +389,7 @@ def run_honest_session(
         return event.delivered_payload()
 
     # Identification: current pseudonym, then one retry with the previous.
-    use_previous = False
-    challenge = None
-    for attempt in range(2):
+    for use_previous in (False, True):
         idt = tag.present(use_previous)
         t.presented_idts.append(idt)
         received = transmit(MSG_IDT, idt)
@@ -390,11 +399,7 @@ def run_honest_session(
         challenge = reader.begin(received, rng)
         if challenge is not None:
             break
-        if use_previous:
-            t.outcome = Outcome.IDENTIFICATION_FAILED
-            return t
-        use_previous = True
-    if challenge is None:  # pragma: no cover - loop always resolves
+    else:
         t.outcome = Outcome.IDENTIFICATION_FAILED
         return t
 
@@ -444,14 +449,15 @@ def fresh_system(
 ) -> tuple[ReaderState, list[TagState]]:
     """Reader plus n freshly initialized, registered tags.
 
-    Each tag gets an independently drawn ID, pseudonym and key.
+    Each tag gets an independently drawn ID, pseudonym and key; the
+    reader and every tag work on word_len-bit words.
     """
-    reader = ReaderState()
+    reader = ReaderState(word_len)
     tags = []
     for _ in range(n_tags):
         id = init.next_word()
         pair = PairState(idt=init.next_word(), key=init.next_word())
-        tag = TagState.fresh(id=id, pair=pair)
+        tag = TagState.fresh(id=id, pair=pair, width=word_len)
         reader.register(DatabaseEntry(idt=pair.idt, key=pair.key, id=id))
         tags.append(tag)
     return reader, tags

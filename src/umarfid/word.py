@@ -1,169 +1,43 @@
-"""Fixed-width bit vectors and the rotation-by-hamming-weight operator.
+"""L-bit words as plain ints, and the rotation-by-hamming-weight operator.
 
 Every value moving through the simulator (identifiers, keys, nonces,
-channel messages) is a Word: an immutable L-bit vector supporting the
-ultralightweight operation set (XOR, OR, AND, left circular rotation)
-plus hamming weight. Rotation amount is always reduced mod L, so
-rotating by the weight of an all-ones word is the identity.
+channel messages) is an int in [0, 2**L). One simulation has one width
+L, so the ultralightweight operation set is Python's own: XOR, OR and
+AND are ^, | and &, hamming weight is int.bit_count(). What ints lack
+lives here: left circular rotation by hamming weight (reduced mod L, so
+rotating by the weight of an all-ones word is the identity), fixed-width
+hex, the one width check, and seeded word streams.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 
 DEFAULT_WORD_LEN = 128
 
 
-class Word:
-    """Immutable L-bit vector. Operators require equal lengths."""
+def check_width(width: int) -> None:
+    """Reject word lengths below 4 or not a whole number of nibbles.
 
-    __slots__ = ("value", "width")
-
-    def __init__(self, value: int, width: int):
-        if width < 1:
-            raise ValueError(f"word width must be >= 1, got {width}")
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"value {value:#x} out of range for {width}-bit word")
-        self.value = value
-        self.width = width
-
-    @classmethod
-    def zeros(cls, width: int) -> "Word":
-        return cls(0, width)
-
-    @classmethod
-    def ones(cls, width: int) -> "Word":
-        return cls((1 << width) - 1, width)
-
-    @classmethod
-    def from_hex(cls, text: str, width: int) -> "Word":
-        if width % 4 != 0:
-            raise ValueError("hex encoding requires width divisible by 4")
-        if len(text) != width // 4:
-            raise ValueError(f"expected {width // 4} hex digits, got {len(text)!r}")
-        return cls(int(text, 16), width)
-
-    def to_hex(self) -> str:
-        """Lowercase hex, most-significant nibble first, zero padded."""
-        if self.width % 4 != 0:
-            raise ValueError("hex encoding requires width divisible by 4")
-        return format(self.value, f"0{self.width // 4}x")
-
-    def bit(self, i: int) -> int:
-        """Bit at position i, 0 = least significant."""
-        if not 0 <= i < self.width:
-            raise IndexError(f"bit index {i} out of range for width {self.width}")
-        return (self.value >> i) & 1
-
-    def bits(self) -> list[int]:
-        """All bits, most significant first (display order)."""
-        return [(self.value >> (self.width - 1 - i)) & 1 for i in range(self.width)]
-
-    def hamming_weight(self) -> int:
-        return self.value.bit_count()
-
-    def rotate_left(self, n: int) -> "Word":
-        """Circular left shift by n positions (n reduced mod width)."""
-        if n < 0:
-            raise ValueError("rotation amount must be >= 0")
-        w = self.width
-        n %= w
-        if n == 0:
-            return self
-        v = self.value
-        return Word(((v << n) | (v >> (w - n))) & ((1 << w) - 1), w)
-
-    def rot(self, other: "Word") -> "Word":
-        """Left rotation of self by the hamming weight of other, mod width."""
-        self._check(other)
-        return self.rotate_left(other.value.bit_count())
-
-    def _check(self, other: "Word") -> None:
-        if not isinstance(other, Word):
-            raise TypeError(f"expected Word, got {type(other).__name__}")
-        if other.width != self.width:
-            raise ValueError(
-                f"word length mismatch: {self.width} vs {other.width}"
-            )
-
-    def __xor__(self, other: "Word") -> "Word":
-        self._check(other)
-        return Word(self.value ^ other.value, self.width)
-
-    def __or__(self, other: "Word") -> "Word":
-        self._check(other)
-        return Word(self.value | other.value, self.width)
-
-    def __and__(self, other: "Word") -> "Word":
-        self._check(other)
-        return Word(self.value & other.value, self.width)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.value == other.value and self.width == other.width
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.width))
-
-    def __repr__(self) -> str:
-        if self.width % 4 == 0:
-            return f"Word(0x{self.to_hex()}, {self.width})"
-        return f"Word({self.value:#b}, {self.width})"
-
-    def __str__(self) -> str:
-        return self.to_hex()
-
-
-def bitwise(a: Word, b: Word, kind: str) -> Word:
-    """Bit-per-bit combination of two equal-length words.
-
-    kind is one of "xor", "or", "and".
+    Hex serialization needs whole nibbles; every simulation validates
+    its width here once, and every word it produces has that width.
     """
-    if kind == "xor":
-        return a ^ b
-    if kind == "or":
-        return a | b
-    if kind == "and":
-        return a & b
-    raise ValueError(f"unknown bitwise kind {kind!r} (expected xor, or, and)")
+    if width < 4:
+        raise ValueError(f"word_len must be >= 4, got {width}")
+    if width % 4 != 0:
+        raise ValueError(f"word_len must be divisible by 4, got {width}")
 
 
-def hamming_weight(w: Word) -> int:
-    """Number of 1-bits in w."""
-    return w.hamming_weight()
+def rot(x: int, y: int, width: int) -> int:
+    """Left circular shift of x by hamming_weight(y) positions, mod width."""
+    n = y.bit_count() % width
+    return ((x << n) | (x >> (width - n))) & ((1 << width) - 1)
 
 
-def rotate_left(w: Word, n: int) -> Word:
-    return w.rotate_left(n)
-
-
-def rot(a: Word, b: Word) -> Word:
-    """Left circular shift of a by hamming_weight(b) positions, mod length."""
-    return a.rot(b)
-
-
-@dataclass(frozen=True)
-class ProtocolParams:
-    """Simulation-wide parameters: word length and base seed.
-
-    word_len is fixed for the lifetime of a simulation; every word it
-    produces has exactly this length. Lengths below 4 or not divisible
-    by 4 are rejected (hex serialization needs whole nibbles).
-    """
-
-    word_len: int = DEFAULT_WORD_LEN
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.word_len < 4:
-            raise ValueError(f"word_len must be >= 4, got {self.word_len}")
-        if self.word_len % 4 != 0:
-            raise ValueError(
-                f"word_len must be divisible by 4, got {self.word_len}"
-            )
+def to_hex(x: int, width: int) -> str:
+    """Lowercase hex, most-significant nibble first, width // 4 digits."""
+    return format(x, f"0{width // 4}x")
 
 
 def derive_seed(base: int, *labels) -> int:
@@ -183,8 +57,8 @@ class WordStream:
         self.width = width
         self._rng = random.Random(seed)
 
-    def next_word(self) -> Word:
-        return Word(self._rng.getrandbits(self.width), self.width)
+    def next_word(self) -> int:
+        return self._rng.getrandbits(self.width)
 
     def next_bit(self) -> int:
         return self._rng.getrandbits(1)

@@ -59,9 +59,7 @@ def literal_desync_bitflip(bench, c1_round_cap=64, followups=3) -> AttackReport:
         )
 
     a_mask, b_mask = accepted
-    hw_matched = (
-        (nonce_truth ^ a_mask).hamming_weight() == nonce_truth.hamming_weight()
-    )
+    hw_matched = (nonce_truth ^ a_mask).bit_count() == nonce_truth.bit_count()
     still_synchronized = bench.synchronized()
     outcomes = bench.followup_outcomes(followups)
     return AttackReport(

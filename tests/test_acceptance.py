@@ -51,7 +51,7 @@ from umarfid.protocol import (
     run_honest_session,
     synchronized,
 )
-from umarfid.word import Word, WordStream, derive_seed
+from umarfid.word import WordStream, derive_seed, rot
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -70,16 +70,14 @@ def test_criterion_1_full_disclosure():
     width = 8
     oracle_self_rot = [oracle.rot_bits(v, v, width) for v in range(256)]
     failures = 0
-    for k in range(256):
-        key = Word(k, width)
-        for n in range(256):
-            nonce = Word(n, width)
+    for key in range(256):
+        for nonce in range(256):
             a = compute_a(key, nonce)
-            b = compute_b(key, nonce)
-            idt_next = key ^ nonce.rot(nonce)
+            b = compute_b(key, nonce, width)
+            idt_next = key ^ rot(nonce, nonce, width)
             recovered = recover_key(a, b, idt_next)
-            truth = oracle.xor_bits(oracle_self_rot[k], n, width)
-            if recovered.value != truth:
+            truth = oracle.xor_bits(oracle_self_rot[key], nonce, width)
+            if recovered != truth:
                 failures += 1
     exhaustive_ok = failures == 0
 
@@ -152,7 +150,7 @@ def test_criterion_5_desync_bitflip():
     admitted = sum(
         1
         for _ in range(rounds)
-        if bitflip_round_admits(rng.next_word(), random_weight2(rng, 128))
+        if bitflip_round_admits(rng.next_word(), random_weight2(rng, 128), 128)
     )
     fraction = admitted / rounds
     part_a = abs(fraction - 0.5) <= 0.02
@@ -164,16 +162,14 @@ def test_criterion_5_desync_bitflip():
     for _ in range(300):
         key, nonce = probe_rng.next_word(), probe_rng.next_word()
         c1 = random_weight2(probe_rng, 16)
-        a, b = compute_a(key, nonce), compute_b(key, nonce)
+        a, b = compute_a(key, nonce), compute_b(key, nonce, 16)
         enumerated = False
         for c2 in weight2_words(16):
-            tag = TagState.fresh(
-                id=Word.zeros(16), pair=PairState(idt=Word.zeros(16), key=key)
-            )
+            tag = TagState.fresh(id=0, pair=PairState(idt=0, key=key), width=16)
             if tag.respond(False, a ^ c1, b ^ c2) is not None:
                 enumerated = True
                 break
-        if enumerated != bitflip_round_admits(nonce, c1):
+        if enumerated != bitflip_round_admits(nonce, c1, 16):
             agree = False
             break
     part_a = part_a and agree
@@ -196,8 +192,8 @@ def test_criterion_5_desync_bitflip():
         twin = Bench(config.word_len, derive_seed(config.seed, config.experiment, trial))
         key_before = twin.tag.current.key
         nonce = twin.run_honest().a ^ key_before
-        shift = (nonce ^ result.a_mask).hamming_weight()
-        return result.b_mask == result.a_mask.rotate_left(shift)
+        # rotation by the weight of nonce xor a_mask
+        return result.b_mask == rot(result.a_mask, nonce ^ result.a_mask, config.word_len)
 
     config = TrialConfig(experiment="desync-bitflip", trials=200, word_len=16, seed=0)
     attack_reports, attack_stats = run_trials(config)
@@ -235,7 +231,7 @@ def test_criterion_5_desync_bitflip():
     nonce = captured.a ^ bench.tag.previous.key
     pick = WordStream(16, 43)
     c1 = random_weight2(pick, 16)
-    while bitflip_round_admits(nonce, c1):
+    while bitflip_round_admits(nonce, c1, 16):
         c1 = random_weight2(pick, 16)
     snapshot = (bench.tag.current, bench.tag.previous)
     untouched = True
@@ -266,27 +262,25 @@ def test_criterion_6_identities():
     random_failures = 0
     for _ in range(100_000):
         key, nonce = rng.next_word(), rng.next_word()
-        updated = next_pair(PairState(idt=key, key=key), nonce)
-        a, b = compute_a(key, nonce), compute_b(key, nonce)
+        updated = next_pair(PairState(idt=key, key=key), nonce, 128)
+        a, b = compute_a(key, nonce), compute_b(key, nonce, 128)
         if a ^ b ^ updated.idt != updated.key:
             random_failures += 1
-        if b ^ updated.idt != key.rot(key) ^ key:
+        if b ^ updated.idt != rot(key, key, 128) ^ key:
             random_failures += 1
     random_ok = random_failures == 0
 
     # exhaustive at 8 bits
     width = 8
-    self_rot = [Word(v, width).rot(Word(v, width)) for v in range(256)]
+    self_rot = [rot(v, v, width) for v in range(256)]
     exhaustive_failures = 0
-    for k in range(256):
-        key = Word(k, width)
-        key_const = self_rot[k] ^ key
-        for n in range(256):
-            nonce = Word(n, width)
+    for key in range(256):
+        key_const = self_rot[key] ^ key
+        for nonce in range(256):
             a = key ^ nonce
-            b = self_rot[k] ^ self_rot[n]
-            idt_next = key ^ self_rot[n]
-            key_next = self_rot[k] ^ nonce
+            b = self_rot[key] ^ self_rot[nonce]
+            idt_next = key ^ self_rot[nonce]
+            key_next = self_rot[key] ^ nonce
             if a ^ b ^ idt_next != key_next:
                 exhaustive_failures += 1
             if b ^ idt_next != key_const:
@@ -296,16 +290,15 @@ def test_criterion_6_identities():
     # word ops equal the naive per-bit oracle, exhaustive at 8 bits
     oracle_ok = True
     for v in range(256):
-        w = Word(v, width)
-        if w.hamming_weight() != oracle.weight_bits(v, width):
+        if v.bit_count() != oracle.weight_bits(v, width):
             oracle_ok = False
         for n in range(width + 1):
-            if w.rotate_left(n).value != oracle.rotl_bits(v, n, width):
+            # rotation by n positions: rot by a word of weight n
+            if rot(v, (1 << n) - 1, width) != oracle.rotl_bits(v, n, width):
                 oracle_ok = False
     for a_val in range(256):
-        a = Word(a_val, width)
         for b_val in range(256):
-            if a.rot(Word(b_val, width)).value != oracle.rot_bits(a_val, b_val, width):
+            if rot(a_val, b_val, width) != oracle.rot_bits(a_val, b_val, width):
                 oracle_ok = False
                 break
         if not oracle_ok:
@@ -361,7 +354,7 @@ def test_criterion_7_protocol_soundness():
     for i in range(trials):
         label = labels[i % 3]
         channel = Channel()
-        channel.flip(bench.session, label, Word(1 << position.next_below(128), 128))
+        channel.flip(bench.session, label, 1 << position.next_below(128))
         t = bench.run_honest(channel)
         if t.outcome is expected[label] and bench.synchronized():
             rejected += 1

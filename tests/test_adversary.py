@@ -14,7 +14,7 @@ from umarfid.adversary import (
 )
 from umarfid.attacks import distinguish_strategy
 from umarfid.protocol import MSG_C, Outcome, next_pair
-from umarfid.word import Word, WordStream, derive_seed
+from umarfid.word import WordStream, derive_seed
 
 
 def make_env(execute_budget=2, send_budget=1, game_seed=0, word_len=128):
@@ -72,9 +72,22 @@ class TestQueries:
 
     def test_send_replace_substitutes_payload(self):
         env = make_env()
-        env.send(env.next_session, MSG_C, replace=Word.zeros(128))
+        env.send(env.next_session, MSG_C, replace=0)
         t = env.execute(0)
         assert t.outcome is Outcome.READER_REJECTED_TAG
+
+    @pytest.mark.parametrize(
+        "word_len, payload",
+        [(128, -1), (128, 2**128), (8, 2**8)],
+        ids=["negative", "two-to-the-L", "two-to-the-L-at-8-bits"],
+    )
+    def test_send_replace_rejects_out_of_range_word(self, word_len, payload):
+        env = make_env(word_len=word_len)
+        with pytest.raises(ValueError, match=f"out of range for a {word_len}-bit word"):
+            env.send(env.next_session, MSG_C, replace=payload)
+        assert env.sends_used == 0  # a rejected substitute costs no budget
+        env.send(env.next_session, MSG_C, replace=payload - 1 if payload > 0 else 0)
+        assert env.sends_used == 1  # the largest (or smallest) word is accepted
 
     def test_test_reveals_single_pseudonym_when_synchronized(self):
         env = env_with_hidden_bit(0)

@@ -29,30 +29,25 @@ from umarfid.protocol import (
     compute_b,
     compute_c,
 )
-from umarfid.word import Word, WordStream, derive_seed
+from umarfid.word import WordStream, derive_seed, rot, to_hex
 
-words16 = st.integers(0, 2**16 - 1).map(lambda v: Word(v, 16))
-
-
-def w8(value):
-    return Word(value, 8)
+words16 = st.integers(0, 2**16 - 1)
 
 
 class TestRecoverKey:
     def test_worked_example(self):
         # session words frozen from the per-bit oracle: K=0xc5, N=0x36
-        assert recover_key(w8(0xF3), w8(0x3F), w8(0xA6)) == w8(0x6A)
+        assert recover_key(0xF3, 0x3F, 0xA6) == 0x6A
 
     def test_all_zero_instance(self):
-        z = Word.zeros(8)
-        assert recover_key(z, z, z) == z
+        assert recover_key(0, 0, 0) == 0
 
     @given(k=words16, n=words16)
     def test_telescopes_to_updated_key(self, k, n):
         a = compute_a(k, n)
-        b = compute_b(k, n)
-        idt_next = k ^ n.rot(n)
-        assert recover_key(a, b, idt_next) == k.rot(k) ^ n
+        b = compute_b(k, n, 16)
+        idt_next = k ^ rot(n, n, 16)
+        assert recover_key(a, b, idt_next) == rot(k, k, 16) ^ n
 
     @pytest.mark.parametrize("word_len", [8, 16, 128])
     def test_exact_on_live_systems(self, word_len):
@@ -84,16 +79,17 @@ class TestClone:
         second = bench.run_honest()
         key = recover_key(first.a, first.b, second.presented_idts[0])
         nonce = key ^ second.a
-        assert compute_b(key, nonce) == second.b
-        assert compute_b(key, nonce) != second.b ^ Word(1, 128)
+        assert compute_b(key, nonce, 128) == second.b
+        assert compute_b(key, nonce, 128) != second.b ^ 1
 
     def test_report_record_shape(self):
         report = attack_clone(Bench(128, 3))
-        record = attack_record(report, trial=4)
+        record = attack_record(report, trial=4, width=128)
         assert record["trial"] == 4
         assert record["attack"] == "clone"
-        assert record["cloned_idt"] == report.cloned_pair.idt.to_hex()
-        assert record["cloned_key"] == report.cloned_pair.key.to_hex()
+        assert record["cloned_idt"] == to_hex(report.cloned_pair.idt, 128)
+        assert record["cloned_key"] == to_hex(report.cloned_pair.key, 128)
+        assert len(record["cloned_key"]) == 32
         assert record["c1_rounds"] is None
 
 
@@ -129,7 +125,7 @@ class TestDesyncMitm:
         a, b = bench.reader.begin(idt, bench.nonce_rng)
         nonce = key ^ a
         c = bench.tag.respond(False, a, b)
-        assert c == compute_c(key, nonce)
+        assert c == compute_c(key, nonce, 128)
         assert bench.reader.complete(c) is True
         assert bench.synchronized()
 
@@ -143,9 +139,9 @@ class TestWeight2Machinery:
         words = list(weight2_words(8))
         assert len(words) == weight2_count(8)
         assert len(set(words)) == len(words)
-        assert all(w.hamming_weight() == 2 for w in words)
+        assert all(w.bit_count() == 2 for w in words)
         # ordered by (lower set bit, upper set bit)
-        assert [w.value for w in words[:8]] == [3, 5, 9, 17, 33, 65, 129, 6]
+        assert words[:8] == [3, 5, 9, 17, 33, 65, 129, 6]
 
     @pytest.mark.parametrize("width", [2, 3, 8, 16, 128])
     def test_index_is_the_enumeration_position(self, width):
@@ -155,38 +151,34 @@ class TestWeight2Machinery:
 
     @pytest.mark.parametrize("value", [0, 1, 0x80, 0x07, 0xFF])
     def test_index_rejects_other_weights(self, value):
-        assert weight2_index(w8(value), 8) is None
+        assert weight2_index(value, 8) is None
 
     def test_random_weight2(self):
         rng = WordStream(16, 3)
         for _ in range(100):
-            assert random_weight2(rng, 16).hamming_weight() == 2
+            assert random_weight2(rng, 16).bit_count() == 2
 
     @given(n=words16)
     def test_required_mask_is_what_the_tag_accepts(self, n):
-        key = Word(0x9C3A, 16)
-        c1 = Word(0b1010, 16)
+        key = 0x9C3A
+        c1 = 0b1010
         a = compute_a(key, n)
-        b = compute_b(key, n)
-        tag = TagState.fresh(
-            id=Word.zeros(16), pair=PairState(idt=Word.zeros(16), key=key)
-        )
-        mask = required_b_mask(n, c1)
+        b = compute_b(key, n, 16)
+        tag = TagState.fresh(id=0, pair=PairState(idt=0, key=key), width=16)
+        mask = required_b_mask(n, c1, 16)
         assert tag.respond(False, a ^ c1, b ^ mask) is not None
 
     @given(n=words16, wrong=st.integers(0, 119))
     def test_only_the_required_mask_is_accepted(self, n, wrong):
-        key = Word(0x5E71, 16)
-        c1 = Word(0b0110, 16)
-        mask = required_b_mask(n, c1)
+        key = 0x5E71
+        c1 = 0b0110
+        mask = required_b_mask(n, c1, 16)
         candidate = list(weight2_words(16))[wrong]
         if candidate == mask:
             return
         a = compute_a(key, n)
-        b = compute_b(key, n)
-        tag = TagState.fresh(
-            id=Word.zeros(16), pair=PairState(idt=Word.zeros(16), key=key)
-        )
+        b = compute_b(key, n, 16)
+        tag = TagState.fresh(id=0, pair=PairState(idt=0, key=key), width=16)
         assert tag.respond(False, a ^ c1, b ^ candidate) is None
 
     def test_admission_iff_weight_preserved_or_collision(self):
@@ -195,8 +187,8 @@ class TestWeight2Machinery:
         for _ in range(3000):
             n = rng.next_word()
             c1 = random_weight2(rng, 16)
-            admits = bitflip_round_admits(n, c1)
-            weights_match = (n ^ c1).hamming_weight() == n.hamming_weight()
+            admits = bitflip_round_admits(n, c1, 16)
+            weights_match = (n ^ c1).bit_count() == n.bit_count()
             if weights_match:
                 assert admits  # equal weights always admit the rotated mask
             elif admits:
@@ -210,10 +202,11 @@ class TestWeight2Machinery:
             n = rng.next_word()
             c1 = random_weight2(rng, 16)
             altered = n ^ c1
-            if altered.hamming_weight() != n.hamming_weight():
+            if altered.bit_count() != n.bit_count():
                 continue
             checked += 1
-            assert required_b_mask(n, c1) == c1.rotate_left(altered.hamming_weight())
+            # the required mask is c1 rotated by the weight of N xor c1
+            assert required_b_mask(n, c1, 16) == rot(c1, altered, 16)
 
 
 class TestDesyncBitflip:
@@ -224,8 +217,8 @@ class TestDesyncBitflip:
             assert report.success
             assert report.synchronized is False
             assert report.followup_outcomes == ("identification-failed",) * 3
-            assert report.a_mask.hamming_weight() == 2
-            assert report.b_mask.hamming_weight() == 2
+            assert report.a_mask.bit_count() == 2
+            assert report.b_mask.bit_count() == 2
 
     def test_attempt_accounting(self):
         report = attack_desync_bitflip(Bench(16, 4))
@@ -244,8 +237,8 @@ class TestDesyncBitflip:
             captured = twin.run_honest()
             nonce = captured.a ^ key_before
             if report.hw_matched:
-                shift = (nonce ^ report.a_mask).hamming_weight()
-                assert report.b_mask == report.a_mask.rotate_left(shift)
+                shifted_by = nonce ^ report.a_mask  # rotate by its weight
+                assert report.b_mask == rot(report.a_mask, shifted_by, 16)
 
     def test_tag_updates_from_previous_pair(self):
         bench = Bench(16, 2)
@@ -270,7 +263,7 @@ class TestDesyncBitflip:
         nonce = captured.a ^ key_used
         rng = WordStream(16, 100)
         c1 = random_weight2(rng, 16)
-        while bitflip_round_admits(nonce, c1):
+        while bitflip_round_admits(nonce, c1, 16):
             c1 = random_weight2(rng, 16)
         snapshot = (tag.current, tag.previous)
         for c2 in weight2_words(16):
@@ -286,14 +279,14 @@ class TestDesyncBitflip:
         nonce = captured.a ^ tag.previous.key
         rng = WordStream(16, 100)
         c1 = random_weight2(rng, 16)
-        while bitflip_round_admits(nonce, c1):
+        while bitflip_round_admits(nonce, c1, 16):
             c1 = random_weight2(rng, 16)
-        snapshot = [w.value for w in tag.words()]
+        snapshot = tag.words()
         hit = tag.respond_sweep(
             True, captured.a ^ c1, captured.b, lambda m: weight2_index(m, 16)
         )
         assert hit is None
-        assert [w.value for w in tag.words()] == snapshot
+        assert tag.words() == snapshot
 
     def test_sweep_hit_equals_the_literal_probe(self):
         bench = Bench(16, 6)
@@ -301,14 +294,14 @@ class TestDesyncBitflip:
         nonce = captured.a ^ bench.tag.previous.key
         rng = WordStream(16, 101)
         c1 = random_weight2(rng, 16)
-        while not bitflip_round_admits(nonce, c1):
+        while not bitflip_round_admits(nonce, c1, 16):
             c1 = random_weight2(rng, 16)
         twin = Bench(16, 6)
         twin.run_honest()
         index, c = bench.tag.respond_sweep(
             True, captured.a ^ c1, captured.b, lambda m: weight2_index(m, 16)
         )
-        mask = required_b_mask(nonce, c1)
+        mask = required_b_mask(nonce, c1, 16)
         assert index == weight2_index(mask, 16)
         assert c == twin.tag.respond(True, captured.a ^ c1, captured.b ^ mask)
         assert bench.tag.words() == twin.tag.words()
@@ -322,7 +315,7 @@ class TestDesyncBitflip:
     def test_reproducible_given_seed(self):
         a = attack_desync_bitflip(Bench(16, 11))
         b = attack_desync_bitflip(Bench(16, 11))
-        assert attack_record(a, 0) == attack_record(b, 0)
+        assert attack_record(a, 0, 16) == attack_record(b, 0, 16)
 
 
 def _stale_capture(bench):
@@ -350,7 +343,7 @@ class TestBitflipAgainstLiteralOracle:
         for seed in range(seeds):
             sweep = attack_desync_bitflip(Bench(width, seed), c1_round_cap=cap)
             literal = literal_desync_bitflip(Bench(width, seed), c1_round_cap=cap)
-            assert attack_record(sweep, seed) == attack_record(literal, seed)
+            assert attack_record(sweep, seed, width) == attack_record(literal, seed, width)
 
     def test_final_state_identical(self):
         for seed in range(50):
@@ -365,7 +358,7 @@ class TestBitflipAgainstLiteralOracle:
     def test_stale_capture_reported_after_one_probe(self):
         sweep = attack_desync_bitflip(_stale_capture(Bench(16, 3)))
         literal = literal_desync_bitflip(_stale_capture(Bench(16, 3)))
-        assert attack_record(sweep, 0) == attack_record(literal, 0)
+        assert attack_record(sweep, 0, 16) == attack_record(literal, 0, 16)
         assert sweep.detail == "tag no longer holds the captured pair"
         assert (sweep.c1_rounds, sweep.c2_trials) == (1, 1)
 
@@ -375,21 +368,19 @@ class TestBitflipExhaustive:
         """Every 16-bit nonce, one fixed key and A-mask: the tag accepts the
         predicted B-mask, and the weight-matched closed form holds."""
         width = 16
-        key = Word(0xB4D1, width)
-        c1 = Word((1 << 3) | (1 << 9), width)
-        zeros = Word.zeros(width)
+        key = 0xB4D1
+        c1 = (1 << 3) | (1 << 9)
         matched = 0
-        for value in range(2**width):
-            n = Word(value, width)
+        for n in range(2**width):
             a = compute_a(key, n)
-            b = compute_b(key, n)
-            mask = required_b_mask(n, c1)
-            tag = TagState.fresh(id=zeros, pair=PairState(idt=zeros, key=key))
+            b = compute_b(key, n, width)
+            mask = required_b_mask(n, c1, width)
+            tag = TagState.fresh(id=0, pair=PairState(idt=0, key=key), width=width)
             assert tag.respond(False, a ^ c1, b ^ mask) is not None
             altered = n ^ c1
-            if altered.hamming_weight() == n.hamming_weight():
+            if altered.bit_count() == n.bit_count():
                 matched += 1
-                assert mask == c1.rotate_left(altered.hamming_weight())
+                assert mask == rot(c1, altered, width)
         # two flipped positions, one set and one clear: half of all nonces
         assert matched == pytest.approx(2**width / 2, rel=0.02)
 
@@ -427,7 +418,7 @@ class TestTraceabilityAttack:
 class TestReportSerialization:
     def test_none_fields_serialize_empty(self):
         report = AttackReport(attack="x", success=False, detail="boom")
-        record = attack_record(report, trial=0)
+        record = attack_record(report, trial=0, width=128)
         assert record["recovered_key"] is None
         assert record["followups"] is None
         assert record["detail"] == "boom"
@@ -436,4 +427,4 @@ class TestReportSerialization:
         report = AttackReport(
             attack="x", success=True, followup_outcomes=("a", "b")
         )
-        assert attack_record(report, 0)["followups"] == "a;b"
+        assert attack_record(report, 0, 128)["followups"] == "a;b"

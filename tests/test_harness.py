@@ -38,11 +38,18 @@ class TestRunTrials:
             assert stats.trials == 3
             assert len(reports) == 3
 
+    def test_every_experiment_succeeds_at_16_bits(self):
+        # every word operation takes the run's width; one that fell back to
+        # the 128-bit default would break the algebra at L=16
+        for name in EXPERIMENTS:
+            _, stats = run(name, trials=100, word_len=16)
+            assert stats.successes == 100, name
+
     def test_identical_config_identical_records(self):
         first, _ = run("full-disclosure", trials=10, seed=9)
         second, _ = run("full-disclosure", trials=10, seed=9)
-        assert [report_record(r, i) for i, r in enumerate(first)] == [
-            report_record(r, i) for i, r in enumerate(second)
+        assert [report_record(r, i, 128) for i, r in enumerate(first)] == [
+            report_record(r, i, 128) for i, r in enumerate(second)
         ]
 
     def test_different_seeds_differ(self):
@@ -54,8 +61,8 @@ class TestRunTrials:
         config = TrialConfig(experiment="clone", trials=16, seed=4)
         serial, serial_stats = run_trials(config, workers=1)
         parallel, parallel_stats = run_trials(config, workers=2)
-        assert [report_record(r, i) for i, r in enumerate(serial)] == [
-            report_record(r, i) for i, r in enumerate(parallel)
+        assert [report_record(r, i, 128) for i, r in enumerate(serial)] == [
+            report_record(r, i, 128) for i, r in enumerate(parallel)
         ]
         assert serial_stats.successes == parallel_stats.successes
 
@@ -101,7 +108,7 @@ class TestRender:
 
     def test_text_has_summary_block(self):
         reports, stats = self._sample()
-        text = render(reports, stats, "text")
+        text = render(reports, stats, 128, "text")
         lines = text.strip().split("\n")
         assert len([l for l in lines if l.startswith("trial=")]) == 4
         assert "# summary" in lines
@@ -109,7 +116,7 @@ class TestRender:
 
     def test_json_lines_parse(self):
         reports, stats = self._sample()
-        lines = render(reports, stats, "json-lines").strip().split("\n")
+        lines = render(reports, stats, 128, "json-lines").strip().split("\n")
         records = [json.loads(line) for line in lines]
         assert [r["trial"] for r in records[:-1]] == [0, 1, 2, 3]
         assert "summary" in records[-1]
@@ -117,20 +124,24 @@ class TestRender:
 
     def test_csv_header_fixed(self):
         reports, stats = self._sample()
-        rows = list(csv.reader(io.StringIO(render(reports, stats, "csv"))))
-        assert rows[0][:5] == ["trial", "attack", "success", "recovered_key", "recovered_nonce"]
+        rows = list(csv.reader(io.StringIO(render(reports, stats, 128, "csv"))))
+        assert rows[0] == [
+            "trial", "attack", "success", "recovered_key", "recovered_nonce",
+            "cloned_idt", "cloned_key", "c1_rounds", "c2_trials", "a_mask",
+            "b_mask", "hw_matched", "synchronized", "followups", "detail",
+        ]
         assert len(rows) == 5  # header + 4 trials
 
     def test_game_records_format(self):
         reports, stats = run("untraceability", trials=3)
-        lines = render(reports, stats, "json-lines").strip().split("\n")
+        lines = render(reports, stats, 128, "json-lines").strip().split("\n")
         first = json.loads(lines[0])
         assert list(first) == ["trial", "b", "d", "success", "executes", "sends"]
 
     def test_unknown_format(self):
         reports, stats = self._sample()
         with pytest.raises(ValueError):
-            render(reports, stats, "yaml")
+            render(reports, stats, 128, "yaml")
 
 
 class TestCli:
@@ -150,12 +161,15 @@ class TestCli:
         assert main(["attack", "full-disclosure", "--trials", "10"]) == 0
 
     def test_failing_run_exits_one(self, capsys):
-        # a zero round cap makes every bit-flip trial fail honestly
+        # a one-round cap fails every bit-flip trial whose single mask
+        # round admits no B-mask (about half of them), honestly
         code = main([
             "attack", "desync-bitflip", "--bits", "16",
-            "--trials", "3", "--c1-cap", "0",
+            "--trials", "3", "--c1-cap", "1",
         ])
         assert code == 1
+        out = capsys.readouterr().out
+        assert "no accepting mask within 1 rounds" in out
 
     def test_verify_identities(self, capsys):
         assert main(["verify-identities", "--trials", "50"]) == 0
@@ -179,6 +193,50 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["session", "--bits", "10"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["session", "--trials", "0"], "--trials"),
+            (["session", "--workers", "0"], "--workers"),
+            (["session", "--workers", "-3"], "--workers"),
+            (["attack", "desync-bitflip", "--c1-cap", "0"], "--c1-cap"),
+            (["attack", "desync-bitflip", "--c1-cap", "-1"], "--c1-cap"),
+            (["attack", "desync-mitm", "--followups", "-1"], "--followups"),
+            (["game", "--executes", "-1"], "--executes"),
+            (["game", "--sends", "-1"], "--sends"),
+        ],
+    )
+    def test_usage_error_names_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert f"argument {flag}: must be >=" in message
+
+    def test_non_integer_flag_keeps_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["session", "--trials", "many"])
+        assert err.value.code == 2
+        assert "argument --trials: invalid int value: 'many'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["game", "--executes", "0", "--sends", "0", "--strategy", "random-guess"],
+            ["attack", "desync-mitm", "--followups", "0"],
+        ],
+    )
+    def test_zero_budgets_and_followups_accepted(self, capsys, argv):
+        assert main([*argv, "--trials", "2"]) in (0, 1)
+
+    def test_budget_too_small_for_strategy_is_a_usage_error(self, capsys):
+        # the distinguisher needs two executes; one is a usage error, not
+        # a failed trial, and no traceback escapes
+        with pytest.raises(SystemExit) as err:
+            main(["game", "--executes", "1", "--trials", "2"])
+        assert err.value.code == 2
+        assert "error: execute budget 1 exhausted" in capsys.readouterr().err
 
     def test_unknown_attack_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -23,11 +23,7 @@ from umarfid.protocol import (
     run_honest_session,
     synchronized,
 )
-from umarfid.word import Word, WordStream
-
-
-def w8(value):
-    return Word(value, 8)
+from umarfid.word import WordStream, rot, to_hex
 
 
 def make_system(word_len=128, seed=0, n_tags=1):
@@ -36,97 +32,96 @@ def make_system(word_len=128, seed=0, n_tags=1):
     return reader, tags, WordStream(word_len, seed + 1)
 
 
-words16 = st.integers(0, 2**16 - 1).map(lambda v: Word(v, 16))
+words16 = st.integers(0, 2**16 - 1)
 
 
 class TestMessages:
     # worked instance, frozen from the per-bit oracle: K=0xc5, N=0x36
-    K, N = w8(0xC5), w8(0x36)
+    K, N = 0xC5, 0x36
 
     def test_worked_example(self):
-        assert compute_a(self.K, self.N) == w8(0xF3)
-        assert compute_b(self.K, self.N) == w8(0x3F)
-        assert compute_c(self.K, self.N) == w8(0xF3)
-        updated = next_pair(PairState(idt=w8(0), key=self.K), self.N)
-        assert updated == PairState(idt=w8(0xA6), key=w8(0x6A))
+        assert compute_a(self.K, self.N) == 0xF3
+        assert compute_b(self.K, self.N, 8) == 0x3F
+        assert compute_c(self.K, self.N, 8) == 0xF3
+        updated = next_pair(PairState(idt=0, key=self.K), self.N, 8)
+        assert updated == PairState(idt=0xA6, key=0x6A)
 
     def test_a_identities(self):
-        n = w8(0x5D)
-        assert compute_a(Word.zeros(8), n) == n
-        assert compute_a(n, Word.zeros(8)) == n
+        n = 0x5D
+        assert compute_a(0, n) == n
+        assert compute_a(n, 0) == n
 
     def test_b_identities(self):
-        assert compute_b(Word.zeros(8), Word.zeros(8)) == Word.zeros(8)
-        k = w8(0x3C)
-        assert compute_b(k, k) == Word.zeros(8)  # equal arguments cancel
+        assert compute_b(0, 0, 8) == 0
+        k = 0x3C
+        assert compute_b(k, k, 8) == 0  # equal arguments cancel
 
     def test_c_identities(self):
-        assert compute_c(Word.zeros(8), Word.zeros(8)) == Word.zeros(8)
-        assert compute_c(Word.ones(8), Word.zeros(8)) == Word.ones(8)
+        assert compute_c(0, 0, 8) == 0
+        assert compute_c(0xFF, 0, 8) == 0xFF
 
     @given(k=words16, n=words16)
     def test_against_oracle(self, k, n):
-        kk = oracle.rot_bits(k.value, k.value, 16)
-        nn = oracle.rot_bits(n.value, n.value, 16)
-        assert compute_a(k, n).value == oracle.xor_bits(k.value, n.value, 16)
-        assert compute_b(k, n).value == oracle.xor_bits(kk, nn, 16)
+        kk = oracle.rot_bits(k, k, 16)
+        nn = oracle.rot_bits(n, n, 16)
+        assert compute_a(k, n) == oracle.xor_bits(k, n, 16)
+        assert compute_b(k, n, 16) == oracle.xor_bits(kk, nn, 16)
         expected_c = oracle.xor_bits(
-            oracle.or_bits(k.value, nn, 16),
-            oracle.and_bits(kk, n.value, 16),
+            oracle.or_bits(k, nn, 16),
+            oracle.and_bits(kk, n, 16),
             16,
         )
-        assert compute_c(k, n).value == expected_c
+        assert compute_c(k, n, 16) == expected_c
 
     def test_next_pair_all_zero_fixpoint(self):
-        z = Word.zeros(8)
-        assert next_pair(PairState(idt=w8(0x55), key=z), z) == PairState(idt=z, key=z)
+        assert next_pair(PairState(idt=0x55, key=0), 0, 8) == PairState(idt=0, key=0)
 
     @given(k=words16, n=words16, idt=words16)
     def test_next_pair_identity(self, k, n, idt):
-        updated = next_pair(PairState(idt=idt, key=k), n)
-        expected = n ^ n.rot(n) ^ k ^ k.rot(k)
+        updated = next_pair(PairState(idt=idt, key=k), n, 16)
+        expected = n ^ rot(n, n, 16) ^ k ^ rot(k, k, 16)
         assert updated.idt ^ updated.key == expected
 
 
 class TestTag:
     def fresh_tag(self):
-        pair = PairState(idt=w8(0x11), key=w8(0xC5))
-        return TagState.fresh(id=w8(0xEE), pair=pair)
+        pair = PairState(idt=0x11, key=0xC5)
+        return TagState.fresh(id=0xEE, pair=pair, width=8)
 
     def test_present(self):
         tag = self.fresh_tag()
-        assert tag.present() == w8(0x11)
-        assert tag.present(use_previous=True) == w8(0x11)  # never updated
+        assert tag.present() == 0x11
+        assert tag.present(use_previous=True) == 0x11  # never updated
 
     def test_respond_accepts_genuine_challenge(self):
         tag = self.fresh_tag()
-        n = w8(0x36)
-        c = tag.respond(False, compute_a(w8(0xC5), n), compute_b(w8(0xC5), n))
-        assert c == w8(0xF3)
-        assert tag.previous == PairState(idt=w8(0x11), key=w8(0xC5))
-        assert tag.current == PairState(idt=w8(0xA6), key=w8(0x6A))
+        n = 0x36
+        c = tag.respond(False, compute_a(0xC5, n), compute_b(0xC5, n, 8))
+        assert c == 0xF3
+        assert tag.previous == PairState(idt=0x11, key=0xC5)
+        assert tag.current == PairState(idt=0xA6, key=0x6A)
 
     def test_respond_rejects_corrupted_challenge(self):
         tag = self.fresh_tag()
-        n = w8(0x36)
-        a = compute_a(w8(0xC5), n)
-        b = compute_b(w8(0xC5), n) ^ w8(0x01)
+        n = 0x36
+        a = compute_a(0xC5, n)
+        b = compute_b(0xC5, n, 8) ^ 0x01
         before = (tag.current, tag.previous)
         assert tag.respond(False, a, b) is None
         assert (tag.current, tag.previous) == before
 
     def test_respond_with_previous_pair_discards_current(self):
         tag = self.fresh_tag()
-        n1 = w8(0x36)
-        tag.respond(False, compute_a(w8(0xC5), n1), compute_b(w8(0xC5), n1))
+        n1 = 0x36
+        tag.respond(False, compute_a(0xC5, n1), compute_b(0xC5, n1, 8))
         orphan = tag.current
         # a session keyed to the previous pair replaces current outright
-        n2 = w8(0x99)
+        n2 = 0x99
         key = tag.previous.key
-        c = tag.respond(True, compute_a(key, n2), compute_b(key, n2))
+        c = tag.respond(True, compute_a(key, n2), compute_b(key, n2, 8))
         assert c is not None
-        assert tag.previous == PairState(idt=w8(0x11), key=w8(0xC5))
-        assert tag.current == next_pair(PairState(idt=w8(0x11), key=w8(0xC5)), n2)
+        assert tag.previous == PairState(idt=0x11, key=0xC5)
+        assert tag.current == next_pair(PairState(idt=0x11, key=0xC5), n2, 8)
         assert tag.current != orphan
 
     def test_corruption_rejected_over_random_flips(self):
@@ -135,11 +130,11 @@ class TestTag:
         trials = 300
         for _ in range(trials):
             pair = PairState(idt=rng.next_word(), key=rng.next_word())
-            tag = TagState.fresh(id=rng.next_word(), pair=pair)
+            tag = TagState.fresh(id=rng.next_word(), pair=pair, width=16)
             n = rng.next_word()
             a = compute_a(pair.key, n)
-            b = compute_b(pair.key, n)
-            flip = Word(1 << rng.next_below(16), 16)
+            b = compute_b(pair.key, n, 16)
+            flip = 1 << rng.next_below(16)
             if tag.respond(False, a, b ^ flip) is None:
                 rejected += 1
         assert rejected == trials
@@ -151,14 +146,14 @@ class TestStateSizes:
         assert len(tags[0].words()) == 5
 
     def test_database_entry_holds_three_words(self):
-        entry = DatabaseEntry(idt=w8(1), key=w8(2), id=w8(3))
+        entry = DatabaseEntry(idt=1, key=2, id=3)
         assert len(entry.words()) == 3
 
 
 class TestReader:
     def test_unknown_pseudonym(self):
         reader, _, rng = make_system()
-        assert reader.begin(Word.zeros(128), rng) is None
+        assert reader.begin(0, rng) is None
         assert reader.pending is None
 
     def test_begin_issues_consistent_challenge(self):
@@ -178,7 +173,7 @@ class TestReader:
     def test_complete_without_pending_is_fatal(self):
         reader, _, _ = make_system()
         with pytest.raises(RuntimeError):
-            reader.complete(Word.zeros(128))
+            reader.complete(0)
 
     def test_complete_updates_entry_and_rekeys_lookup(self):
         reader, tags, rng = make_system()
@@ -196,7 +191,7 @@ class TestReader:
         idt = tag.present()
         a, b = reader.begin(idt, rng)
         c = tag.respond(False, a, b)
-        assert reader.complete(c ^ Word(1, 128)) is False
+        assert reader.complete(c ^ 1) is False
         assert reader.knows(idt)  # entry untouched
         assert reader.pending is None
 
@@ -209,11 +204,11 @@ class TestReader:
         assert reader.knows(idt)
 
     def test_registration_collision_rejected(self):
-        reader = ReaderState()
-        entry = DatabaseEntry(idt=w8(1), key=w8(2), id=w8(3))
+        reader = ReaderState(8)
+        entry = DatabaseEntry(idt=1, key=2, id=3)
         reader.register(entry)
-        with pytest.raises(ValueError):
-            reader.register(DatabaseEntry(idt=w8(1), key=w8(9), id=w8(4)))
+        with pytest.raises(ValueError, match="registration: 01$"):
+            reader.register(DatabaseEntry(idt=1, key=9, id=4))
 
     def test_determinism(self):
         first = make_system(seed=5)
@@ -258,7 +253,7 @@ class TestHonestSession:
                 assert t.outcome is Outcome.BLOCKED
                 continue
             key = pairs[len(t.presented_idts) - 1].key
-            assert t.b ^ tag.current.idt == key.rot(key) ^ key
+            assert t.b ^ tag.current.idt == rot(key, key, 128) ^ key
             successes += 1
         assert successes == 1000
 
@@ -277,10 +272,10 @@ class TestHonestSession:
     def test_transcript_lines_format(self):
         reader, tags, rng = make_system()
         t = run_honest_session(reader, tags[0], rng)
-        lines = t.lines()
+        lines = t.lines(128)
         assert lines[0] == (
             f"session=0 direction=tag->reader message=IDT "
-            f"word={t.presented_idts[0].to_hex()} disposition=delivered"
+            f"word={to_hex(t.presented_idts[0], 128)} disposition=delivered"
         )
         assert lines[-1] == "session=0 outcome=mutual-success"
 
@@ -291,14 +286,12 @@ class TestHonestSession:
             key = tags[0].current.key
             t = run_honest_session(reader, tags[0], rng)
             assert t.outcome is Outcome.MUTUAL_SUCCESS
-            assert t.b ^ tags[0].current.idt == key.rot(key) ^ key
+            assert t.b ^ tags[0].current.idt == rot(key, key, 128) ^ key
 
     def test_unregistered_tag_fails_identification(self):
         reader, _, rng = make_system()
-        stray = TagState.fresh(
-            id=Word.zeros(128),
-            pair=PairState(idt=Word.ones(128), key=Word.ones(128)),
-        )
+        ones = 2**128 - 1
+        stray = TagState.fresh(id=0, pair=PairState(idt=ones, key=ones), width=128)
         t = run_honest_session(reader, stray, rng)
         assert t.outcome is Outcome.IDENTIFICATION_FAILED
         assert len(t.presented_idts) == 2
@@ -356,7 +349,7 @@ class TestHonestSession:
         tag = tags[0]
         snapshot = (tag.current, tag.previous)
         channel = Channel()
-        channel.flip(0, MSG_B, Word(1 << 17, 128))
+        channel.flip(0, MSG_B, 1 << 17)
         t = run_honest_session(reader, tag, rng, channel=channel)
         assert t.outcome is Outcome.TAG_REJECTED_READER
         assert (tag.current, tag.previous) == snapshot
@@ -367,7 +360,7 @@ class TestHonestSession:
         tag = tags[0]
         old_idt = tag.current.idt
         channel = Channel()
-        channel.flip(0, MSG_C, Word(1 << 99, 128))
+        channel.flip(0, MSG_C, 1 << 99)
         t = run_honest_session(reader, tag, rng, channel=channel)
         assert t.outcome is Outcome.READER_REJECTED_TAG
         # tag updated on send, reader refused: recoverable one-step skew
@@ -379,14 +372,14 @@ class TestHonestSession:
     def test_replaced_event_records_both_payloads(self):
         reader, tags, rng = make_system()
         channel = Channel()
-        substitute = Word.ones(128)
+        substitute = 2**128 - 1
         channel.replace(0, MSG_B, substitute)
         t = run_honest_session(reader, tags[0], rng, channel=channel)
         event = next(e for e in t.events if e.label == MSG_B)
         assert event.disposition == "replaced"
         assert event.payload == t.b
         assert event.replacement == substitute
-        assert "replacement=" in event.line()
+        assert event.line(128).endswith(f"replacement={'f' * 32}")
 
     def test_sync_invariant_over_many_sessions(self):
         reader, tags, rng = make_system(seed=3)
@@ -408,7 +401,7 @@ class TestHonestSession:
             reader, tags, rng = make_system(seed=seed)
             out = []
             for i in range(5):
-                out.extend(run_honest_session(reader, tags[0], rng, session=i).lines())
+                out.extend(run_honest_session(reader, tags[0], rng, session=i).lines(128))
             return out
 
         assert transcript_lines(11) == transcript_lines(11)
