@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .protocol import (
     Channel,
@@ -86,16 +87,21 @@ class GameEnvironment:
 
     def __init__(self, config: GameConfig, game_seed: int):
         self.config = config
+        self._game_seed = game_seed
         init = WordStream(config.word_len, derive_seed(game_seed, "init"))
         self.reader, self.tags = fresh_system(init, config.word_len, n_tags=2)
         self._nonce_rng = WordStream(config.word_len, derive_seed(game_seed, "nonce"))
         self._bit_rng = WordStream(config.word_len, derive_seed(game_seed, "bit"))
-        self.adversary_rng = WordStream(config.word_len, derive_seed(game_seed, "adv"))
         self.channel = Channel()
         self.executes_used = 0
         self.sends_used = 0
         self._session = 0
         self._hidden_bit: int | None = None
+
+    @cached_property
+    def adversary_rng(self) -> WordStream:
+        """The strategy's own stream, seeded on first use."""
+        return WordStream(self.config.word_len, derive_seed(self._game_seed, "adv"))
 
     @property
     def next_session(self) -> int:

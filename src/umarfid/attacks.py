@@ -24,6 +24,7 @@ simulator state the attacker could not see.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .adversary import GameConfig, GameEnvironment, GameOutcome, run_untraceability_game
@@ -81,12 +82,17 @@ class Bench:
     def __init__(self, word_len: int, seed: int):
         check_width(word_len)
         self.word_len = word_len
+        self._seed = seed
         init = WordStream(word_len, derive_seed(seed, "init"))
         self.reader, tags = fresh_system(init, word_len, n_tags=1)
         self.tag = tags[0]
         self.nonce_rng = WordStream(word_len, derive_seed(seed, "nonce"))
-        self.adv_rng = WordStream(word_len, derive_seed(seed, "adv"))
         self.session = 0
+
+    @cached_property
+    def adv_rng(self) -> WordStream:
+        """The attacker's own stream, seeded on first use."""
+        return WordStream(self.word_len, derive_seed(self._seed, "adv"))
 
     def run_honest(self, channel=None) -> SessionTranscript:
         t = run_honest_session(

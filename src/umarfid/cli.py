@@ -7,6 +7,7 @@ one trial failed; 2 is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .adversary import GameError
@@ -43,7 +44,9 @@ def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
                         help="parallel worker processes (results identical)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="umarfid",
         description=(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .word import DEFAULT_WORD_LEN, WordStream, rot, to_hex
 
@@ -59,8 +60,7 @@ def compute_c(key: int, nonce: int, width: int = DEFAULT_WORD_LEN) -> int:
     return (key | rot(nonce, nonce, width)) ^ (rot(key, key, width) & nonce)
 
 
-@dataclass(frozen=True)
-class PairState:
+class PairState(NamedTuple):
     """A {pseudonym, secret key} pair shared between tag and reader."""
 
     idt: int
@@ -77,6 +77,20 @@ def next_pair(used: PairState, nonce: int, width: int = DEFAULT_WORD_LEN) -> Pai
         idt=key ^ rot(nonce, nonce, width),
         key=rot(key, key, width) ^ nonce,
     )
+
+
+def _session_words(key: int, nonce: int, width: int, received_b: int | None = None):
+    """(B, C, updated pair) from one rot(K, K) and one rot(N, N).
+
+    compute_b, compute_c and next_pair fused for reader and tag. Given
+    the B a tag received, returns None on a mismatch before building C.
+    """
+    rk = rot(key, key, width)
+    rn = rot(nonce, nonce, width)
+    b = rk ^ rn
+    if received_b is not None and received_b != b:
+        return None
+    return b, (key | rn) ^ (rk & nonce), PairState(key ^ rn, rk ^ nonce)
 
 
 @dataclass
@@ -116,14 +130,13 @@ class TagState:
         next_pair(used, N') becomes current. On a mismatch it returns
         None and keeps its state bit-identical.
         """
-        used = self.pair(use_previous)
-        nonce = a ^ used.key
-        width = self.width
-        if compute_b(used.key, nonce, width) != b:
+        # pair() inlined: one call fewer on the reject path
+        used = self.previous if use_previous else self.current
+        words = _session_words(used.key, a ^ used.key, self.width, b)
+        if words is None:
             return None
-        c = compute_c(used.key, nonce, width)
+        _, c, self.current = words
         self.previous = used
-        self.current = next_pair(used, nonce, width)
         return c
 
     def respond_sweep(
@@ -164,13 +177,13 @@ class DatabaseEntry:
         return PairState(idt=self.idt, key=self.key)
 
 
-@dataclass
-class _Pending:
-    """In-flight reader session: matched entry, nonce, expected response."""
+class _Pending(NamedTuple):
+    """In-flight reader session: entry, nonce, expected C, updated pair."""
 
     entry: DatabaseEntry
     nonce: int
     expected_c: int
+    updated: PairState
 
 
 class ReaderState:
@@ -205,13 +218,9 @@ class ReaderState:
         if entry is None:
             return None
         nonce = rng.next_word()
-        width = self.width
-        self.pending = _Pending(
-            entry=entry,
-            nonce=nonce,
-            expected_c=compute_c(entry.key, nonce, width),
-        )
-        return compute_a(entry.key, nonce), compute_b(entry.key, nonce, width)
+        b, c, updated = _session_words(entry.key, nonce, self.width)
+        self.pending = _Pending(entry, nonce, c, updated)
+        return entry.key ^ nonce, b
 
     def complete(self, c: int) -> bool:
         """Check the tag's response; update the database entry on success.
@@ -223,8 +232,7 @@ class ReaderState:
         pending, self.pending = self.pending, None
         if c != pending.expected_c:
             return False
-        entry = pending.entry
-        updated = next_pair(entry.pair(), pending.nonce, self.width)
+        entry, updated = pending.entry, pending.updated
         if updated.idt != entry.idt:
             if updated.idt in self.entries:
                 raise ValueError(
@@ -257,8 +265,7 @@ BLOCKED = "blocked"
 REPLACED = "replaced"
 
 
-@dataclass(frozen=True)
-class ChannelEvent:
+class ChannelEvent(NamedTuple):
     """One radio transmission as an eavesdropper sees it."""
 
     session: int
@@ -289,14 +296,7 @@ class ChannelEvent:
 
 def _event(session, label, payload, disposition, replacement=None) -> ChannelEvent:
     direction = TAG_TO_READER if label in (MSG_IDT, MSG_C) else READER_TO_TAG
-    return ChannelEvent(
-        session=session,
-        direction=direction,
-        label=label,
-        payload=payload,
-        disposition=disposition,
-        replacement=replacement,
-    )
+    return ChannelEvent(session, direction, label, payload, disposition, replacement)
 
 
 class Channel:

@@ -118,6 +118,20 @@ class TestQueries:
         assert env.sends_used == 1
 
 
+class TestLazyAdversaryStream:
+    def test_distinguish_game_never_builds_it(self):
+        env = make_env(game_seed=9)
+        distinguish_strategy(env)
+        assert "adversary_rng" not in vars(env)
+
+    def test_stream_matches_eager_seeding(self):
+        env = make_env(game_seed=9, word_len=16)
+        eager = WordStream(16, derive_seed(9, "adv"))
+        drawn = [env.adversary_rng.next_word() for _ in range(5)]
+        assert drawn == [eager.next_word() for _ in range(5)]
+        assert env.adversary_rng.next_bit() == eager.next_bit()
+
+
 class TestGame:
     def test_game_without_test_is_harness_error(self):
         with pytest.raises(GameError):

@@ -428,3 +428,24 @@ class TestReportSerialization:
             attack="x", success=True, followup_outcomes=("a", "b")
         )
         assert attack_record(report, 0, 128)["followups"] == "a;b"
+
+
+class TestLazyAdversaryStream:
+    """Bench.adv_rng is seeded on first use; attacks that never draw from
+    it never derive its seed."""
+
+    @pytest.mark.parametrize("attack", [attack_clone, attack_full_disclosure])
+    def test_unused_stream_never_built(self, attack):
+        bench = Bench(128, 42)
+        assert attack(bench).success
+        assert "adv_rng" not in vars(bench)
+
+    @pytest.mark.parametrize("width", [8, 128])
+    def test_stream_matches_eager_seeding(self, width):
+        bench = Bench(width, 42)
+        eager = WordStream(width, derive_seed(42, "adv"))
+        assert [bench.adv_rng.next_word() for _ in range(5)] == [
+            eager.next_word() for _ in range(5)
+        ]
+        assert "adv_rng" in vars(bench)  # later accesses reuse the stream
+        assert bench.adv_rng.next_word() == eager.next_word()

@@ -58,6 +58,34 @@ GOLDEN = {
         1,
         "183ac4a32ccaf49d81f52499c289eaf637ee0126712e7c38458838842ec98dfe",
     ),
+    # small widths, where rotation by weight mod L wraps; 12 of the 200
+    # 4-bit session trials fail (the small-width faults of ROADMAP item 2)
+    "session --bits 4 --trials 200": (
+        1,
+        "c7208598d04488945b88a1cbc6ae795ae1d0b48f9f2a5cc6c2937ce67ef98048",
+    ),
+    "attack full-disclosure --bits 4 --trials 200": (
+        0,
+        "6900946ce6b97b504a41244e624ffebd911bf2aa4b2f232e83817e0699e03171",
+    ),
+    "attack clone --bits 8 --trials 200": (
+        0,
+        "e35950a98c417ef5ce9df34391e6495f1f0b84919e6c6f339366a831c166c079",
+    ),
+    "attack desync-mitm --bits 8 --trials 200": (
+        0,
+        "1fde6c95a122e13fb79c8a2f9f3647be3a2fb19e5a945a91c4f8bf5440c50be0",
+    ),
+    # game records carry no words, so this equals the 128-bit digest
+    "game --bits 16 --trials 200": (
+        0,
+        "bbcef44c1e4e6bef4e5d3917bc7b7be8604b659f03ac444d5c6f29821f458099",
+    ),
+    # workers must not change a byte: same digest as the serial run
+    "attack clone --trials 200 --workers 2": (
+        0,
+        "3c60c38243c1879a7484dc4398d9163500f5afb52b369a6294639aa78f60fe0a",
+    ),
 }
 
 

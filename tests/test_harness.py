@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from umarfid.cli import main
+from umarfid.cli import build_parser, main
 from umarfid.harness import (
     EXPERIMENTS,
     SummaryStats,
@@ -14,6 +18,9 @@ from umarfid.harness import (
     run_trials,
     summarize,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(experiment, trials, **kwargs):
@@ -241,6 +248,35 @@ class TestCli:
     def test_unknown_attack_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["attack", "teleport"])
+
+    def test_parser_reuse_behaves_like_a_fresh_process(self, capsys):
+        # the parser is built once per process; a run must leave nothing
+        # behind that a later main() call in the same process could see
+        assert build_parser() is build_parser()
+        assert main(["game", "--trials", "3", "--sends", "0", "--seed", "4"]) in (0, 1)
+        capsys.readouterr()
+        argv = ["game", "--trials", "6", "--seed", "4", "--format", "json-lines"]
+        assert main(argv) == 0
+        reused = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "umarfid.cli", *argv],
+            capture_output=True, text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert fresh.returncode == 0
+
+        def without_duration(text):
+            records = [json.loads(line) for line in text.splitlines()]
+            del records[-1]["summary"]["duration_s"]
+            return records
+
+        assert without_duration(reused) == without_duration(fresh.stdout)
+        assert len(without_duration(reused)) == 7
+        with pytest.raises(SystemExit) as err:
+            main(["attack", "clone", "--trials", "0"])
+        assert err.value.code == 2
+        assert "argument --trials: must be >= 1, got 0" in capsys.readouterr().err
+        assert main(["attack", "clone", "--trials", "2"]) == 0
 
     def test_reproducible_output(self, capsys):
         main(["attack", "desync-mitm", "--trials", "5", "--format", "json-lines"])

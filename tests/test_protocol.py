@@ -9,6 +9,7 @@ from umarfid.protocol import (
     MSG_C,
     MSG_IDT,
     Channel,
+    ChannelEvent,
     DatabaseEntry,
     Outcome,
     PairState,
@@ -23,7 +24,7 @@ from umarfid.protocol import (
     run_honest_session,
     synchronized,
 )
-from umarfid.word import WordStream, rot, to_hex
+from umarfid.word import WordStream, derive_seed, rot, to_hex
 
 
 def make_system(word_len=128, seed=0, n_tags=1):
@@ -148,6 +149,19 @@ class TestStateSizes:
     def test_database_entry_holds_three_words(self):
         entry = DatabaseEntry(idt=1, key=2, id=3)
         assert len(entry.words()) == 3
+
+
+class TestRecords:
+    def test_pairs_and_events_are_immutable(self):
+        pair = PairState(1, 2)
+        event = ChannelEvent(0, "tag->reader", MSG_IDT, 5)
+        with pytest.raises(AttributeError):
+            pair.key = 3
+        with pytest.raises(AttributeError):
+            event.payload = 6
+        assert pair.words() == (1, 2)
+        assert event.disposition == "delivered" and event.replacement is None
+        assert event.delivered_payload() == 5
 
 
 class TestReader:
@@ -406,3 +420,69 @@ class TestHonestSession:
 
         assert transcript_lines(11) == transcript_lines(11)
         assert transcript_lines(11) != transcript_lines(12)
+
+
+class _FixedNonce:
+    """Stands in for the reader's nonce stream: always draws the same word."""
+
+    def __init__(self, nonce):
+        self.nonce = nonce
+
+    def next_word(self):
+        return self.nonce
+
+
+class TestFusedAgainstReference:
+    """The reader and tag derive B, C and the next pair from one rotation
+    pair each; compute_a/b/c and next_pair stay the reference formulas."""
+
+    @staticmethod
+    def cases(width, count=1000):
+        ones = (1 << width) - 1
+        rng = WordStream(width, derive_seed(width, "fused"))
+        # weight 0 and weight L rotate by 0 mod L: the identity
+        edges = [(key, nonce) for key in (0, ones) for nonce in (0, ones)]
+        edges += [(0, rng.next_word()), (ones, rng.next_word())]
+        edges += [(rng.next_word(), 0), (rng.next_word(), ones)]
+        for key, nonce in edges + [(rng.next_word(), rng.next_word()) for _ in range(count)]:
+            yield PairState(rng.next_word(), key), nonce, rng
+
+    @pytest.mark.parametrize("width", [4, 8, 16, 128])
+    def test_reader_matches_reference(self, width):
+        for pair, nonce, _ in self.cases(width):
+            key = pair.key
+            reader = ReaderState(width)
+            reader.register(DatabaseEntry(idt=pair.idt, key=key, id=1))
+            challenge = reader.begin(pair.idt, _FixedNonce(nonce))
+            assert challenge == (compute_a(key, nonce), compute_b(key, nonce, width))
+            assert reader.pending.expected_c == compute_c(key, nonce, width)
+            assert reader.complete(compute_c(key, nonce, width))
+            (entry,) = reader.entries.values()
+            assert entry.pair() == next_pair(pair, nonce, width)
+            assert list(reader.entries) == [entry.idt]
+
+    @pytest.mark.parametrize("width", [4, 8, 16, 128])
+    def test_tag_matches_reference(self, width):
+        for pair, nonce, rng in self.cases(width):
+            key = pair.key
+            a, b = compute_a(key, nonce), compute_b(key, nonce, width)
+
+            tag = TagState.fresh(id=1, pair=pair, width=width)
+            wrong = b ^ (rng.next_below((1 << width) - 1) + 1)
+            before = tag.words()
+            assert tag.respond(False, a, wrong) is None
+            assert tag.words() == before
+
+            assert tag.respond(False, a, b) == compute_c(key, nonce, width)
+            assert tag.current == next_pair(pair, nonce, width)
+            assert tag.previous == pair
+
+            # after the update, a wrong B through either pair leaves the
+            # tag untouched
+            before = tag.words()
+            for use_previous in (False, True):
+                used_key = tag.pair(use_previous).key
+                b2 = compute_b(used_key, nonce, width)
+                delta = rng.next_below((1 << width) - 1) + 1
+                assert tag.respond(use_previous, used_key ^ nonce, b2 ^ delta) is None
+                assert tag.words() == before
