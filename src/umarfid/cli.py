@@ -1,17 +1,19 @@
 """Command line front-end: every experiment as a reproducible run.
 
 Exit code 0 means every trial-level assertion held; 1 means at least
-one trial failed; 2 is a usage error.
+one trial failed; 2 is a usage error. Records are written in trial
+order while the run goes on, and the summary last.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
 from .adversary import GameError
-from .harness import STRATEGIES, TrialConfig, render, run_trials
+from .harness import STRATEGIES, TrialConfig, run_trials, summary_text
 
 ATTACK_NAMES = ["full-disclosure", "clone", "desync-mitm", "desync-bitflip"]
 
@@ -116,20 +118,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        reports, stats = run_trials(config, workers=args.workers)
-        text = render(reports, stats, config.word_len, args.format)
-    except (ValueError, GameError) as err:
+    except ValueError as err:
         parser.exit(2, f"error: {err}\n")
 
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        try:
+            _, stats = run_trials(config, args.workers, out.write, args.format)
+        except (ValueError, GameError) as err:
+            parser.exit(2, f"error: {err}\n")
+        out.write(summary_text(stats, args.format))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         print(
             f"{stats.experiment}: {stats.successes}/{stats.trials} ok, "
             f"records written to {args.out}"
         )
-    else:
-        sys.stdout.write(text)
     return 0 if stats.successes == stats.trials else 1
 
 

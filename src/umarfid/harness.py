@@ -3,15 +3,18 @@
 Each experiment maps a (config, trial index) pair to one report; the
 trial seed is derived from the base seed and the index, so a config
 determines every byte of output no matter how many workers run it.
+Trials run in contiguous ranges; a streamed run renders each range's
+records where the range ran and writes them in trial order.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import functools
 import json
 import statistics
 import time
+import types
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -45,6 +48,10 @@ class TrialConfig:
         check_width(self.word_len)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name, choices in (("experiment", EXPERIMENTS), ("strategy", STRATEGIES)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"unknown {name} {value!r}; choose from {sorted(choices)}")
 
 
 @dataclass(frozen=True)
@@ -134,11 +141,7 @@ def _identities_trial(config: TrialConfig, trial: int) -> TrialResult:
 
 
 def _game_trial(config: TrialConfig, trial: int) -> GameOutcome:
-    strategy = STRATEGIES.get(config.strategy)
-    if strategy is None:
-        raise ValueError(
-            f"unknown strategy {config.strategy!r}; choose from {sorted(STRATEGIES)}"
-        )
+    strategy = STRATEGIES[config.strategy]
     game_config = GameConfig(
         word_len=config.word_len,
         execute_budget=config.execute_budget,
@@ -181,51 +184,79 @@ EXPERIMENTS = {
 }
 
 
-def _run_one(args: tuple[TrialConfig, int]):
-    config, trial = args
-    return EXPERIMENTS[config.experiment](config, trial)
+# Ranges hold at most this many reports, so a streamed run's memory does
+# not grow with its trial count.
+RANGE_CAP = 1000
 
 
-def run_trials(config: TrialConfig, workers: int = 1):
+def trial_ranges(trials: int, workers: int) -> list[range]:
+    """Split trials into contiguous ranges, about four per worker."""
+    size = min(RANGE_CAP, -(-trials // (4 * workers)))
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
+def _run_range(config: TrialConfig, fmt: str | None, trials: range):
+    """Run one range of trials: (its reports, or with fmt their rendered
+    records, plus the range's tally for the summary)."""
+    run = EXPERIMENTS[config.experiment]
+    reports = [run(config, trial) for trial in trials]
+    part = reports if fmt is None else render_records(reports, trials.start, config.word_len, fmt)
+    return part, _tally(reports)
+
+
+def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "text"):
     """Execute every trial of an experiment; returns (reports, summary).
 
     Per-trial seeds derive from (base seed, trial index): identical
-    config gives bit-identical reports for any worker count.
+    config gives bit-identical reports for any worker count. With
+    ``write``, the process that ran a range renders its records in
+    ``fmt``, and ``write`` gets them in trial order; no report is kept
+    (the returned list is empty). If a trial raises, the ranges before
+    its own stay written.
     """
-    if config.experiment not in EXPERIMENTS:
-        raise ValueError(
-            f"unknown experiment {config.experiment!r}; "
-            f"choose from {sorted(EXPERIMENTS)}"
-        )
     started = time.perf_counter()
-    jobs = [(config, trial) for trial in range(config.trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one, jobs, chunksize=64))
-    else:
-        reports = [_run_one(job) for job in jobs]
-    stats = summarize(config.experiment, reports)
+    run_range = functools.partial(_run_range, config, fmt if write else None)
+    reports, successes, attempts, games = [], 0, [], True
+    emit = write or reports.extend
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        ranges = trial_ranges(config.trials, workers)
+        for part, (ok, part_attempts, part_games) in (
+            pool.map(run_range, ranges) if pool else map(run_range, ranges)
+        ):
+            emit(part)
+            successes += ok
+            attempts += part_attempts
+            games = games and part_games
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    stats = _summary(config.experiment, config.trials, successes, attempts, games)
     return reports, replace(stats, duration_s=time.perf_counter() - started)
+
+
+def _tally(reports) -> tuple[int, list[int], bool]:
+    """What a summary needs of some reports: (successes, c2_trials ints,
+    whether every report is a game)."""
+    return (
+        sum(1 for r in reports if r.success),
+        [r.c2_trials for r in reports
+         if isinstance(r, AttackReport) and r.c2_trials is not None],
+        all(isinstance(r, GameOutcome) for r in reports),
+    )
 
 
 def summarize(experiment: str, reports) -> SummaryStats:
     """Fold reports into counts, a Wilson 95% interval, and extras."""
     if not reports:
         raise ValueError("summarize needs at least one report")
-    successes = sum(1 for r in reports if r.success)
-    trials = len(reports)
+    return _summary(experiment, len(reports), *_tally(reports))
+
+
+def _summary(experiment, trials, successes, attempts, games) -> SummaryStats:
+    """The one summary fold; a game's advantage is |Pr[d = b] - 1/2|."""
     rate = successes / trials
     low, high = wilson_interval(successes, trials)
-
-    advantage = None
-    if all(isinstance(r, GameOutcome) for r in reports):
-        advantage = adversary.estimate_advantage(list(reports)).advantage
-
-    attempts = [
-        r.c2_trials
-        for r in reports
-        if isinstance(r, AttackReport) and r.c2_trials is not None
-    ]
     return SummaryStats(
         experiment=experiment,
         trials=trials,
@@ -233,7 +264,7 @@ def summarize(experiment: str, reports) -> SummaryStats:
         success_rate=rate,
         wilson_low=low,
         wilson_high=high,
-        advantage=advantage,
+        advantage=abs(rate - 0.5) if games else None,
         attempts_mean=statistics.fmean(attempts) if attempts else None,
         attempts_median=statistics.median(attempts) if attempts else None,
         attempts_max=max(attempts) if attempts else None,
@@ -275,25 +306,40 @@ def summary_record(stats: SummaryStats) -> dict:
     return record
 
 
+# csv.writer's writerow returns what its file's write returns: with str
+# as write, the formatted row itself.
+_csv_row = csv.writer(types.SimpleNamespace(write=str)).writerow
+
+
+def record_line(record: dict, fmt: str) -> str:
+    """One record as one line of text, json-lines or csv output."""
+    if fmt == "text":
+        return " ".join(f"{k}={'' if v is None else v}" for k, v in record.items()) + "\n"
+    if fmt == "json-lines":
+        return json.dumps(record) + "\n"
+    if fmt == "csv":
+        return _csv_row(record.values())
+    raise ValueError(f"unknown format {fmt!r}; choose text, json-lines or csv")
+
+
+def render_records(reports, first_trial: int, width: int, fmt: str) -> str:
+    """Records of consecutive trials from first_trial; csv output gets its
+    header (the record's keys) before trial 0."""
+    records = [report_record(r, i, width) for i, r in enumerate(reports, first_trial)]
+    header = _csv_row(records[0]) if fmt == "csv" and first_trial == 0 else ""
+    return header + "".join(record_line(rec, fmt) for rec in records)
+
+
+def summary_text(stats: SummaryStats, fmt: str) -> str:
+    """The summary that ends text and json-lines output; csv has none."""
+    record = summary_record(stats)
+    if fmt == "text":
+        return "# summary\n" + "".join(f"{k}={v}\n" for k, v in record.items())
+    if fmt == "json-lines":
+        return json.dumps({"summary": record}) + "\n"
+    return ""
+
+
 def render(reports, stats: SummaryStats, width: int, fmt: str = "text") -> str:
     """Render reports of a width-bit run plus summary as text, json-lines or csv."""
-    records = [report_record(r, i, width) for i, r in enumerate(reports)]
-    if fmt == "text":
-        lines = [
-            " ".join(f"{k}={'' if v is None else v}" for k, v in rec.items())
-            for rec in records
-        ]
-        lines.append("# summary")
-        lines.extend(f"{k}={v}" for k, v in summary_record(stats).items())
-        return "\n".join(lines) + "\n"
-    if fmt == "json-lines":
-        lines = [json.dumps(rec, sort_keys=False) for rec in records]
-        lines.append(json.dumps({"summary": summary_record(stats)}))
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(records[0]))
-        writer.writeheader()
-        writer.writerows(records)
-        return buf.getvalue()
-    raise ValueError(f"unknown format {fmt!r}; choose text, json-lines or csv")
+    return render_records(reports, 0, width, fmt) + summary_text(stats, fmt)

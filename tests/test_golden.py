@@ -1,10 +1,11 @@
 """Pinned output digests: the records a CLI run produces must not drift.
 
-Each case runs ``umarfid.cli.main`` in process with json-lines output
-and pins (exit code, SHA-256 of the output with the summary's wall-clock
-``duration_s`` removed). Any change to a record, a summary field or an
-exit code shows up as a mismatch. To print the digests of the current
-tree, run ``PYTHONPATH=src python3 tests/test_golden.py``.
+Each case runs ``umarfid.cli.main`` in process, with json-lines output
+unless the command names a ``--format``, and pins (exit code, SHA-256 of
+the output with the summary's wall-clock ``duration_s`` removed). Any
+change to a record, a summary field or an exit code shows up as a
+mismatch. To print the digests of the current tree, run
+``PYTHONPATH=src python3 tests/test_golden.py``.
 """
 
 import contextlib
@@ -86,19 +87,41 @@ GOLDEN = {
         0,
         "3c60c38243c1879a7484dc4398d9163500f5afb52b369a6294639aa78f60fe0a",
     ),
+    # the other two formats, byte for byte
+    "attack desync-bitflip --bits 16 --trials 200 --format csv": (
+        0,
+        "ab5003b5ec6b43ddaf25da0346688f12496f835a45863daeccb902e173d3fae1",
+    ),
+    "game --trials 200 --format text": (
+        0,
+        "a5ed6a7a318f5845ed5bf1634eccb2b8710dbc5c70a45093e07012547ac9d50d",
+    ),
+    # many trial ranges over two workers: same digest as the serial run
+    "attack clone --trials 3000 --workers 2 --format csv": (
+        0,
+        "7852306b7f8388d3c7302969fb8c72feaced691bbf37b2e01912aeef08c616bf",
+    ),
 }
 
 
 def run_digest(command: str) -> tuple[int, str]:
+    argv = command.split()
+    if "--format" not in argv:
+        argv += ["--format", "json-lines"]
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink):
-        code = cli.main([*command.split(), "--format", "json-lines"])
+        code = cli.main(argv)
     h = hashlib.sha256()
-    for line in sink.getvalue().splitlines():
-        record = json.loads(line)
-        if "summary" in record:
-            del record["summary"]["duration_s"]
-        h.update(json.dumps(record).encode() + b"\n")
+    if "json-lines" in argv:
+        for line in sink.getvalue().splitlines():
+            record = json.loads(line)
+            if "summary" in record:
+                del record["summary"]["duration_s"]
+            h.update(json.dumps(record).encode() + b"\n")
+    else:  # text or csv: the exact bytes, minus the text summary's duration_s line
+        for line in sink.getvalue().splitlines(keepends=True):
+            if not line.startswith("duration_s="):
+                h.update(line.encode())
     return code, h.hexdigest()
 
 

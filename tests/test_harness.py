@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,12 +13,15 @@ import pytest
 from umarfid.cli import build_parser, main
 from umarfid.harness import (
     EXPERIMENTS,
+    RANGE_CAP,
     SummaryStats,
     TrialConfig,
     render,
+    render_records,
     report_record,
     run_trials,
     summarize,
+    trial_ranges,
 )
 
 
@@ -37,6 +42,9 @@ class TestRunTrials:
             TrialConfig(experiment="session", trials=0)
         with pytest.raises(ValueError):
             TrialConfig(experiment="session", word_len=10)
+        # checked when the config is built, not inside the first game
+        with pytest.raises(ValueError, match="unknown strategy 'nope'.*random-guess"):
+            TrialConfig(experiment="untraceability", strategy="nope")
 
     def test_every_experiment_runs(self):
         for name in EXPERIMENTS:
@@ -81,6 +89,115 @@ class TestRunTrials:
         _, stats = run("desync-bitflip", trials=5, word_len=16)
         assert stats.attempts_mean is not None
         assert stats.attempts_max >= stats.attempts_median
+
+
+# experiment -> CLI words that run it
+CLI_WORDS = {
+    "session": ["session"],
+    "untraceability": ["game"],
+    "full-disclosure": ["attack", "full-disclosure"],
+    "clone": ["attack", "clone"],
+    "desync-mitm": ["attack", "desync-mitm"],
+    "desync-bitflip": ["attack", "desync-bitflip"],
+    "identities": ["verify-identities"],
+}
+
+# spans at least 3 ranges with 1 and 2 workers, and is a multiple of neither
+# range size
+SPANNING_TRIALS = 50
+
+
+def strip_duration(text):
+    """Output without the summary's wall-clock duration_s (text or json-lines)."""
+    lines = text.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith("duration_s=")]
+    return "".join(
+        line.split(', "duration_s": ')[0] + "}}\n" if '"summary"' in line else line
+        for line in kept
+    )
+
+
+class TestTrialRanges:
+    @pytest.mark.parametrize(
+        "trials, workers",
+        [(1, 1), (1, 4), (3, 2), (50, 1), (50, 2), (20000, 2), (10**6, 1), (4001, 3)],
+    )
+    def test_ranges_cover_every_trial_in_order(self, trials, workers):
+        ranges = trial_ranges(trials, workers)
+        assert [t for r in ranges for t in r] == list(range(trials))
+        assert all(1 <= len(r) <= RANGE_CAP for r in ranges)
+
+    def test_spanning_count_crosses_range_edges(self):
+        for workers in (1, 2):
+            ranges = trial_ranges(SPANNING_TRIALS, workers)
+            assert len(ranges) >= 3
+            assert SPANNING_TRIALS % len(ranges[0]) != 0
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_streamed_summary_equals_summarize(self, experiment, workers):
+        config = TrialConfig(experiment=experiment, trials=SPANNING_TRIALS, seed=3)
+        parts = []
+        streamed_reports, streamed = run_trials(config, workers, parts.append, "json-lines")
+        reports, _ = run_trials(config)
+        assert streamed_reports == []
+        assert len(parts) == len(trial_ranges(SPANNING_TRIALS, workers))
+        expected = summarize(experiment, reports)
+        assert dataclasses.replace(streamed, duration_s=0.0) == expected
+        if experiment == "untraceability":
+            assert streamed.advantage == 0.5
+        if experiment == "desync-bitflip":
+            assert streamed.attempts_median is not None
+            assert streamed.attempts_max == max(r.c2_trials for r in reports)
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_cli_bytes_equal_render_across_range_edges(self, experiment):
+        for trials in (1, 3, SPANNING_TRIALS):
+            config = TrialConfig(experiment=experiment, trials=trials)
+            reports, stats = run_trials(config)
+            for fmt in ("text", "json-lines", "csv"):
+                want = strip_duration(render(reports, stats, 128, fmt))
+                for workers in (1, 2):
+                    argv = [*CLI_WORDS[experiment], "--trials", str(trials),
+                            "--format", fmt, "--workers", str(workers)]
+                    sink = io.StringIO()
+                    with contextlib.redirect_stdout(sink):
+                        assert main(argv) == 0
+                    assert strip_duration(sink.getvalue()) == want, (argv, fmt)
+
+    def test_csv_header_written_once(self, capsys):
+        assert main(["attack", "clone", "--trials", str(SPANNING_TRIALS),
+                     "--format", "csv", "--workers", "2"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[0] for row in rows] == ["trial", *map(str, range(SPANNING_TRIALS))]
+
+    def test_pseudonym_collision_still_aborts_with_exit_two(self, capsys):
+        # the registration collision at L=8 (first at trial 71 of seed 0)
+        # is still reported as an error until collisions are handled
+        with pytest.raises(SystemExit) as err:
+            main(["game", "--bits", "8", "--trials", "2000"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "error: pseudonym collision on registration: da\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+    def test_abort_leaves_the_ranges_before_the_failing_one(self, tmp_path, capsys,
+                                                           workers, fmt):
+        trials, first_failure = 100, 71
+        failing = next(r for r in trial_ranges(trials, workers) if first_failure in r)
+        assert failing.start > 0
+        path = tmp_path / "records"
+        with pytest.raises(SystemExit) as err:
+            main(["game", "--bits", "8", "--trials", str(trials), "--format", fmt,
+                  "--workers", str(workers), "--out", str(path)])
+        assert err.value.code == 2
+        assert "pseudonym collision" in capsys.readouterr().err
+        # every record before the failing range, in trial order, and no summary
+        before, _ = run_trials(TrialConfig(
+            experiment="untraceability", word_len=8, trials=failing.start))
+        assert path.read_bytes() == render_records(before, 0, 8, fmt).encode()
 
 
 class TestSummarize:
@@ -200,6 +317,23 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["session", "--bits", "10"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["session", "--bits", "10"],
+            ["session", "--trials", "0"],
+            ["attack", "clone", "--workers", "0"],
+            ["game", "--strategy", "nope"],
+        ],
+    )
+    def test_usage_error_leaves_existing_out_file_untouched(self, tmp_path, capsys, argv):
+        path = tmp_path / "records.txt"
+        path.write_bytes(b"earlier run\r\nkept\n")
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(path)])
+        assert err.value.code == 2
+        assert path.read_bytes() == b"earlier run\r\nkept\n"
 
     @pytest.mark.parametrize(
         "argv, flag",
