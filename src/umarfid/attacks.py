@@ -41,7 +41,7 @@ from .protocol import (
     run_honest_session,
     synchronized,
 )
-from .word import WordStream, check_width, derive_seed, rot, to_hex
+from .word import WordStream, check_width, derive_seed, rot
 
 
 def recover_key(a_n: int, b_n: int, idt_next: int) -> int:
@@ -429,8 +429,10 @@ def attack_record(report: AttackReport, trial: int, width: int) -> dict:
     (the CSV header); words serialize as width // 4 lowercase hex digits.
     """
 
+    spec = f"0{width // 4}x"  # to_hex's format, built once per record
+
     def hx(w: int | None):
-        return None if w is None else to_hex(w, width)
+        return None if w is None else format(w, spec)
 
     return {
         "trial": trial,

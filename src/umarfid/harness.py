@@ -9,8 +9,10 @@ records where the range ran and writes them in trial order.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
+import itertools
 import json
 import statistics
 import time
@@ -46,8 +48,11 @@ class TrialConfig:
 
     def __post_init__(self):
         check_width(self.word_len)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name, low in (("trials", 1), ("followups", 0), ("c1_round_cap", 1),
+                          ("execute_budget", 0), ("send_budget", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         for name, choices in (("experiment", EXPERIMENTS), ("strategy", STRATEGIES)):
             value = getattr(self, name)
             if value not in choices:
@@ -189,6 +194,11 @@ EXPERIMENTS = {
 RANGE_CAP = 1000
 
 
+# Ranges submitted to a pool and not yet written, per worker: enough to
+# keep every worker busy, few enough that the futures do not pile up.
+IN_FLIGHT = 2
+
+
 def trial_ranges(trials: int, workers: int) -> list[range]:
     """Split trials into contiguous ranges, about four per worker."""
     size = min(RANGE_CAP, -(-trials // (4 * workers)))
@@ -222,7 +232,8 @@ def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "te
     try:
         ranges = trial_ranges(config.trials, workers)
         for part, (ok, part_attempts, part_games) in (
-            pool.map(run_range, ranges) if pool else map(run_range, ranges)
+            _in_order(pool, run_range, ranges, IN_FLIGHT * workers)
+            if pool else map(run_range, ranges)
         ):
             emit(part)
             successes += ok
@@ -233,6 +244,17 @@ def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "te
             pool.shutdown(cancel_futures=True)
     stats = _summary(config.experiment, config.trials, successes, attempts, games)
     return reports, replace(stats, duration_s=time.perf_counter() - started)
+
+
+def _in_order(pool, run_range, ranges, window: int):
+    """Results of run_range over ranges, in order, with at most window
+    ranges submitted and not yet consumed; the next range is submitted
+    only after the caller has taken (and written) the oldest one."""
+    submit, ranges = functools.partial(pool.submit, run_range), iter(ranges)
+    pending = collections.deque(map(submit, itertools.islice(ranges, window)))
+    while pending:
+        yield pending.popleft().result()
+        pending.extend(map(submit, itertools.islice(ranges, 1)))
 
 
 def _tally(reports) -> tuple[int, list[int], bool]:

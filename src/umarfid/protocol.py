@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from .word import DEFAULT_WORD_LEN, WordStream, rot, to_hex
@@ -82,11 +83,15 @@ def next_pair(used: PairState, nonce: int, width: int = DEFAULT_WORD_LEN) -> Pai
 def _session_words(key: int, nonce: int, width: int, received_b: int | None = None):
     """(B, C, updated pair) from one rot(K, K) and one rot(N, N).
 
-    compute_b, compute_c and next_pair fused for reader and tag. Given
-    the B a tag received, returns None on a mismatch before building C.
+    compute_b, compute_c and next_pair fused for reader and tag, with both
+    rotations written out as in word.rot. Given the B a tag received,
+    returns None on a mismatch before building C.
     """
-    rk = rot(key, key, width)
-    rn = rot(nonce, nonce, width)
+    mask = (1 << width) - 1
+    n = key.bit_count() % width
+    rk = ((key << n) | (key >> (width - n))) & mask
+    n = nonce.bit_count() % width
+    rn = ((nonce << n) | (nonce >> (width - n))) & mask
     b = rk ^ rn
     if received_b is not None and received_b != b:
         return None
@@ -264,6 +269,9 @@ DELIVERED = "delivered"
 BLOCKED = "blocked"
 REPLACED = "replaced"
 
+_DIRECTION = {MSG_IDT: TAG_TO_READER, MSG_A: READER_TO_TAG,
+              MSG_B: READER_TO_TAG, MSG_C: TAG_TO_READER}
+
 
 class ChannelEvent(NamedTuple):
     """One radio transmission as an eavesdropper sees it."""
@@ -294,11 +302,6 @@ class ChannelEvent(NamedTuple):
         return out
 
 
-def _event(session, label, payload, disposition, replacement=None) -> ChannelEvent:
-    direction = TAG_TO_READER if label in (MSG_IDT, MSG_C) else READER_TO_TAG
-    return ChannelEvent(session, direction, label, payload, disposition, replacement)
-
-
 class Channel:
     """Interception rules an active adversary has placed on the radio.
 
@@ -308,37 +311,35 @@ class Channel:
     transmission of that session.
     """
 
-    _BLOCK = "block"
-    _REPLACE = "replace"
-    _FLIP = "flip"
-
     def __init__(self):
-        self._rules: dict[tuple[int, str], tuple[str, int | None]] = {}
+        # session -> label -> (disposition, word, whether word is a mask)
+        self._rules: dict[int, dict[str, tuple[str, int | None, bool]]] = {}
 
     def block(self, session: int, label: str) -> None:
-        self._rules[(session, label)] = (self._BLOCK, None)
+        self._rules.setdefault(session, {})[label] = (BLOCKED, None, False)
 
     def replace(self, session: int, label: str, payload: int) -> None:
-        self._rules[(session, label)] = (self._REPLACE, payload)
+        self._rules.setdefault(session, {})[label] = (REPLACED, payload, False)
 
     def flip(self, session: int, label: str, mask: int) -> None:
         """Alter the message in flight by XORing a mask into it."""
-        self._rules[(session, label)] = (self._FLIP, mask)
+        self._rules.setdefault(session, {})[label] = (REPLACED, mask, True)
 
-    def apply(self, session: int, label: str, payload: int) -> ChannelEvent:
-        rule = self._rules.get((session, label))
-        if rule is None:
-            return _event(session, label, payload, DELIVERED)
-        action, word = rule
-        if action == self._BLOCK:
-            return _event(session, label, payload, BLOCKED)
-        replacement = payload ^ word if action == self._FLIP else word
-        return _event(session, label, payload, REPLACED, replacement)
+    def intercept(self, t: "SessionTranscript", label: str, payload: int) -> int | None:
+        """Apply session t's rule for label to one transmission: record the
+        event in t.acted, return what arrives (None when blocked)."""
+        disposition, word, flip = self._rules[t.session][label]
+        event = ChannelEvent(t.session, _DIRECTION[label], label, payload, disposition,
+                             payload ^ word if flip else word)
+        t.acted += (event,)
+        return event.delivered_payload()
 
 
 @dataclass
 class SessionTranscript:
-    """Everything observable on the radio during one session."""
+    """Everything observable on the radio during one session: the words
+    sent, and in `acted` the event of each transmission a channel rule
+    acted on. `events` rebuilds every transmission on first read."""
 
     session: int
     presented_idts: list[int] = field(default_factory=list)
@@ -346,16 +347,28 @@ class SessionTranscript:
     b: int | None = None
     c: int | None = None
     outcome: Outcome = Outcome.BLOCKED
-    events: list[ChannelEvent] = field(default_factory=list)
+    acted: tuple[ChannelEvent, ...] = ()
+
+    @cached_property
+    def events(self) -> list[ChannelEvent]:
+        """One event per transmission, in the order they were sent."""
+        sent = [(MSG_IDT, idt) for idt in self.presented_idts]
+        if self.a is not None:
+            sent += [(MSG_A, self.a), (MSG_B, self.b)]
+        if self.c is not None:
+            sent.append((MSG_C, self.c))
+        # a rule acts on every transmission of its label, and the same
+        # payload meets the same rule, so (label, payload) finds the event
+        acted = {(e.label, e.payload): e for e in self.acted}
+        return [
+            acted.get(sent_word)
+            or ChannelEvent(self.session, _DIRECTION[sent_word[0]], *sent_word)
+            for sent_word in sent
+        ]
 
     def transmissions(self) -> int:
         """Channel sends, with {A, B} grouped as a single transmission."""
-        count = len(self.presented_idts)
-        if self.a is not None or self.b is not None:
-            count += 1
-        if self.c is not None:
-            count += 1
-        return count
+        return len(self.presented_idts) + (self.a is not None) + (self.c is not None)
 
     def lines(self, width: int) -> list[str]:
         out = [event.line(width) for event in self.events]
@@ -376,58 +389,52 @@ def run_honest_session(
     does not recognize it, the tag retries exactly once with its
     previous pseudonym. Both pseudonyms unknown is the observable
     desynchronization state. The optional channel may block or replace
-    any message; every transmission is recorded in the transcript.
+    any message; the transcript rebuilds every transmission on demand.
     """
-    t = SessionTranscript(session=session)
-
-    def transmit(label: str, payload: int) -> int | None:
-        if channel is None:
-            event = _event(session, label, payload, DELIVERED)
-        else:
-            event = channel.apply(session, label, payload)
-        t.events.append(event)
-        return event.delivered_payload()
+    t = SessionTranscript(session)
+    # The one per-session look at the channel: a transmission without a rule
+    # costs nothing more. A rule's early return leaves the outcome BLOCKED.
+    rules = channel._rules.get(session) if channel is not None else None
 
     # Identification: current pseudonym, then one retry with the previous.
     for use_previous in (False, True):
-        idt = tag.present(use_previous)
+        idt = tag.previous.idt if use_previous else tag.current.idt
         t.presented_idts.append(idt)
-        received = transmit(MSG_IDT, idt)
-        if received is None:
-            t.outcome = Outcome.BLOCKED
-            return t
-        challenge = reader.begin(received, rng)
+        if rules and MSG_IDT in rules:
+            idt = channel.intercept(t, MSG_IDT, idt)
+            if idt is None:
+                return t
+        challenge = reader.begin(idt, rng)
         if challenge is not None:
             break
     else:
         t.outcome = Outcome.IDENTIFICATION_FAILED
         return t
 
-    t.a, t.b = challenge
-    a_recv = transmit(MSG_A, t.a)
-    b_recv = transmit(MSG_B, t.b)
-    if a_recv is None or b_recv is None:
-        reader.abandon()
-        t.outcome = Outcome.BLOCKED
-        return t
+    t.a, t.b = a, b = challenge
+    if rules:
+        if MSG_A in rules:
+            a = channel.intercept(t, MSG_A, a)
+        if MSG_B in rules:
+            b = channel.intercept(t, MSG_B, b)
+        if a is None or b is None:
+            reader.abandon()
+            return t
 
-    c = tag.respond(use_previous, a_recv, b_recv)
+    c = tag.respond(use_previous, a, b)
     if c is None:
         reader.abandon()
         t.outcome = Outcome.TAG_REJECTED_READER
         return t
     t.c = c
 
-    c_recv = transmit(MSG_C, c)
-    if c_recv is None:
-        reader.abandon()
-        t.outcome = Outcome.BLOCKED
-        return t
+    if rules and MSG_C in rules:
+        c = channel.intercept(t, MSG_C, c)
+        if c is None:
+            reader.abandon()
+            return t
 
-    if reader.complete(c_recv):
-        t.outcome = Outcome.MUTUAL_SUCCESS
-    else:
-        t.outcome = Outcome.READER_REJECTED_TAG
+    t.outcome = Outcome.MUTUAL_SUCCESS if reader.complete(c) else Outcome.READER_REJECTED_TAG
     return t
 
 

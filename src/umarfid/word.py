@@ -11,6 +11,7 @@ hex, the one width check, and seeded word streams.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 
@@ -56,9 +57,8 @@ class WordStream:
     def __init__(self, width: int, seed: int):
         self.width = width
         self._rng = random.Random(seed)
-
-    def next_word(self) -> int:
-        return self._rng.getrandbits(self.width)
+        # next_word(): getrandbits bound to the width, a draw runs no Python frame
+        self.next_word = functools.partial(self._rng.getrandbits, width)
 
     def next_bit(self) -> int:
         return self._rng.getrandbits(1)

@@ -1,0 +1,132 @@
+"""Closure-based honest session, kept as an oracle for the lean session loop.
+
+Every transmission goes through a `transmit` closure that builds a
+ChannelEvent, appends it to the transcript and returns the delivered
+payload, exactly as the loop in umarfid.protocol did before it recorded
+only the events a channel rule acts on. OracleChannel and
+OracleTranscript are the channel and transcript that loop used; the
+session drives the package's own ReaderState and TagState.
+"""
+
+from dataclasses import dataclass, field
+
+from umarfid.protocol import (
+    BLOCKED,
+    DELIVERED,
+    MSG_A,
+    MSG_B,
+    MSG_C,
+    MSG_IDT,
+    READER_TO_TAG,
+    REPLACED,
+    TAG_TO_READER,
+    ChannelEvent,
+    Outcome,
+)
+
+
+def _event(session, label, payload, disposition, replacement=None) -> ChannelEvent:
+    direction = TAG_TO_READER if label in (MSG_IDT, MSG_C) else READER_TO_TAG
+    return ChannelEvent(session, direction, label, payload, disposition, replacement)
+
+
+class OracleChannel:
+    """Interception rules keyed by (session index, message label)."""
+
+    _BLOCK = "block"
+    _REPLACE = "replace"
+    _FLIP = "flip"
+
+    def __init__(self):
+        self._rules: dict[tuple[int, str], tuple[str, int | None]] = {}
+
+    def block(self, session: int, label: str) -> None:
+        self._rules[(session, label)] = (self._BLOCK, None)
+
+    def replace(self, session: int, label: str, payload: int) -> None:
+        self._rules[(session, label)] = (self._REPLACE, payload)
+
+    def flip(self, session: int, label: str, mask: int) -> None:
+        self._rules[(session, label)] = (self._FLIP, mask)
+
+    def apply(self, session: int, label: str, payload: int) -> ChannelEvent:
+        rule = self._rules.get((session, label))
+        if rule is None:
+            return _event(session, label, payload, DELIVERED)
+        action, word = rule
+        if action == self._BLOCK:
+            return _event(session, label, payload, BLOCKED)
+        replacement = payload ^ word if action == self._FLIP else word
+        return _event(session, label, payload, REPLACED, replacement)
+
+
+@dataclass
+class OracleTranscript:
+    """Everything observable on the radio during one session."""
+
+    session: int
+    presented_idts: list[int] = field(default_factory=list)
+    a: int | None = None
+    b: int | None = None
+    c: int | None = None
+    outcome: Outcome = Outcome.BLOCKED
+    events: list[ChannelEvent] = field(default_factory=list)
+
+    def lines(self, width: int) -> list[str]:
+        out = [event.line(width) for event in self.events]
+        out.append(f"session={self.session} outcome={self.outcome}")
+        return out
+
+
+def run_honest_session(reader, tag, rng, channel=None, session=0) -> OracleTranscript:
+    t = OracleTranscript(session=session)
+
+    def transmit(label: str, payload: int) -> int | None:
+        if channel is None:
+            event = _event(session, label, payload, DELIVERED)
+        else:
+            event = channel.apply(session, label, payload)
+        t.events.append(event)
+        return event.delivered_payload()
+
+    # Identification: current pseudonym, then one retry with the previous.
+    for use_previous in (False, True):
+        idt = tag.present(use_previous)
+        t.presented_idts.append(idt)
+        received = transmit(MSG_IDT, idt)
+        if received is None:
+            t.outcome = Outcome.BLOCKED
+            return t
+        challenge = reader.begin(received, rng)
+        if challenge is not None:
+            break
+    else:
+        t.outcome = Outcome.IDENTIFICATION_FAILED
+        return t
+
+    t.a, t.b = challenge
+    a_recv = transmit(MSG_A, t.a)
+    b_recv = transmit(MSG_B, t.b)
+    if a_recv is None or b_recv is None:
+        reader.abandon()
+        t.outcome = Outcome.BLOCKED
+        return t
+
+    c = tag.respond(use_previous, a_recv, b_recv)
+    if c is None:
+        reader.abandon()
+        t.outcome = Outcome.TAG_REJECTED_READER
+        return t
+    t.c = c
+
+    c_recv = transmit(MSG_C, c)
+    if c_recv is None:
+        reader.abandon()
+        t.outcome = Outcome.BLOCKED
+        return t
+
+    if reader.complete(c_recv):
+        t.outcome = Outcome.MUTUAL_SUCCESS
+    else:
+        t.outcome = Outcome.READER_REJECTED_TAG
+    return t

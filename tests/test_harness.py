@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from umarfid import harness
 from umarfid.cli import build_parser, main
 from umarfid.harness import (
     EXPERIMENTS,
@@ -45,6 +47,19 @@ class TestRunTrials:
         # checked when the config is built, not inside the first game
         with pytest.raises(ValueError, match="unknown strategy 'nope'.*random-guess"):
             TrialConfig(experiment="untraceability", strategy="nope")
+
+    @pytest.mark.parametrize(
+        "field, low",
+        [("trials", 1), ("followups", 0), ("c1_round_cap", 1),
+         ("execute_budget", 0), ("send_budget", 0)],
+    )
+    def test_counts_below_their_floor_rejected(self, field, low):
+        # followups=-1 would run no follow-up and still claim the desync
+        # cannot be undone; c1_round_cap=0 would fail every bit-flip trial
+        for bad in (low - 1, -5):
+            with pytest.raises(ValueError, match=f"^{field} must be >= {low}, got {bad}$"):
+                TrialConfig(experiment="desync-mitm", **{field: bad})
+        assert getattr(TrialConfig(experiment="desync-mitm", **{field: low}), field) == low
 
     def test_every_experiment_runs(self):
         for name in EXPERIMENTS:
@@ -134,6 +149,49 @@ class TestTrialRanges:
             assert SPANNING_TRIALS % len(ranges[0]) != 0
 
 
+class _CountingExecutor:
+    """Stands in for ProcessPoolExecutor: runs a range when it is submitted
+    and counts the ranges submitted so far."""
+
+    def __init__(self, max_workers):
+        self.submitted = 0
+        _CountingExecutor.last = self
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+class TestInFlightWindow:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_submissions_stay_within_the_window(self, monkeypatch, workers):
+        # each write takes one range; at that moment no more than
+        # IN_FLIGHT ranges per worker are submitted and not yet written
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingExecutor)
+        config = TrialConfig(experiment="clone", trials=SPANNING_TRIALS, seed=5)
+        parts, ahead = [], []
+
+        def write(text):
+            ahead.append(_CountingExecutor.last.submitted - len(parts))
+            parts.append(text)
+
+        run_trials(config, workers, write, "json-lines")
+        window = harness.IN_FLIGHT * workers
+        ranges = trial_ranges(SPANNING_TRIALS, workers)
+        assert len(ranges) > window
+        assert _CountingExecutor.last.submitted == len(ranges)
+        assert max(ahead) == window
+        assert ahead == [min(window, len(ranges) - i) for i in range(len(ranges))]
+        serial = []
+        run_trials(config, 1, serial.append, "json-lines")
+        assert "".join(parts) == "".join(serial)
+
+
 class TestStreaming:
     @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
     @pytest.mark.parametrize("workers", [1, 2])
@@ -213,10 +271,12 @@ class TestSummarize:
             summarize("x", [])
 
     def test_zero_success_run(self):
-        # an impossible round cap fails every trial, honestly
-        _, stats = run(
-            "desync-bitflip", trials=10, word_len=16, c1_round_cap=0
-        )
+        # one mask round fails about half of the bit-flip trials, honestly;
+        # the summary of ten such failures (a round cap of 0 is refused)
+        reports, _ = run("desync-bitflip", trials=40, word_len=16, c1_round_cap=1)
+        failed = [r for r in reports if not r.success][:10]
+        assert len(failed) == 10
+        stats = summarize("desync-bitflip", failed)
         assert stats.successes == 0
         assert stats.success_rate == 0.0
         assert stats.wilson_low == 0.0

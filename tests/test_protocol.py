@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle_bits as oracle
+import oracle_session
 from umarfid.protocol import (
     MSG_A,
     MSG_B,
@@ -486,3 +489,106 @@ class TestFusedAgainstReference:
                 delta = rng.next_below((1 << width) - 1) + 1
                 assert tag.respond(use_previous, used_key ^ nonce, b2 ^ delta) is None
                 assert tag.words() == before
+
+
+class TestSessionAgainstClosureOracle:
+    """The session loop that rebuilds its events on demand against the
+    closure-based loop that built one ChannelEvent per transmission.
+
+    Each case runs four sessions on two identical systems, one through
+    each loop, with rules drawn at random: none, no channel at all, or
+    block, replace and flip on IDT, A, B and C (sometimes two at once).
+    Blocked and altered C leave the tag one step ahead, so later sessions
+    fall back to the previous pair; a replaced IDT or an unregistered
+    tag fails identification.
+    """
+
+    ACTIONS = ("block", "replace", "flip")
+    LABELS = (MSG_IDT, MSG_A, MSG_B, MSG_C)
+
+    @staticmethod
+    def system(width, seed):
+        reader, tags = fresh_system(WordStream(width, seed), width, n_tags=2)
+        stray = WordStream(width, seed + 2)
+        pair = PairState(idt=stray.next_word(), key=stray.next_word())
+        tags.append(TagState.fresh(id=stray.next_word(), pair=pair, width=width))
+        return reader, tags, WordStream(width, seed + 1)
+
+    def draw_rules(self, draw, width):
+        """None (no channel), or the (action, label, word) rules of one session."""
+        kind = draw.randrange(8)
+        if kind == 0:
+            return None
+        if kind == 1:
+            return []  # a channel with no rule for this session
+        count = 1 if kind < 7 else 2
+        return [
+            (draw.choice(self.ACTIONS), draw.choice(self.LABELS), draw.getrandbits(width))
+            for _ in range(count)
+        ]
+
+    @staticmethod
+    def state(reader, tags):
+        return (
+            [(tag.current, tag.previous) for tag in tags],
+            {idt: entry.words() for idt, entry in reader.entries.items()},
+            reader.pending,
+        )
+
+    @staticmethod
+    def run(session_fn, system, tag_index, channel, session):
+        """The transcript, or the message of the ValueError a pseudonym
+        collision on update raises at small widths."""
+        reader, tags, rng = system
+        try:
+            return session_fn(reader, tags[tag_index], rng, channel=channel, session=session)
+        except ValueError as err:
+            return str(err)
+
+    @pytest.mark.parametrize("width", [4, 8, 16, 128])
+    def test_transcripts_and_state_identical(self, width):
+        seen_outcomes, seen_rules, fallbacks, cases = set(), set(), 0, 0
+        for case in range(1100):
+            draw = random.Random(derive_seed(width, "session-oracle", case))
+            seed = draw.getrandbits(32)
+            try:
+                new, old = self.system(width, seed), self.system(width, seed)
+            except ValueError:  # pseudonym collision on registration
+                continue
+            cases += 1
+            for session in range(4):
+                rules = self.draw_rules(draw, width)
+                tag_index = draw.choice((0, 0, 0, 0, 1, 2))
+                channels = [None, None]
+                if rules is not None:
+                    channels = [Channel(), oracle_session.OracleChannel()]
+                    for channel in channels:
+                        channel.block(session + 1, MSG_IDT)  # another session's rule
+                        for action, label, word in rules:
+                            if action == "block":
+                                channel.block(session, label)
+                            else:
+                                getattr(channel, action)(session, label, word)
+                    seen_rules.update((action, label) for action, label, _ in rules)
+                got = self.run(run_honest_session, new, tag_index, channels[0], session)
+                want = self.run(
+                    oracle_session.run_honest_session, old, tag_index, channels[1], session
+                )
+                assert self.state(new[0], new[1]) == self.state(old[0], old[1])
+                if isinstance(want, str):
+                    assert got == want
+                    break
+                assert got.presented_idts == want.presented_idts
+                assert (got.a, got.b, got.c) == (want.a, want.b, want.c)
+                assert got.outcome is want.outcome
+                assert got.transmissions() == len(want.presented_idts) + (
+                    want.a is not None) + (want.c is not None)
+                assert got.lines(width) == want.lines(width)
+                assert got.events == want.events
+                seen_outcomes.add(got.outcome)
+                fallbacks += (
+                    len(got.presented_idts) == 2 and got.outcome is Outcome.MUTUAL_SUCCESS)
+        assert cases >= 1000
+        assert seen_outcomes == set(Outcome)
+        assert seen_rules == {(a, label) for a in self.ACTIONS for label in self.LABELS}
+        assert fallbacks > 0

@@ -1,6 +1,7 @@
 """Repository rules that are cheaper to check than to remember."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,3 +20,27 @@ def test_no_correctness_check_in_an_assert(path):
 
 def test_the_source_tree_is_found():
     assert len(list(SRC.glob("*.py"))) >= 7
+
+
+def imported_modules(path):
+    """Top-level names of every absolute import in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module != "__future__":  # a compiler directive
+                yield node.lineno, node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_public_standard_library_modules(path):
+    # the package has no runtime dependencies, and a private module such
+    # as _random is an interpreter detail, not part of the library
+    found = [
+        (line, name)
+        for line, name in imported_modules(path)
+        if name not in sys.stdlib_module_names or name.startswith("_")
+    ]
+    assert not found, f"{path.name}: non-standard or private import(s) {found}"

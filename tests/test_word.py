@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +145,14 @@ class TestStreams:
         words = [s.next_word() for _ in range(200)]
         assert all(0 <= w < 2**16 for w in words)
         assert max(words) >= 2**15  # the top bit is drawn too
+
+    def test_draws_come_from_one_seeded_generator(self):
+        # next_word, next_bit and next_below share the stream's generator
+        s, ref = WordStream(128, 9), random.Random(9)
+        got = [s.next_word(), s.next_bit(), s.next_below(100), s.next_word()]
+        want = [ref.getrandbits(128), ref.getrandbits(1), ref.randrange(100),
+                ref.getrandbits(128)]
+        assert got == want
 
     def test_derive_seed_frozen(self):
         # regression pins: derivation must stay stable across releases
