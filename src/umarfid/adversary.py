@@ -17,8 +17,8 @@ resists tracing when that advantage stays negligible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .protocol import (
     Channel,
@@ -53,21 +53,39 @@ class BudgetError(GameError):
     """Strategy exceeded its execute or send query budget."""
 
 
-@dataclass(frozen=True)
-class GameConfig:
-    """Game parameters: word length, query budgets, seed."""
+class ValidatedTuple:
+    """Named tuple mixin: every instance is checked by _check, since call,
+    _make, _replace, copy and unpickling all build it through __new__."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _GameFields(NamedTuple):
     word_len: int = 128
     execute_budget: int = 2
     send_budget: int = 1
     seed: int = 0
 
-    def __post_init__(self):
+
+class GameConfig(ValidatedTuple, _GameFields):
+    """Game parameters: word length, query budgets, seed."""
+
+    __slots__ = ()
+
+    def _check(self):
         check_width(self.word_len)
 
 
-@dataclass(frozen=True)
-class GameOutcome:
+class GameOutcome(NamedTuple):
     """Result of one game: hidden bit, guess, and query accounting."""
 
     hidden_bit: int
@@ -206,8 +224,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-@dataclass(frozen=True)
-class AdvantageEstimate:
+class AdvantageEstimate(NamedTuple):
     games: int
     successes: int
     pr_success: float

@@ -13,7 +13,7 @@ import functools
 import sys
 
 from .adversary import GameError
-from .harness import STRATEGIES, TrialConfig, run_trials, summary_text
+from .harness import FORMATS, STRATEGIES, TrialConfig, run_trials, summary_text
 
 ATTACK_NAMES = ["full-disclosure", "clone", "desync-mitm", "desync-bitflip"]
 
@@ -38,7 +38,7 @@ def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
                         help=f"number of trials (default {trials})")
     parser.add_argument("--seed", type=int, default=0, metavar="S",
                         help="base seed; every trial derives its own stream")
-    parser.add_argument("--format", choices=["text", "json-lines", "csv"],
+    parser.add_argument("--format", choices=FORMATS,
                         default="text", help="record output format")
     parser.add_argument("--out", metavar="PATH",
                         help="write records to PATH instead of stdout")

@@ -14,14 +14,12 @@ import csv
 import functools
 import itertools
 import json
-import statistics
 import time
 import types
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import adversary, attacks
-from .adversary import GameConfig, GameOutcome, wilson_interval
+from .adversary import GameConfig, GameOutcome, ValidatedTuple, wilson_interval
 from .attacks import AttackReport, Bench
 from .protocol import MSG_C, Channel, Outcome, PairState, compute_a, compute_b, next_pair
 from .word import WordStream, check_width, derive_seed, rot
@@ -32,10 +30,7 @@ STRATEGIES = {
 }
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    """One experiment run: what to execute, how often, and under which seed."""
-
+class _TrialFields(NamedTuple):
     experiment: str
     word_len: int = 128
     trials: int = 100
@@ -46,7 +41,13 @@ class TrialConfig:
     send_budget: int = 1
     strategy: str = "distinguish"
 
-    def __post_init__(self):
+
+class TrialConfig(ValidatedTuple, _TrialFields):
+    """One experiment run: what to execute, how often, and under which seed."""
+
+    __slots__ = ()
+
+    def _check(self):
         check_width(self.word_len)
         for name, low in (("trials", 1), ("followups", 0), ("c1_round_cap", 1),
                           ("execute_budget", 0), ("send_budget", 0)):
@@ -59,8 +60,7 @@ class TrialConfig:
                 raise ValueError(f"unknown {name} {value!r}; choose from {sorted(choices)}")
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     """Report type for scenario experiments (smoke runs, identity checks)."""
 
     label: str
@@ -68,8 +68,7 @@ class TrialResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     """Aggregate over one experiment's reports."""
 
     experiment: str
@@ -225,10 +224,14 @@ def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "te
     its own stay written.
     """
     started = time.perf_counter()
+    _check_format(fmt)
     run_range = functools.partial(_run_range, config, fmt if write else None)
     reports, successes, attempts, games = [], 0, [], True
     emit = write or reports.extend
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:  # imported here, so a serial run never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         ranges = trial_ranges(config.trials, workers)
         for part, (ok, part_attempts, part_games) in (
@@ -243,7 +246,7 @@ def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "te
         if pool:
             pool.shutdown(cancel_futures=True)
     stats = _summary(config.experiment, config.trials, successes, attempts, games)
-    return reports, replace(stats, duration_s=time.perf_counter() - started)
+    return reports, stats._replace(duration_s=time.perf_counter() - started)
 
 
 def _in_order(pool, run_range, ranges, window: int):
@@ -287,10 +290,16 @@ def _summary(experiment, trials, successes, attempts, games) -> SummaryStats:
         wilson_low=low,
         wilson_high=high,
         advantage=abs(rate - 0.5) if games else None,
-        attempts_mean=statistics.fmean(attempts) if attempts else None,
-        attempts_median=statistics.median(attempts) if attempts else None,
+        attempts_mean=sum(attempts) / len(attempts) if attempts else None,
+        attempts_median=_median(sorted(attempts)) if attempts else None,
         attempts_max=max(attempts) if attempts else None,
     )
+
+
+def _median(ordered: list[int]) -> float:
+    """Median of a sorted list: the middle item, or the mean of the two."""
+    middle, odd = divmod(len(ordered), 2)
+    return ordered[middle] if odd else (ordered[middle - 1] + ordered[middle]) / 2
 
 
 def report_record(report, trial: int, width: int) -> dict:
@@ -300,12 +309,7 @@ def report_record(report, trial: int, width: int) -> dict:
     if isinstance(report, AttackReport):
         return attacks.attack_record(report, trial, width)
     if isinstance(report, TrialResult):
-        return {
-            "trial": trial,
-            "label": report.label,
-            "success": report.success,
-            "detail": report.detail,
-        }
+        return {"trial": trial, **report._asdict()}
     raise TypeError(f"unknown report type {type(report).__name__}")
 
 
@@ -333,15 +337,22 @@ def summary_record(stats: SummaryStats) -> dict:
 _csv_row = csv.writer(types.SimpleNamespace(write=str)).writerow
 
 
+FORMATS = ("text", "json-lines", "csv")
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; choose text, json-lines or csv")
+
+
 def record_line(record: dict, fmt: str) -> str:
     """One record as one line of text, json-lines or csv output."""
     if fmt == "text":
         return " ".join(f"{k}={'' if v is None else v}" for k, v in record.items()) + "\n"
     if fmt == "json-lines":
         return json.dumps(record) + "\n"
-    if fmt == "csv":
-        return _csv_row(record.values())
-    raise ValueError(f"unknown format {fmt!r}; choose text, json-lines or csv")
+    _check_format(fmt)
+    return _csv_row(record.values())
 
 
 def render_records(reports, first_trial: int, width: int, fmt: str) -> str:
@@ -359,6 +370,7 @@ def summary_text(stats: SummaryStats, fmt: str) -> str:
         return "# summary\n" + "".join(f"{k}={v}\n" for k, v in record.items())
     if fmt == "json-lines":
         return json.dumps({"summary": record}) + "\n"
+    _check_format(fmt)
     return ""
 
 

@@ -30,7 +30,6 @@ desynchronization attack in this suite exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -98,18 +97,35 @@ def _session_words(key: int, nonce: int, width: int, received_b: int | None = No
     return b, (key | rn) ^ (rk & nonce), PairState(key ^ rn, rk ^ nonce)
 
 
-@dataclass
-class TagState:
+class _Record:
+    """Value equality and a field-by-field repr over the names in _fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class TagState(_Record):
     """Tag memory: static ID plus current and previous {IDT, K} pairs.
 
     Exactly 5 words of storage, each `width` bits. The static ID is
     never transmitted.
     """
 
-    id: int
-    current: PairState
-    previous: PairState
-    width: int
+    __slots__ = _fields = ("id", "current", "previous", "width")
+
+    def __init__(self, id: int, current: PairState, previous: PairState, width: int):
+        self.id, self.current, self.previous, self.width = id, current, previous, width
 
     @classmethod
     def fresh(cls, id: int, pair: PairState, width: int) -> "TagState":
@@ -167,13 +183,13 @@ class TagState:
         return index, self.respond(use_previous, a, expected)
 
 
-@dataclass
-class DatabaseEntry:
+class DatabaseEntry(_Record):
     """Back-end record for one tag: {IDT, K, ID}, exactly 3 words."""
 
-    idt: int
-    key: int
-    id: int
+    __slots__ = _fields = ("idt", "key", "id")
+
+    def __init__(self, idt: int, key: int, id: int):
+        self.idt, self.key, self.id = idt, key, id
 
     def words(self) -> tuple[int, int, int]:
         return (self.idt, self.key, self.id)
@@ -335,19 +351,19 @@ class Channel:
         return event.delivered_payload()
 
 
-@dataclass
-class SessionTranscript:
+class SessionTranscript(_Record):
     """Everything observable on the radio during one session: the words
     sent, and in `acted` the event of each transmission a channel rule
     acted on. `events` rebuilds every transmission on first read."""
 
-    session: int
-    presented_idts: list[int] = field(default_factory=list)
-    a: int | None = None
-    b: int | None = None
-    c: int | None = None
-    outcome: Outcome = Outcome.BLOCKED
-    acted: tuple[ChannelEvent, ...] = ()
+    _fields = ("session", "presented_idts", "a", "b", "c", "outcome", "acted")
+
+    def __init__(self, session: int, presented_idts: list[int] | None = None,
+                 a: int | None = None, b: int | None = None, c: int | None = None,
+                 outcome: Outcome = Outcome.BLOCKED, acted: tuple[ChannelEvent, ...] = ()):
+        self.session, self.a, self.b, self.c = session, a, b, c
+        self.outcome, self.acted = outcome, acted
+        self.presented_idts = [] if presented_idts is None else presented_idts
 
     @cached_property
     def events(self) -> list[ChannelEvent]:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,6 +385,18 @@ class TestBitflipExhaustive:
                 assert mask == rot(c1, altered, width)
         # two flipped positions, one set and one clear: half of all nonces
         assert matched == pytest.approx(2**width / 2, rel=0.02)
+
+    @pytest.mark.parametrize("width, admitted", [(4, Fraction(11, 12)), (8, Fraction(19, 32))])
+    def test_admission_rate_over_every_nonce_and_mask(self, width, admitted):
+        """A round admits a B-mask "about half" the time only at large
+        widths: at small ones, rotations by two different weights often
+        still differ in exactly two bits. Keeping the nonce's weight is
+        exactly half of all (N, mask_a) pairs at every width."""
+        rounds = [(n, c1) for n in range(2**width) for c1 in weight2_words(width)]
+        admits = sum(bitflip_round_admits(n, c1, width) for n, c1 in rounds)
+        matched = sum((n ^ c1).bit_count() == n.bit_count() for n, c1 in rounds)
+        assert Fraction(admits, len(rounds)) == admitted
+        assert Fraction(matched, len(rounds)) == Fraction(1, 2)
 
 
 class TestDesyncSuccessPredicate:

@@ -1,17 +1,23 @@
 import concurrent.futures
 import contextlib
+import copy
 import csv
-import dataclasses
 import io
 import json
 import os
+import pickle
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from umarfid import harness
+from umarfid.adversary import GameConfig
+from umarfid.attacks import AttackReport
 from umarfid.cli import build_parser, main
 from umarfid.harness import (
     EXPERIMENTS,
@@ -23,6 +29,7 @@ from umarfid.harness import (
     report_record,
     run_trials,
     summarize,
+    summary_text,
     trial_ranges,
 )
 
@@ -38,6 +45,25 @@ class TestRunTrials:
     def test_unknown_experiment_lists_choices(self):
         with pytest.raises(ValueError, match="desync-mitm"):
             run_trials(TrialConfig(experiment="nope"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_format_refused_before_any_trial(self, monkeypatch, workers):
+        # checked before the first range (or the pool) starts, not when
+        # the first record of a long run is rendered
+        def no_trial(config, trial):
+            pytest.fail("a trial ran")
+
+        def no_pool(max_workers):
+            pytest.fail("a pool was built")
+
+        monkeypatch.setitem(EXPERIMENTS, "clone", no_trial)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        written = []
+        for write in (written.append, None):
+            with pytest.raises(ValueError) as err:
+                run_trials(TrialConfig("clone", trials=2000), workers, write, "xml")
+            assert str(err.value) == "unknown format 'xml'; choose text, json-lines or csv"
+        assert written == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -132,6 +158,74 @@ def strip_duration(text):
     )
 
 
+def built(config_type, values, path: str, valid):
+    """A config_type instance holding values, built along one path."""
+    if path == "keyword":
+        return config_type(**dict(zip(config_type._fields, values)))
+    if path == "positional":
+        return config_type(*values)
+    if path == "_replace":
+        return valid._replace(**dict(zip(config_type._fields, values)))
+    if path == "_make":
+        return config_type._make(values)
+    # an unchecked tuple of the type, as unpickling or copying meets it
+    unchecked = tuple.__new__(config_type, values)
+    if path == "pickle":
+        return pickle.loads(pickle.dumps(unchecked))
+    return copy.deepcopy(unchecked)
+
+
+def values_with(config, field: str, value) -> tuple:
+    """The values of config with one field changed, as a plain tuple."""
+    return tuple(value if name == field else old
+                 for name, old in zip(config._fields, config))
+
+
+PATHS = ["keyword", "positional", "_replace", "_make", "pickle", "deepcopy"]
+WIDTH_ERRORS = [
+    ("word_len", 10, "word_len must be divisible by 4, got 10"),
+    ("word_len", 0, "word_len must be >= 4, got 0"),
+]
+
+
+class TestConfigConstruction:
+    """Every way of building a config checks it, with the same messages."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS + [
+        ("trials", 0, "trials must be >= 1, got 0"),
+        ("followups", -1, "followups must be >= 0, got -1"),
+        ("c1_round_cap", 0, "c1_round_cap must be >= 1, got 0"),
+        ("execute_budget", -1, "execute_budget must be >= 0, got -1"),
+        ("send_budget", -1, "send_budget must be >= 0, got -1"),
+        ("experiment", "nope", f"unknown experiment 'nope'; choose from {sorted(EXPERIMENTS)}"),
+        ("strategy", "nope", f"unknown strategy 'nope'; choose from {sorted(harness.STRATEGIES)}"),
+    ])
+    def test_trial_config_refused(self, path, field, bad, message):
+        valid = TrialConfig("clone", trials=7)
+        with pytest.raises(ValueError) as err:
+            built(TrialConfig, values_with(valid, field, bad), path, valid)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS)
+    def test_game_config_refused(self, path, field, bad, message):
+        valid = GameConfig(seed=3)
+        with pytest.raises(ValueError) as err:
+            built(GameConfig, values_with(valid, field, bad), path, valid)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("valid", [
+        TrialConfig("untraceability", word_len=8, trials=3, strategy="random-guess"),
+        GameConfig(word_len=16, execute_budget=0, send_budget=0, seed=5),
+    ], ids=["TrialConfig", "GameConfig"])
+    def test_valid_config_survives_every_path(self, path, valid):
+        config = built(type(valid), tuple(valid), path, valid)
+        assert type(config) is type(valid)
+        assert config == valid == tuple(valid)
+
+
 class TestTrialRanges:
     @pytest.mark.parametrize(
         "trials, workers",
@@ -172,7 +266,8 @@ class TestInFlightWindow:
     def test_submissions_stay_within_the_window(self, monkeypatch, workers):
         # each write takes one range; at that moment no more than
         # IN_FLIGHT ranges per worker are submitted and not yet written
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingExecutor)
+        # run_trials imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingExecutor)
         config = TrialConfig(experiment="clone", trials=SPANNING_TRIALS, seed=5)
         parts, ahead = [], []
 
@@ -203,7 +298,7 @@ class TestStreaming:
         assert streamed_reports == []
         assert len(parts) == len(trial_ranges(SPANNING_TRIALS, workers))
         expected = summarize(experiment, reports)
-        assert dataclasses.replace(streamed, duration_s=0.0) == expected
+        assert streamed._replace(duration_s=0.0) == expected
         if experiment == "untraceability":
             assert streamed.advantage == 0.5
         if experiment == "desync-bitflip":
@@ -281,6 +376,18 @@ class TestSummarize:
         assert stats.success_rate == 0.0
         assert stats.wilson_low == 0.0
 
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
+    def test_attempt_statistics_match_the_statistics_module(self, counts):
+        # the median of an odd count is the middle int itself, which the
+        # records print without a decimal point
+        reports = [AttackReport("desync-bitflip", True, c2_trials=c) for c in counts]
+        stats = summarize("desync-bitflip", reports)
+        assert stats.attempts_mean == statistics.fmean(counts)
+        median = statistics.median(counts)
+        assert stats.attempts_median == median
+        assert type(stats.attempts_median) is type(median)
+        assert stats.attempts_max == max(counts)
+
     def test_interval_contains_rate(self):
         reports, stats = run("session", trials=7)
         assert stats.wilson_low <= stats.success_rate <= stats.wilson_high
@@ -326,6 +433,13 @@ class TestRender:
         reports, stats = self._sample()
         with pytest.raises(ValueError):
             render(reports, stats, 128, "yaml")
+
+    def test_unknown_summary_format(self):
+        _, stats = self._sample()
+        assert summary_text(stats, "csv") == ""
+        with pytest.raises(ValueError) as err:
+            summary_text(stats, "xml")
+        assert str(err.value) == "unknown format 'xml'; choose text, json-lines or csv"
 
 
 class TestCli:

@@ -1,6 +1,8 @@
 """Repository rules that are cheaper to check than to remember."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +46,41 @@ def test_imports_only_public_standard_library_modules(path):
         if name not in sys.stdlib_module_names or name.startswith("_")
     ]
     assert not found, f"{path.name}: non-standard or private import(s) {found}"
+
+
+# Modules a serial CLI run has no use for: the process pool and what it
+# pulls in, and the two modules the records once needed for their types
+# and their attempt statistics.
+NOT_FOR_A_SERIAL_RUN = (
+    "concurrent.futures", "multiprocessing", "statistics", "dataclasses", "inspect",
+)
+
+
+def modules_after(code: str) -> set[str]:
+    """Names in sys.modules once a fresh interpreter has run code."""
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nprint(*sys.modules, sep='\\n')"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_a_serial_run_imports_no_pool_dataclasses_or_statistics():
+    # each costs milliseconds at start-up, which a default run of a few
+    # hundred trials pays again on every launch
+    bare = modules_after("import sys")
+    run = modules_after(
+        "import contextlib, io, sys\n"
+        "from umarfid import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cli.main(['attack', 'clone', '--trials', '3'])\n"
+        "if code != 0 or 'successes=3' not in out.getvalue():\n"
+        "    sys.exit(f'the run failed with exit code {code}')\n"
+    )
+    loaded = [
+        name for name in sorted(run - bare)
+        if any(name == m or name.startswith(m + ".") for m in NOT_FOR_A_SERIAL_RUN)
+    ]
+    assert not loaded, f"a serial run imported {loaded}"
