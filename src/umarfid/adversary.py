@@ -27,7 +27,7 @@ from .protocol import (
     fresh_system,
     run_honest_session,
 )
-from .word import WordStream, check_width, derive_seed
+from .word import WordStream, check_count, check_width, derive_seed
 
 __all__ = [
     "AdvantageEstimate",
@@ -37,6 +37,7 @@ __all__ = [
     "GameEnvironment",
     "GameError",
     "GameOutcome",
+    "OUTCOME_FIELDS",
     "estimate_advantage",
     "outcome_record",
     "random_guess_strategy",
@@ -54,10 +55,12 @@ class BudgetError(GameError):
 
 
 class ValidatedTuple:
-    """Named tuple mixin: every instance is checked by _check, since call,
-    _make, _replace, copy and unpickling all build it through __new__."""
+    """Config mixin for named tuples with a word_len: every instance is
+    checked by _check, since call, _make, _replace, copy and unpickling
+    all build it through __new__."""
 
     __slots__ = ()
+    COUNTS: dict[str, int] = {}  # count field -> its lowest value
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -67,6 +70,11 @@ class ValidatedTuple:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def _check(self):
+        check_width(self.word_len)
+        for name, low in self.COUNTS.items():
+            check_count(name, getattr(self, name), low)
 
 
 class _GameFields(NamedTuple):
@@ -80,9 +88,7 @@ class GameConfig(ValidatedTuple, _GameFields):
     """Game parameters: word length, query budgets, seed."""
 
     __slots__ = ()
-
-    def _check(self):
-        check_width(self.word_len)
+    COUNTS = {"execute_budget": 0, "send_budget": 0}
 
 
 class GameOutcome(NamedTuple):
@@ -252,13 +258,10 @@ def estimate_advantage(outcomes: list[GameOutcome]) -> AdvantageEstimate:
     )
 
 
+# outcome_record's keys (GameOutcome's fields after the trial), with kinds
+OUTCOME_FIELDS = {"trial": int, "b": int, "d": int, "success": bool, "executes": int, "sends": int}
+
+
 def outcome_record(outcome: GameOutcome, trial: int) -> dict:
     """Flat serializable record for one game, fixed field order."""
-    return {
-        "trial": trial,
-        "b": outcome.hidden_bit,
-        "d": outcome.guess,
-        "success": outcome.success,
-        "executes": outcome.executes_used,
-        "sends": outcome.sends_used,
-    }
+    return dict(zip(OUTCOME_FIELDS, (trial, *outcome)))

@@ -423,34 +423,33 @@ def attack_desync_bitflip(
     )
 
 
+# attack_record's keys in order with their kinds (words as hex); every format renders from it
+ATTACK_FIELDS = {
+    "trial": int, "attack": str, "success": bool, "recovered_key": str, "recovered_nonce": str,
+    "cloned_idt": str, "cloned_key": str, "c1_rounds": int, "c2_trials": int, "a_mask": str,
+    "b_mask": str, "hw_matched": bool, "synchronized": bool, "followups": str, "detail": str,
+}
+
+
+def attack_columns(reports, trials, width: int) -> list:
+    """attack_record's values of reports for trials, a column per ATTACK_FIELDS
+    key; a word becomes width // 4 hex digits (to_hex's), None stays None."""
+    (attack, success, key, nonce, pair, c1_rounds, c2_trials, a_mask, b_mask,
+     hw_matched, synchronized, followups, detail) = zip(*reports)
+    size, odd = (width + 7) // 8, width % 8 // 4  # bytes, and a nibble to drop
+
+    def hx(words):
+        return [None if w is None else w.to_bytes(size, "big").hex()[odd:] for w in words]
+
+    return [
+        trials, attack, success, hx(key), hx(nonce),
+        hx([p and p.idt for p in pair]), hx([p and p.key for p in pair]),
+        c1_rounds, c2_trials, hx(a_mask), hx(b_mask), hw_matched, synchronized,
+        [None if f is None else ";".join(f) for f in followups], detail,
+    ]
+
+
 def attack_record(report: AttackReport, trial: int, width: int) -> dict:
-    """Flat serializable record for one attack trial, fixed field order
-    (the CSV header); words serialize as width // 4 lowercase hex digits.
-    """
-
-    spec = f"0{width // 4}x"  # to_hex's format, built once per record
-
-    def hx(w: int | None):
-        return None if w is None else format(w, spec)
-
-    return {
-        "trial": trial,
-        "attack": report.attack,
-        "success": report.success,
-        "recovered_key": hx(report.recovered_key),
-        "recovered_nonce": hx(report.recovered_nonce),
-        "cloned_idt": hx(report.cloned_pair.idt if report.cloned_pair else None),
-        "cloned_key": hx(report.cloned_pair.key if report.cloned_pair else None),
-        "c1_rounds": report.c1_rounds,
-        "c2_trials": report.c2_trials,
-        "a_mask": hx(report.a_mask),
-        "b_mask": hx(report.b_mask),
-        "hw_matched": report.hw_matched,
-        "synchronized": report.synchronized,
-        "followups": (
-            None
-            if report.followup_outcomes is None
-            else ";".join(report.followup_outcomes)
-        ),
-        "detail": report.detail,
-    }
+    """Flat serializable record for one attack trial; its keys are the CSV header."""
+    columns = attack_columns([report], [trial], width)
+    return {key: column[0] for key, column in zip(ATTACK_FIELDS, columns)}

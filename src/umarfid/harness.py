@@ -22,7 +22,7 @@ from . import adversary, attacks
 from .adversary import GameConfig, GameOutcome, ValidatedTuple, wilson_interval
 from .attacks import AttackReport, Bench
 from .protocol import MSG_C, Channel, Outcome, PairState, compute_a, compute_b, next_pair
-from .word import WordStream, check_width, derive_seed, rot
+from .word import WordStream, derive_seed, rot
 
 STRATEGIES = {
     "distinguish": attacks.distinguish_strategy,
@@ -46,14 +46,11 @@ class TrialConfig(ValidatedTuple, _TrialFields):
     """One experiment run: what to execute, how often, and under which seed."""
 
     __slots__ = ()
+    COUNTS = {"trials": 1, "followups": 0, "c1_round_cap": 1,
+              "execute_budget": 0, "send_budget": 0}
 
     def _check(self):
-        check_width(self.word_len)
-        for name, low in (("trials", 1), ("followups", 0), ("c1_round_cap", 1),
-                          ("execute_budget", 0), ("send_budget", 0)):
-            value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+        super()._check()
         for name, choices in (("experiment", EXPERIMENTS), ("strategy", STRATEGIES)):
             value = getattr(self, name)
             if value not in choices:
@@ -66,6 +63,10 @@ class TrialResult(NamedTuple):
     label: str
     success: bool
     detail: str = ""
+
+
+# report_record's keys for a TrialResult (its fields after the trial), with kinds
+RESULT_FIELDS = {"trial": int, "label": str, "success": bool, "detail": str}
 
 
 class SummaryStats(NamedTuple):
@@ -304,13 +305,8 @@ def _median(ordered: list[int]) -> float:
 
 def report_record(report, trial: int, width: int) -> dict:
     """Flat record for any report; words become width // 4 hex digits."""
-    if isinstance(report, GameOutcome):
-        return adversary.outcome_record(report, trial)
-    if isinstance(report, AttackReport):
-        return attacks.attack_record(report, trial, width)
-    if isinstance(report, TrialResult):
-        return {"trial": trial, **report._asdict()}
-    raise TypeError(f"unknown report type {type(report).__name__}")
+    _, (fields, columns_of, _) = _record_type_of(report)
+    return {key: column[0] for key, column in zip(fields, columns_of([report], [trial], width))}
 
 
 def summary_record(stats: SummaryStats) -> dict:
@@ -345,22 +341,65 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}; choose text, json-lines or csv")
 
 
-def record_line(record: dict, fmt: str) -> str:
-    """One record as one line of text, json-lines or csv output."""
-    if fmt == "text":
-        return " ".join(f"{k}={'' if v is None else v}" for k, v in record.items()) + "\n"
-    if fmt == "json-lines":
-        return json.dumps(record) + "\n"
-    _check_format(fmt)
-    return _csv_row(record.values())
+_escape = json.encoder.encode_basestring_ascii  # json.dumps's own string escape
+_NULL, _BLANK = {None: "null"}, {None: ""}
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+# field kind -> a column of its values (None included) made ready for a
+# json-lines template; %s writes an int as int.__repr__ does, like json.dumps
+_JSON_COLUMN = {
+    int: lambda column: map(_NULL.get, column, column),
+    bool: lambda column: map(_JSON_WORDS.__getitem__, column),
+    str: lambda column: ["null" if v is None else _escape(v) for v in column],
+}
+
+
+def _record_type(fields: dict, columns_of) -> tuple:
+    """One report type's record keys and kinds, its values as a column per
+    key, and per format a line template and a converter per column."""
+    json_line = "{" + ", ".join(f"{_escape(key)}: %s" for key in fields) + "}\n"
+    text_line = " ".join(f"{key}=%s" for key in fields) + "\n"
+    return fields, columns_of, {
+        "json-lines": (json_line, [_JSON_COLUMN[kind] for kind in fields.values()]),
+        "text": (text_line, [lambda column: map(_BLANK.get, column, column)] * len(fields)),
+    }
+
+
+def _trial_and_fields(reports, trials, width: int) -> list:
+    return [trials, *zip(*reports)]
+
+
+_RECORD_TYPES = {
+    AttackReport: _record_type(attacks.ATTACK_FIELDS, attacks.attack_columns),
+    GameOutcome: _record_type(adversary.OUTCOME_FIELDS, _trial_and_fields),
+    TrialResult: _record_type(RESULT_FIELDS, _trial_and_fields),
+}
+
+
+def _record_type_of(report) -> tuple[type, tuple]:
+    for cls, record_type in _RECORD_TYPES.items():
+        if isinstance(report, cls):
+            return cls, record_type
+    raise TypeError(f"unknown report type {type(report).__name__}")
 
 
 def render_records(reports, first_trial: int, width: int, fmt: str) -> str:
-    """Records of consecutive trials from first_trial; csv output gets its
-    header (the record's keys) before trial 0."""
-    records = [report_record(r, i, width) for i, r in enumerate(reports, first_trial)]
-    header = _csv_row(records[0]) if fmt == "csv" and first_trial == 0 else ""
-    return header + "".join(record_line(rec, fmt) for rec in records)
+    """Records of consecutive trials from first_trial, reports of one type;
+    csv output gets its header (the record's keys) before trial 0. A line
+    is json.dumps, csv or k=v of report_record, built without the dict."""
+    _check_format(fmt)
+    if not reports:
+        return ""
+    cls, (fields, columns_of, lines) = _record_type_of(reports[0])
+    if not all(map(isinstance, reports, itertools.repeat(cls))):
+        raise TypeError(f"render_records needs reports of one type, {cls.__name__} first")
+    columns = columns_of(reports, range(first_trial, first_trial + len(reports)), width)
+    if fmt == "csv":
+        header = _csv_row(fields) if first_trial == 0 else ""
+        return header + "".join(map(_csv_row, zip(*columns)))
+    line, converters = lines[fmt]
+    converted = [convert(column) for convert, column in zip(converters, columns)]
+    return "".join(map(line.__mod__, zip(*converted)))
 
 
 def summary_text(stats: SummaryStats, fmt: str) -> str:

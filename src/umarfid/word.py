@@ -18,14 +18,21 @@ import random
 DEFAULT_WORD_LEN = 128
 
 
+def check_count(name: str, value, low: int) -> None:
+    """Reject a value that is not an int (a bool included) or is below low."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def check_width(width: int) -> None:
-    """Reject word lengths below 4 or not a whole number of nibbles.
+    """Reject word lengths that are not ints, below 4 or not whole nibbles.
 
     Hex serialization needs whole nibbles; every simulation validates
     its width here once, and every word it produces has that width.
     """
-    if width < 4:
-        raise ValueError(f"word_len must be >= 4, got {width}")
+    check_count("word_len", width, 4)
     if width % 4 != 0:
         raise ValueError(f"word_len must be divisible by 4, got {width}")
 

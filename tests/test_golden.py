@@ -101,6 +101,28 @@ GOLDEN = {
         0,
         "7852306b7f8388d3c7302969fb8c72feaced691bbf37b2e01912aeef08c616bf",
     ),
+    # text for every report type, csv for games and scenario checks; the
+    # 4-bit session failures carry detail text with spaces and commas
+    "attack desync-mitm --bits 8 --trials 200 --format text": (
+        0,
+        "ed28be4df4c2b2c4deee8dafa0b7ac263ebb02fe9f67d9ea0845819ec5242f9a",
+    ),
+    "session --bits 4 --trials 200 --format text": (
+        1,
+        "0e2ed901a6798f67d4004954eac73d5e54552d324d3944d93d96d963f53fc396",
+    ),
+    "attack desync-bitflip --bits 16 --trials 200 --format text": (
+        0,
+        "79bba7badd9722285e99ff5f5e2177b56a2b0f5f74a5624a6e9406c2bbe75be7",
+    ),
+    "game --trials 200 --format csv": (
+        0,
+        "0d911b367e3545bff332dc7ab292b6a7618feb814b12c9d032501e0b2395fdea",
+    ),
+    "verify-identities --trials 200 --format csv": (
+        0,
+        "d831d42fb99a3a490a548263857b236dd8c3a2f90f9584ab7adb89ae99b77013",
+    ),
 }
 
 

@@ -185,6 +185,16 @@ PATHS = ["keyword", "positional", "_replace", "_make", "pickle", "deepcopy"]
 WIDTH_ERRORS = [
     ("word_len", 10, "word_len must be divisible by 4, got 10"),
     ("word_len", 0, "word_len must be >= 4, got 0"),
+    # a float width once passed the check and died mid-run in a TypeError
+    ("word_len", 128.0, "word_len must be an int, got 128.0"),
+    ("word_len", True, "word_len must be an int, got True"),
+]
+# the game budgets, which TrialConfig and GameConfig both check
+BUDGET_ERRORS = [
+    ("execute_budget", -1, "execute_budget must be >= 0, got -1"),
+    ("send_budget", -1, "send_budget must be >= 0, got -1"),
+    ("execute_budget", 2.0, "execute_budget must be an int, got 2.0"),
+    ("send_budget", False, "send_budget must be an int, got False"),
 ]
 
 
@@ -192,12 +202,15 @@ class TestConfigConstruction:
     """Every way of building a config checks it, with the same messages."""
 
     @pytest.mark.parametrize("path", PATHS)
-    @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS + [
+    @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS + BUDGET_ERRORS + [
         ("trials", 0, "trials must be >= 1, got 0"),
         ("followups", -1, "followups must be >= 0, got -1"),
         ("c1_round_cap", 0, "c1_round_cap must be >= 1, got 0"),
-        ("execute_budget", -1, "execute_budget must be >= 0, got -1"),
-        ("send_budget", -1, "send_budget must be >= 0, got -1"),
+        # a float count once built a config that failed later, in trial_ranges
+        ("trials", 2.5, "trials must be an int, got 2.5"),
+        ("trials", True, "trials must be an int, got True"),
+        ("followups", "3", "followups must be an int, got '3'"),
+        ("c1_round_cap", None, "c1_round_cap must be an int, got None"),
         ("experiment", "nope", f"unknown experiment 'nope'; choose from {sorted(EXPERIMENTS)}"),
         ("strategy", "nope", f"unknown strategy 'nope'; choose from {sorted(harness.STRATEGIES)}"),
     ])
@@ -208,7 +221,7 @@ class TestConfigConstruction:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("path", PATHS)
-    @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS)
+    @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS + BUDGET_ERRORS)
     def test_game_config_refused(self, path, field, bad, message):
         valid = GameConfig(seed=3)
         with pytest.raises(ValueError) as err:

@@ -1,12 +1,17 @@
 """Repository rules that are cheaper to check than to remember."""
 
 import ast
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from umarfid import adversary, attacks, cli, harness
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "umarfid"
 
@@ -84,3 +89,28 @@ def test_a_serial_run_imports_no_pool_dataclasses_or_statistics():
         if any(name == m or name.startswith(m + ".") for m in NOT_FOR_A_SERIAL_RUN)
     ]
     assert not loaded, f"a serial run imported {loaded}"
+
+
+def refuse_to_build_records(*args, **kwargs):
+    raise AssertionError("a record dict was built while rendering")
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "clone"], ["attack", "desync-mitm", "--bits", "8"], ["game"], ["session"],
+], ids=["AttackReport", "AttackReport-8bit", "GameOutcome", "TrialResult"])
+def test_streamed_json_lines_builds_no_record_dict(monkeypatch, argv):
+    # rendering through a dict and json.dumps per record once cost a fifth
+    # of a clone trial; this fails if a run quietly goes back to it
+    for module, name in ((harness, "report_record"), (attacks, "attack_record"),
+                         (adversary, "outcome_record")):
+        monkeypatch.setattr(module, name, refuse_to_build_records)
+    dumped = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(obj) or dumps(obj, **kw))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv + ["--trials", "50", "--format", "json-lines"])
+    assert code == 0
+    assert [list(obj) for obj in dumped] == [["summary"]]  # json.dumps ran once, for the summary
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 51
+    assert [json.loads(line)["trial"] for line in lines[:50]] == list(range(50))

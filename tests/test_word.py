@@ -8,6 +8,7 @@ import oracle_bits as oracle
 from umarfid.word import (
     DEFAULT_WORD_LEN,
     WordStream,
+    check_count,
     check_width,
     derive_seed,
     rot,
@@ -127,6 +128,20 @@ class TestParams:
         check_width(4)
         check_width(8)
         check_width(16)
+
+    @pytest.mark.parametrize("width", [128.0, 16.5, True, "128", None, 2**7 + 0j])
+    def test_word_len_must_be_an_int(self, width):
+        # 128.0 once passed and failed mid-run in a TypeError
+        with pytest.raises(ValueError) as err:
+            check_width(width)
+        assert str(err.value) == f"word_len must be an int, got {width!r}"
+
+    def test_count_check(self):
+        check_count("trials", 1, 1)
+        with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+            check_count("trials", 0, 1)
+        with pytest.raises(ValueError, match="^trials must be an int, got 2.5$"):
+            check_count("trials", 2.5, 1)
 
 
 class TestStreams:
