@@ -1,11 +1,9 @@
 """Simulator and attack suite for the UMA-RFID mutual-authentication protocol."""
 
 from .adversary import (
-    AdvantageEstimate,
     GameConfig,
     GameEnvironment,
     GameOutcome,
-    estimate_advantage,
     random_guess_strategy,
     run_untraceability_game,
 )
@@ -16,7 +14,6 @@ from .attacks import (
     attack_desync_bitflip,
     attack_desync_mitm,
     attack_full_disclosure,
-    attack_traceability,
     distinguish_strategy,
     recover_key,
 )

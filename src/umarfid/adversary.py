@@ -29,23 +29,6 @@ from .protocol import (
 )
 from .word import WordStream, check_count, check_width, derive_seed
 
-__all__ = [
-    "AdvantageEstimate",
-    "BudgetError",
-    "ChannelEvent",
-    "GameConfig",
-    "GameEnvironment",
-    "GameError",
-    "GameOutcome",
-    "OUTCOME_FIELDS",
-    "estimate_advantage",
-    "outcome_record",
-    "random_guess_strategy",
-    "run_untraceability_game",
-    "wilson_interval",
-]
-
-
 class GameError(RuntimeError):
     """Strategy broke the game procedure (harness bug, not a protocol event)."""
 
@@ -55,9 +38,9 @@ class BudgetError(GameError):
 
 
 class ValidatedTuple:
-    """Config mixin for named tuples with a word_len: every instance is
-    checked by _check, since call, _make, _replace, copy and unpickling
-    all build it through __new__."""
+    """Config mixin for named tuples with a word_len and a seed: every
+    instance is checked by _check, since call, _make, _replace, copy and
+    unpickling all build it through __new__."""
 
     __slots__ = ()
     COUNTS: dict[str, int] = {}  # count field -> its lowest value
@@ -73,6 +56,7 @@ class ValidatedTuple:
 
     def _check(self):
         check_width(self.word_len)
+        check_count("seed", self.seed, -math.inf)  # any int, negative included
         for name, low in self.COUNTS.items():
             check_count(name, getattr(self, name), low)
 
@@ -230,38 +214,5 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-class AdvantageEstimate(NamedTuple):
-    games: int
-    successes: int
-    pr_success: float
-    advantage: float
-    wilson_low: float
-    wilson_high: float
-
-
-def estimate_advantage(outcomes: list[GameOutcome]) -> AdvantageEstimate:
-    """Empirical distinguishing advantage |Pr[d = b] - 1/2| with a
-    Wilson 95% interval on the success probability."""
-    if not outcomes:
-        raise ValueError("estimate_advantage needs at least one outcome")
-    successes = sum(1 for o in outcomes if o.success)
-    games = len(outcomes)
-    pr = successes / games
-    low, high = wilson_interval(successes, games)
-    return AdvantageEstimate(
-        games=games,
-        successes=successes,
-        pr_success=pr,
-        advantage=abs(pr - 0.5),
-        wilson_low=low,
-        wilson_high=high,
-    )
-
-
-# outcome_record's keys (GameOutcome's fields after the trial), with kinds
+# a GameOutcome's record keys (the trial, then its fields), with kinds
 OUTCOME_FIELDS = {"trial": int, "b": int, "d": int, "success": bool, "executes": int, "sends": int}
-
-
-def outcome_record(outcome: GameOutcome, trial: int) -> dict:
-    """Flat serializable record for one game, fixed field order."""
-    return dict(zip(OUTCOME_FIELDS, (trial, *outcome)))

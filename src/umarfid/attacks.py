@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .adversary import GameConfig, GameEnvironment, GameOutcome, run_untraceability_game
+from .adversary import GameEnvironment
 from .protocol import (
     MSG_C,
     Outcome,
@@ -130,11 +130,6 @@ def distinguish_strategy(env: GameEnvironment) -> int:
         if first.b ^ pseudonym == fingerprint:
             return 0
     return 1
-
-
-def attack_traceability(config: GameConfig, trial: int = 0) -> GameOutcome:
-    """One untraceability game played with the distinguishing strategy."""
-    return run_untraceability_game(distinguish_strategy, config, trial)
 
 
 def attack_full_disclosure(bench: Bench) -> AttackReport:
@@ -423,7 +418,7 @@ def attack_desync_bitflip(
     )
 
 
-# attack_record's keys in order with their kinds (words as hex); every format renders from it
+# an AttackReport's record keys in order with their kinds (words as hex); every format renders from it
 ATTACK_FIELDS = {
     "trial": int, "attack": str, "success": bool, "recovered_key": str, "recovered_nonce": str,
     "cloned_idt": str, "cloned_key": str, "c1_rounds": int, "c2_trials": int, "a_mask": str,
@@ -432,8 +427,8 @@ ATTACK_FIELDS = {
 
 
 def attack_columns(reports, trials, width: int) -> list:
-    """attack_record's values of reports for trials, a column per ATTACK_FIELDS
-    key; a word becomes width // 4 hex digits (to_hex's), None stays None."""
+    """Record values of reports for trials, a column per ATTACK_FIELDS key;
+    a word becomes width // 4 hex digits (to_hex's), None stays None."""
     (attack, success, key, nonce, pair, c1_rounds, c2_trials, a_mask, b_mask,
      hw_matched, synchronized, followups, detail) = zip(*reports)
     size, odd = (width + 7) // 8, width % 8 // 4  # bytes, and a nibble to drop
@@ -447,9 +442,3 @@ def attack_columns(reports, trials, width: int) -> list:
         c1_rounds, c2_trials, hx(a_mask), hx(b_mask), hw_matched, synchronized,
         [None if f is None else ";".join(f) for f in followups], detail,
     ]
-
-
-def attack_record(report: AttackReport, trial: int, width: int) -> dict:
-    """Flat serializable record for one attack trial; its keys are the CSV header."""
-    columns = attack_columns([report], [trial], width)
-    return {key: column[0] for key, column in zip(ATTACK_FIELDS, columns)}

@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 
 from .adversary import GameError
-from .harness import FORMATS, STRATEGIES, TrialConfig, run_trials, summary_text
-
-ATTACK_NAMES = ["full-disclosure", "clone", "desync-mitm", "desync-bitflip"]
+from .harness import EXPERIMENTS, FORMATS, STRATEGIES, TrialConfig, run_trials, summary_text
 
 
 def _at_least(low: int):
@@ -46,9 +45,25 @@ def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
                         help="parallel worker processes (results identical)")
 
 
+# config field -> (flag, argparse spec); a subcommand gets those its experiments read
+_FLAGS = {
+    "execute_budget": ("--executes", dict(type=_at_least(0), default=2, metavar="EXECUTES",
+                       help="eavesdrop query budget per game (default 2)")),
+    "send_budget": ("--sends", dict(type=_at_least(0), default=1, metavar="SENDS",
+                    help="block/alter query budget per game (default 1)")),
+    "strategy": ("--strategy", dict(choices=sorted(STRATEGIES), default="distinguish",
+                 help="adversary strategy (random-guess is the null baseline)")),
+    "followups": ("--followups", dict(type=_at_least(0), default=3,
+                  help="honest recovery attempts verified after a desync")),
+    "c1_round_cap": ("--c1-cap", dict(type=_at_least(1), default=64, metavar="C1_CAP",
+                     help="bit-flip attack: cap on mask redraw rounds")),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; parsing leaves it unchanged."""
+    """The CLI parser, built once per process from the experiment table;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="umarfid",
         description=(
@@ -57,60 +72,39 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("session", help="honest-session smoke scenarios")
-    _add_common(p, trials=100)
-
-    p = sub.add_parser("game", help="untraceability distinguishing games")
-    _add_common(p, trials=1000)
-    p.add_argument("--executes", type=_at_least(0), default=2,
-                   help="eavesdrop query budget per game (default 2)")
-    p.add_argument("--sends", type=_at_least(0), default=1,
-                   help="block/alter query budget per game (default 1)")
-    p.add_argument("--strategy", choices=sorted(STRATEGIES), default="distinguish",
-                   help="adversary strategy (random-guess is the null baseline)")
-
-    p = sub.add_parser("attack", help="run one attack as a Monte Carlo experiment")
-    p.add_argument("name", choices=ATTACK_NAMES)
-    _add_common(p, trials=200)
-    p.add_argument("--followups", type=_at_least(0), default=3,
-                   help="honest recovery attempts verified after a desync")
-    p.add_argument("--c1-cap", type=_at_least(1), default=64, dest="c1_cap",
-                   help="bit-flip attack: cap on mask redraw rounds")
-
-    p = sub.add_parser("verify-identities",
-                       help="check the XOR identities the attacks rely on")
-    _add_common(p, trials=10000)
-
+    commands = {}  # first CLI word -> the experiments it runs
+    for experiment in EXPERIMENTS.values():
+        commands.setdefault(experiment.words[0], []).append(experiment)
+    for command, experiments in commands.items():
+        p = sub.add_parser(command, help=experiments[0].help)
+        if len(experiments[0].words) > 1:
+            p.add_argument("name", choices=[e.words[1] for e in experiments])
+        _add_common(p, experiments[0].trials)
+        reads = {field for e in experiments for field in e.reads}
+        for field, (flag, spec) in _FLAGS.items():
+            if field in reads:
+                p.add_argument(flag, dest=field, **spec)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> TrialConfig:
-    common = dict(
-        word_len=args.bits,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    if args.command == "session":
-        return TrialConfig(experiment="session", **common)
-    if args.command == "game":
-        return TrialConfig(
-            experiment="untraceability",
-            execute_budget=args.executes,
-            send_budget=args.sends,
-            strategy=args.strategy,
-            **common,
-        )
-    if args.command == "attack":
-        return TrialConfig(
-            experiment=args.name,
-            followups=args.followups,
-            c1_round_cap=args.c1_cap,
-            **common,
-        )
-    if args.command == "verify-identities":
-        return TrialConfig(experiment="identities", **common)
-    raise ValueError(f"unhandled command {args.command!r}")
+    words = (args.command, args.name) if "name" in args else (args.command,)
+    name = next(name for name, e in EXPERIMENTS.items() if e.words == words)
+    return TrialConfig(name, word_len=args.bits, trials=args.trials, seed=args.seed,
+                       **{field: getattr(args, field) for field in EXPERIMENTS[name].reads})
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """path opened for writing without truncating it; what lies past the
+    bytes the run wrote is cut off when the run ends, by success or error."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as out:
+        try:
+            yield out
+        finally:
+            # a pipe has no position to cut at, and a device such as /dev/null no size
+            if out.seekable() and os.fstat(out.fileno()).st_size > out.tell():
+                out.truncate()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,17 +115,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         parser.exit(2, f"error: {err}\n")
 
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+    with _output(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         try:
             _, stats = run_trials(config, args.workers, out.write, args.format)
         except (ValueError, GameError) as err:
             parser.exit(2, f"error: {err}\n")
         out.write(summary_text(stats, args.format))
     if args.out:
-        print(
-            f"{stats.experiment}: {stats.successes}/{stats.trials} ok, "
-            f"records written to {args.out}"
-        )
+        print(f"{stats.experiment}: {stats.successes}/{stats.trials} ok, "
+              f"records written to {args.out}")
     return 0 if stats.successes == stats.trials else 1
 
 

@@ -1,8 +1,8 @@
 """Monte Carlo trial runner and statistics for protocol experiments.
 
-Each experiment maps a (config, trial index) pair to one report; the
-trial seed is derived from the base seed and the index, so a config
-determines every byte of output no matter how many workers run it.
+Each experiment, a row of EXPERIMENTS, maps a (config, trial index) pair
+to one report; the trial seed is derived from the base seed and the index,
+so a config determines every byte of output whatever the worker count.
 Trials run in contiguous ranges; a streamed run renders each range's
 records where the range ran and writes them in trial order.
 """
@@ -16,7 +16,7 @@ import itertools
 import json
 import time
 import types
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import adversary, attacks
 from .adversary import GameConfig, GameOutcome, ValidatedTuple, wilson_interval
@@ -46,8 +46,7 @@ class TrialConfig(ValidatedTuple, _TrialFields):
     """One experiment run: what to execute, how often, and under which seed."""
 
     __slots__ = ()
-    COUNTS = {"trials": 1, "followups": 0, "c1_round_cap": 1,
-              "execute_budget": 0, "send_budget": 0}
+    COUNTS = {"trials": 1, "followups": 0, "c1_round_cap": 1, **GameConfig.COUNTS}
 
     def _check(self):
         super()._check()
@@ -65,7 +64,7 @@ class TrialResult(NamedTuple):
     detail: str = ""
 
 
-# report_record's keys for a TrialResult (its fields after the trial), with kinds
+# a TrialResult's record keys (the trial, then its fields), with kinds
 RESULT_FIELDS = {"trial": int, "label": str, "success": bool, "detail": str}
 
 
@@ -85,41 +84,36 @@ class SummaryStats(NamedTuple):
     duration_s: float = 0.0
 
 
+def _bench(config: TrialConfig, trial: int) -> Bench:
+    return Bench(config.word_len, derive_seed(config.seed, config.experiment, trial))
+
+
 def _session_trial(config: TrialConfig, trial: int) -> TrialResult:
     """Smoke scenario: honest runs, one blocked C, recovery, resync checks."""
-    seed = derive_seed(config.seed, config.experiment, trial)
-    bench = Bench(config.word_len, seed)
+    bench = _bench(config, trial)
     checks = []
 
     for _ in range(2):
         t = bench.run_honest()
-        checks.append(t.outcome is Outcome.MUTUAL_SUCCESS)
-        checks.append(bench.synchronized())
-        checks.append(t.transmissions() == 3)
+        checks += [t.outcome is Outcome.MUTUAL_SUCCESS, bench.synchronized(),
+                   t.transmissions() == 3]
 
     # Block the closing C: tag moves ahead, reader keeps the stale pair.
     channel = Channel()
     channel.block(bench.session, MSG_C)
     blocked = bench.run_honest(channel)
-    checks.append(blocked.outcome is Outcome.BLOCKED)
-    checks.append(bench.synchronized())  # previous pair still matches
+    checks += [blocked.outcome is Outcome.BLOCKED, bench.synchronized()]  # previous pair matches
 
     # Next honest session must identify via the fallback and resync.
     recovery = bench.run_honest()
-    checks.append(recovery.outcome is Outcome.MUTUAL_SUCCESS)
-    checks.append(len(recovery.presented_idts) == 2)
-    checks.append(bench.reader.entries.get(bench.tag.current.idt) is not None)
+    checks += [recovery.outcome is Outcome.MUTUAL_SUCCESS, len(recovery.presented_idts) == 2,
+               bench.reader.entries.get(bench.tag.current.idt) is not None]
 
     final = bench.run_honest()
-    checks.append(final.outcome is Outcome.MUTUAL_SUCCESS)
-    checks.append(len(final.presented_idts) == 1)
+    checks += [final.outcome is Outcome.MUTUAL_SUCCESS, len(final.presented_idts) == 1]
 
     bad = [i for i, ok in enumerate(checks) if not ok]
-    return TrialResult(
-        label="session",
-        success=not bad,
-        detail="" if not bad else f"failed checks {bad}",
-    )
+    return TrialResult("session", not bad, f"failed checks {bad}" if bad else "")
 
 
 def _identities_trial(config: TrialConfig, trial: int) -> TrialResult:
@@ -128,9 +122,8 @@ def _identities_trial(config: TrialConfig, trial: int) -> TrialResult:
     The three public words of consecutive sessions XOR to the updated
     key, and B xor next pseudonym is a key-only constant.
     """
-    seed = derive_seed(config.seed, config.experiment, trial)
     width = config.word_len
-    rng = WordStream(width, seed)
+    rng = WordStream(width, derive_seed(config.seed, config.experiment, trial))
     key, nonce = rng.next_word(), rng.next_word()
 
     updated = next_pair(PairState(idt=rng.next_word(), key=key), nonce, width)
@@ -139,193 +132,12 @@ def _identities_trial(config: TrialConfig, trial: int) -> TrialResult:
     pseudonym_identity = b ^ updated.idt == rot(key, key, width) ^ key
     ok = key_identity and pseudonym_identity
     return TrialResult(
-        label="identities",
-        success=ok,
-        detail="" if ok else f"key={key_identity} pseudonym={pseudonym_identity}",
-    )
+        "identities", ok, "" if ok else f"key={key_identity} pseudonym={pseudonym_identity}")
 
 
 def _game_trial(config: TrialConfig, trial: int) -> GameOutcome:
-    strategy = STRATEGIES[config.strategy]
-    game_config = GameConfig(
-        word_len=config.word_len,
-        execute_budget=config.execute_budget,
-        send_budget=config.send_budget,
-        seed=config.seed,
-    )
-    return adversary.run_untraceability_game(strategy, game_config, trial)
-
-
-def _bench_for(config: TrialConfig, trial: int) -> Bench:
-    return Bench(config.word_len, derive_seed(config.seed, config.experiment, trial))
-
-
-def _full_disclosure_trial(config, trial) -> AttackReport:
-    return attacks.attack_full_disclosure(_bench_for(config, trial))
-
-
-def _clone_trial(config, trial) -> AttackReport:
-    return attacks.attack_clone(_bench_for(config, trial))
-
-
-def _desync_mitm_trial(config, trial) -> AttackReport:
-    return attacks.attack_desync_mitm(_bench_for(config, trial), config.followups)
-
-
-def _desync_bitflip_trial(config, trial) -> AttackReport:
-    return attacks.attack_desync_bitflip(
-        _bench_for(config, trial), config.c1_round_cap, config.followups
-    )
-
-
-EXPERIMENTS = {
-    "session": _session_trial,
-    "untraceability": _game_trial,
-    "full-disclosure": _full_disclosure_trial,
-    "clone": _clone_trial,
-    "desync-mitm": _desync_mitm_trial,
-    "desync-bitflip": _desync_bitflip_trial,
-    "identities": _identities_trial,
-}
-
-
-# Ranges hold at most this many reports, so a streamed run's memory does
-# not grow with its trial count.
-RANGE_CAP = 1000
-
-
-# Ranges submitted to a pool and not yet written, per worker: enough to
-# keep every worker busy, few enough that the futures do not pile up.
-IN_FLIGHT = 2
-
-
-def trial_ranges(trials: int, workers: int) -> list[range]:
-    """Split trials into contiguous ranges, about four per worker."""
-    size = min(RANGE_CAP, -(-trials // (4 * workers)))
-    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
-
-
-def _run_range(config: TrialConfig, fmt: str | None, trials: range):
-    """Run one range of trials: (its reports, or with fmt their rendered
-    records, plus the range's tally for the summary)."""
-    run = EXPERIMENTS[config.experiment]
-    reports = [run(config, trial) for trial in trials]
-    part = reports if fmt is None else render_records(reports, trials.start, config.word_len, fmt)
-    return part, _tally(reports)
-
-
-def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "text"):
-    """Execute every trial of an experiment; returns (reports, summary).
-
-    Per-trial seeds derive from (base seed, trial index): identical
-    config gives bit-identical reports for any worker count. With
-    ``write``, the process that ran a range renders its records in
-    ``fmt``, and ``write`` gets them in trial order; no report is kept
-    (the returned list is empty). If a trial raises, the ranges before
-    its own stay written.
-    """
-    started = time.perf_counter()
-    _check_format(fmt)
-    run_range = functools.partial(_run_range, config, fmt if write else None)
-    reports, successes, attempts, games = [], 0, [], True
-    emit = write or reports.extend
-    pool = None
-    if workers > 1:  # imported here, so a serial run never loads the pool's modules
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        ranges = trial_ranges(config.trials, workers)
-        for part, (ok, part_attempts, part_games) in (
-            _in_order(pool, run_range, ranges, IN_FLIGHT * workers)
-            if pool else map(run_range, ranges)
-        ):
-            emit(part)
-            successes += ok
-            attempts += part_attempts
-            games = games and part_games
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
-    stats = _summary(config.experiment, config.trials, successes, attempts, games)
-    return reports, stats._replace(duration_s=time.perf_counter() - started)
-
-
-def _in_order(pool, run_range, ranges, window: int):
-    """Results of run_range over ranges, in order, with at most window
-    ranges submitted and not yet consumed; the next range is submitted
-    only after the caller has taken (and written) the oldest one."""
-    submit, ranges = functools.partial(pool.submit, run_range), iter(ranges)
-    pending = collections.deque(map(submit, itertools.islice(ranges, window)))
-    while pending:
-        yield pending.popleft().result()
-        pending.extend(map(submit, itertools.islice(ranges, 1)))
-
-
-def _tally(reports) -> tuple[int, list[int], bool]:
-    """What a summary needs of some reports: (successes, c2_trials ints,
-    whether every report is a game)."""
-    return (
-        sum(1 for r in reports if r.success),
-        [r.c2_trials for r in reports
-         if isinstance(r, AttackReport) and r.c2_trials is not None],
-        all(isinstance(r, GameOutcome) for r in reports),
-    )
-
-
-def summarize(experiment: str, reports) -> SummaryStats:
-    """Fold reports into counts, a Wilson 95% interval, and extras."""
-    if not reports:
-        raise ValueError("summarize needs at least one report")
-    return _summary(experiment, len(reports), *_tally(reports))
-
-
-def _summary(experiment, trials, successes, attempts, games) -> SummaryStats:
-    """The one summary fold; a game's advantage is |Pr[d = b] - 1/2|."""
-    rate = successes / trials
-    low, high = wilson_interval(successes, trials)
-    return SummaryStats(
-        experiment=experiment,
-        trials=trials,
-        successes=successes,
-        success_rate=rate,
-        wilson_low=low,
-        wilson_high=high,
-        advantage=abs(rate - 0.5) if games else None,
-        attempts_mean=sum(attempts) / len(attempts) if attempts else None,
-        attempts_median=_median(sorted(attempts)) if attempts else None,
-        attempts_max=max(attempts) if attempts else None,
-    )
-
-
-def _median(ordered: list[int]) -> float:
-    """Median of a sorted list: the middle item, or the mean of the two."""
-    middle, odd = divmod(len(ordered), 2)
-    return ordered[middle] if odd else (ordered[middle - 1] + ordered[middle]) / 2
-
-
-def report_record(report, trial: int, width: int) -> dict:
-    """Flat record for any report; words become width // 4 hex digits."""
-    _, (fields, columns_of, _) = _record_type_of(report)
-    return {key: column[0] for key, column in zip(fields, columns_of([report], [trial], width))}
-
-
-def summary_record(stats: SummaryStats) -> dict:
-    record = {
-        "experiment": stats.experiment,
-        "trials": stats.trials,
-        "successes": stats.successes,
-        "success_rate": round(stats.success_rate, 6),
-        "wilson95_low": round(stats.wilson_low, 6),
-        "wilson95_high": round(stats.wilson_high, 6),
-    }
-    if stats.advantage is not None:
-        record["advantage"] = round(stats.advantage, 6)
-    if stats.attempts_mean is not None:
-        record["attempts_mean"] = round(stats.attempts_mean, 3)
-        record["attempts_median"] = stats.attempts_median
-        record["attempts_max"] = stats.attempts_max
-    record["duration_s"] = round(stats.duration_s, 3)
-    return record
+    game = GameConfig(config.word_len, config.execute_budget, config.send_budget, config.seed)
+    return adversary.run_untraceability_game(STRATEGIES[config.strategy], game, trial)
 
 
 # csv.writer's writerow returns what its file's write returns: with str
@@ -354,12 +166,12 @@ _JSON_COLUMN = {
 }
 
 
-def _record_type(fields: dict, columns_of) -> tuple:
-    """One report type's record keys and kinds, its values as a column per
+def _report_type(cls: type, fields: dict, columns_of) -> tuple:
+    """A report class, its record keys and kinds, its values as a column per
     key, and per format a line template and a converter per column."""
     json_line = "{" + ", ".join(f"{_escape(key)}: %s" for key in fields) + "}\n"
     text_line = " ".join(f"{key}=%s" for key in fields) + "\n"
-    return fields, columns_of, {
+    return cls, fields, columns_of, {
         "json-lines": (json_line, [_JSON_COLUMN[kind] for kind in fields.values()]),
         "text": (text_line, [lambda column: map(_BLANK.get, column, column)] * len(fields)),
     }
@@ -369,30 +181,190 @@ def _trial_and_fields(reports, trials, width: int) -> list:
     return [trials, *zip(*reports)]
 
 
-_RECORD_TYPES = {
-    AttackReport: _record_type(attacks.ATTACK_FIELDS, attacks.attack_columns),
-    GameOutcome: _record_type(adversary.OUTCOME_FIELDS, _trial_and_fields),
-    TrialResult: _record_type(RESULT_FIELDS, _trial_and_fields),
+class Experiment(NamedTuple):
+    """A row of the experiment table: all the CLI, trials, summary and records need."""
+
+    words: tuple[str, ...]  # the CLI words that run it
+    help: str  # its subcommand's help
+    run: Callable  # (config, trial) -> report
+    report: tuple  # _report_type of its reports
+    trials: int  # the CLI's default trial count
+    reads: tuple[str, ...] = ()  # config fields it reads besides width, trials, seed
+    extras: str | None = None  # summary extras: game "advantage" or bit-flip "attempts"
+
+
+_ATTACK_HELP = "run one attack as a Monte Carlo experiment"
+_ATTACKS = _report_type(AttackReport, attacks.ATTACK_FIELDS, attacks.attack_columns)
+_RESULTS = _report_type(TrialResult, RESULT_FIELDS, _trial_and_fields)
+
+# Every experiment, in CLI order. A name is also the seed label of its
+# trials (derive_seed), so renaming one changes every record it makes. A
+# row calls traced functions through their module, as attacks.attack_clone.
+EXPERIMENTS = {
+    "session": Experiment(
+        ("session",), "honest-session smoke scenarios", _session_trial, _RESULTS, 100),
+    "untraceability": Experiment(
+        ("game",), "untraceability distinguishing games", _game_trial,
+        _report_type(GameOutcome, adversary.OUTCOME_FIELDS, _trial_and_fields), 1000,
+        ("execute_budget", "send_budget", "strategy"), "advantage"),
+    "full-disclosure": Experiment(
+        ("attack", "full-disclosure"), _ATTACK_HELP,
+        lambda config, trial: attacks.attack_full_disclosure(_bench(config, trial)),
+        _ATTACKS, 200),
+    "clone": Experiment(
+        ("attack", "clone"), _ATTACK_HELP,
+        lambda config, trial: attacks.attack_clone(_bench(config, trial)), _ATTACKS, 200),
+    "desync-mitm": Experiment(
+        ("attack", "desync-mitm"), _ATTACK_HELP,
+        lambda config, trial: attacks.attack_desync_mitm(_bench(config, trial), config.followups),
+        _ATTACKS, 200, ("followups",)),
+    "desync-bitflip": Experiment(
+        ("attack", "desync-bitflip"), _ATTACK_HELP,
+        lambda config, trial: attacks.attack_desync_bitflip(
+            _bench(config, trial), config.c1_round_cap, config.followups),
+        _ATTACKS, 200, ("followups", "c1_round_cap"), "attempts"),
+    "identities": Experiment(
+        ("verify-identities",), "check the XOR identities the attacks rely on",
+        _identities_trial, _RESULTS, 10000),
 }
 
 
-def _record_type_of(report) -> tuple[type, tuple]:
-    for cls, record_type in _RECORD_TYPES.items():
-        if isinstance(report, cls):
-            return cls, record_type
-    raise TypeError(f"unknown report type {type(report).__name__}")
+# Ranges hold at most this many reports, so a streamed run's memory does
+# not grow with its trial count.
+RANGE_CAP = 1000
 
 
-def render_records(reports, first_trial: int, width: int, fmt: str) -> str:
-    """Records of consecutive trials from first_trial, reports of one type;
-    csv output gets its header (the record's keys) before trial 0. A line
-    is json.dumps, csv or k=v of report_record, built without the dict."""
+# Ranges submitted to a pool and not yet written, per worker: enough to
+# keep every worker busy, few enough that the futures do not pile up.
+IN_FLIGHT = 2
+
+
+def trial_ranges(trials: int, workers: int) -> list[range]:
+    """Split trials into contiguous ranges, about four per worker."""
+    size = min(RANGE_CAP, -(-trials // (4 * workers)))
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
+def _run_range(config: TrialConfig, fmt: str | None, trials: range):
+    """Run one range of trials: (its reports, or with fmt their rendered
+    records, plus the range's tally for the summary)."""
+    experiment = EXPERIMENTS[config.experiment]
+    reports = list(map(experiment.run, itertools.repeat(config), trials))
+    part = reports if fmt is None else render_records(
+        config.experiment, reports, trials.start, config.word_len, fmt)
+    return part, _tally(experiment, reports)
+
+
+def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "text"):
+    """Execute every trial of an experiment; returns (reports, summary).
+
+    Per-trial seeds derive from (base seed, trial index): identical
+    config gives bit-identical reports for any worker count. With
+    ``write``, the process that ran a range renders its records in
+    ``fmt``, and ``write`` gets them in trial order; no report is kept
+    (the returned list is empty). If a trial raises, the ranges before
+    its own stay written.
+    """
+    started = time.perf_counter()
+    _check_format(fmt)
+    run_range = functools.partial(_run_range, config, fmt if write else None)
+    reports, successes, attempts = [], 0, []
+    emit = write or reports.extend
+    pool = None
+    if workers > 1:  # imported here, so a serial run never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        ranges = trial_ranges(config.trials, workers)
+        for part, (ok, part_attempts) in (
+            _in_order(pool, run_range, ranges, IN_FLIGHT * workers)
+            if pool else map(run_range, ranges)
+        ):
+            emit(part)
+            successes += ok
+            attempts += part_attempts
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    stats = _summary(config.experiment, config.trials, successes, attempts)
+    return reports, stats._replace(duration_s=time.perf_counter() - started)
+
+
+def _in_order(pool, run_range, ranges, window: int):
+    """Results of run_range over ranges, in order, with at most window
+    ranges submitted and not yet consumed; the next range is submitted
+    only after the caller has taken (and written) the oldest one."""
+    submit, ranges = functools.partial(pool.submit, run_range), iter(ranges)
+    pending = collections.deque(map(submit, itertools.islice(ranges, window)))
+    while pending:
+        yield pending.popleft().result()
+        pending.extend(map(submit, itertools.islice(ranges, 1)))
+
+
+def _tally(experiment: Experiment, reports) -> tuple[int, list[int]]:
+    """What a summary needs of some reports: (successes, and for an
+    experiment with attempts the c2_trials ints)."""
+    successes = sum(1 for r in reports if r.success)
+    if experiment.extras != "attempts":
+        return successes, []
+    return successes, [r.c2_trials for r in reports if r.c2_trials is not None]
+
+
+def summarize(experiment: str, reports) -> SummaryStats:
+    """Fold reports into counts, a Wilson 95% interval, and extras."""
+    if not reports:
+        raise ValueError("summarize needs at least one report")
+    return _summary(experiment, len(reports), *_tally(EXPERIMENTS[experiment], reports))
+
+
+def _summary(experiment, trials, successes, attempts) -> SummaryStats:
+    """The one summary fold; a game's advantage is |Pr[d = b] - 1/2|."""
+    rate = successes / trials
+    return SummaryStats(
+        experiment, trials, successes, rate, *wilson_interval(successes, trials),
+        advantage=abs(rate - 0.5) if EXPERIMENTS[experiment].extras == "advantage" else None,
+        attempts_mean=sum(attempts) / len(attempts) if attempts else None,
+        attempts_median=_median(sorted(attempts)) if attempts else None,
+        attempts_max=max(attempts) if attempts else None,
+    )
+
+
+def _median(ordered: list[int]) -> float:
+    """Median of a sorted list: the middle item, or the mean of the two."""
+    middle, odd = divmod(len(ordered), 2)
+    return ordered[middle] if odd else (ordered[middle - 1] + ordered[middle]) / 2
+
+
+def summary_record(stats: SummaryStats) -> dict:
+    record = {
+        "experiment": stats.experiment,
+        "trials": stats.trials,
+        "successes": stats.successes,
+        "success_rate": round(stats.success_rate, 6),
+        "wilson95_low": round(stats.wilson_low, 6),
+        "wilson95_high": round(stats.wilson_high, 6),
+    }
+    if stats.advantage is not None:
+        record["advantage"] = round(stats.advantage, 6)
+    if stats.attempts_mean is not None:
+        record["attempts_mean"] = round(stats.attempts_mean, 3)
+        record["attempts_median"] = stats.attempts_median
+        record["attempts_max"] = stats.attempts_max
+    record["duration_s"] = round(stats.duration_s, 3)
+    return record
+
+
+def render_records(experiment: str, reports, first_trial: int, width: int, fmt: str) -> str:
+    """Records of an experiment's consecutive trials from first_trial; csv
+    output gets its header (the record's keys) before trial 0. A line is
+    json.dumps, a csv row or the k=v pairs of the record as a dict of its
+    keys, byte for byte, built without the dict."""
     _check_format(fmt)
     if not reports:
         return ""
-    cls, (fields, columns_of, lines) = _record_type_of(reports[0])
+    cls, fields, columns_of, lines = EXPERIMENTS[experiment].report
     if not all(map(isinstance, reports, itertools.repeat(cls))):
-        raise TypeError(f"render_records needs reports of one type, {cls.__name__} first")
+        raise TypeError(f"{experiment} records need {cls.__name__} reports")
     columns = columns_of(reports, range(first_trial, first_trial + len(reports)), width)
     if fmt == "csv":
         header = _csv_row(fields) if first_trial == 0 else ""
@@ -415,4 +387,4 @@ def summary_text(stats: SummaryStats, fmt: str) -> str:
 
 def render(reports, stats: SummaryStats, width: int, fmt: str = "text") -> str:
     """Render reports of a width-bit run plus summary as text, json-lines or csv."""
-    return render_records(reports, 0, width, fmt) + summary_text(stats, fmt)
+    return render_records(stats.experiment, reports, 0, width, fmt) + summary_text(stats, fmt)

@@ -194,9 +194,6 @@ class DatabaseEntry(_Record):
     def words(self) -> tuple[int, int, int]:
         return (self.idt, self.key, self.id)
 
-    def pair(self) -> PairState:
-        return PairState(idt=self.idt, key=self.key)
-
 
 class _Pending(NamedTuple):
     """In-flight reader session: entry, nonce, expected C, updated pair."""

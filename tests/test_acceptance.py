@@ -21,7 +21,7 @@ must not be loosened:
 import pytest
 
 import oracle_bits as oracle
-from umarfid.adversary import GameConfig, estimate_advantage, run_untraceability_game
+from umarfid.adversary import GameConfig, run_untraceability_game
 from umarfid.attacks import (
     Bench,
     attack_clone,
@@ -36,7 +36,7 @@ from umarfid.attacks import (
     weight2_count,
     weight2_words,
 )
-from umarfid.harness import TrialConfig, run_trials
+from umarfid.harness import TrialConfig, run_trials, summarize
 from umarfid.protocol import (
     MSG_A,
     MSG_B,
@@ -95,21 +95,21 @@ def test_criterion_2_traceability():
         run_untraceability_game(distinguish_strategy, config, trial)
         for trial in range(1000)
     ]
-    est = estimate_advantage(outcomes)
-    full_ok = est.pr_success == 1.0 and est.advantage == 0.5
+    est = summarize("untraceability", outcomes)
+    full_ok = est.success_rate == 1.0 and est.advantage == 0.5
 
     ablation_config = GameConfig(word_len=128, execute_budget=2, send_budget=0, seed=0)
     ablation = [
         run_untraceability_game(distinguish_strategy, ablation_config, trial)
         for trial in range(1000)
     ]
-    ablation_adv = estimate_advantage(ablation).advantage
+    ablation_adv = summarize("untraceability", ablation).advantage
     ablation_ok = ablation_adv < 0.05
 
     report(
         "criterion-2 traceability",
         full_ok and ablation_ok,
-        f"Pr[d=b]={est.pr_success} advantage={est.advantage}, "
+        f"Pr[d=b]={est.success_rate} advantage={est.advantage}, "
         f"ablation advantage={ablation_adv:.4f}",
     )
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from umarfid.adversary import (
@@ -6,13 +8,12 @@ from umarfid.adversary import (
     GameEnvironment,
     GameError,
     GameOutcome,
-    estimate_advantage,
-    outcome_record,
     random_guess_strategy,
     run_untraceability_game,
     wilson_interval,
 )
 from umarfid.attacks import distinguish_strategy
+from umarfid.harness import render_records, summarize
 from umarfid.protocol import MSG_C, Outcome, next_pair
 from umarfid.word import WordStream, derive_seed
 
@@ -145,7 +146,7 @@ class TestGame:
         ]
         assert all(o.success for o in outcomes)
         assert all(o.executes_used == 2 and o.sends_used == 1 for o in outcomes)
-        assert estimate_advantage(outcomes).advantage == 0.5
+        assert summarize("untraceability", outcomes).advantage == 0.5
 
     def test_distinguish_without_send_budget_is_blind(self):
         config = GameConfig(send_budget=0, seed=22)
@@ -153,7 +154,7 @@ class TestGame:
             run_untraceability_game(distinguish_strategy, config, trial)
             for trial in range(300)
         ]
-        est = estimate_advantage(outcomes)
+        est = summarize("untraceability", outcomes)
         assert est.advantage < 0.1
         # without the block the fingerprint never matches: constant guess 1
         assert all(o.guess == 1 for o in outcomes)
@@ -164,7 +165,7 @@ class TestGame:
             run_untraceability_game(random_guess_strategy, config, trial)
             for trial in range(400)
         ]
-        assert estimate_advantage(outcomes).advantage < 0.1
+        assert summarize("untraceability", outcomes).advantage < 0.1
 
     def test_null_strategy_advantage_regression(self):
         # resistance baseline: the null strategy must stay near zero
@@ -174,7 +175,7 @@ class TestGame:
             run_untraceability_game(random_guess_strategy, config, trial)
             for trial in range(10_000)
         ]
-        assert estimate_advantage(outcomes).advantage < 0.02
+        assert summarize("untraceability", outcomes).advantage < 0.02
 
     def test_config_word_len_validated(self):
         with pytest.raises(ValueError):
@@ -200,23 +201,25 @@ class TestAdvantage:
         return good + bad
 
     def test_all_successes(self):
-        assert estimate_advantage(self.outcomes(100, 0)).advantage == 0.5
+        assert summarize("untraceability", self.outcomes(100, 0)).advantage == 0.5
 
     def test_balanced(self):
-        assert estimate_advantage(self.outcomes(50, 50)).advantage == 0.0
+        assert summarize("untraceability", self.outcomes(50, 50)).advantage == 0.0
 
     def test_arithmetic(self):
-        est = estimate_advantage(self.outcomes(750, 250))
-        assert est.pr_success == 0.75
+        est = summarize("untraceability", self.outcomes(750, 250))
+        assert est.success_rate == 0.75
         assert est.advantage == 0.25
         assert est.wilson_low < 0.75 < est.wilson_high
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            estimate_advantage([])
+            summarize("untraceability", [])
 
     def test_record_field_order(self):
-        record = outcome_record(GameOutcome(1, 0, False, 2, 1), trial=7)
+        line = render_records("untraceability", [GameOutcome(1, 0, False, 2, 1)], 7, 128,
+                              "json-lines")
+        record = json.loads(line)
         assert list(record) == ["trial", "b", "d", "success", "executes", "sends"]
         assert record["trial"] == 7
         assert record["b"] == 1 and record["d"] == 0

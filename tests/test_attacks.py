@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from umarfid.attacks import (
     attack_desync_bitflip,
     attack_desync_mitm,
     attack_full_disclosure,
-    attack_record,
     bitflip_round_admits,
     distinguish_strategy,
     random_weight2,
@@ -23,6 +23,7 @@ from umarfid.attacks import (
     weight2_mask,
     weight2_words,
 )
+from umarfid.harness import render_records
 from umarfid.protocol import (
     Outcome,
     PairState,
@@ -35,6 +36,12 @@ from umarfid.word import WordStream, derive_seed, rot, to_hex
 
 words16 = st.integers(0, 2**16 - 1)
 
+
+
+def attack_record(report, trial, width):
+    """An attack report's record as the CLI writes it, parsed from json-lines
+    (every attack experiment renders its reports alike)."""
+    return json.loads(render_records("clone", [report], trial, width, "json-lines"))
 
 class TestRecoverKey:
     def test_worked_example(self):
@@ -114,7 +121,7 @@ class TestDesyncMitm:
         assert report.success
         entries = list(bench.reader.entries.values())
         assert len(entries) == 1
-        entry_pair = entries[0].pair()
+        entry_pair = PairState(entries[0].idt, entries[0].key)
         assert bench.tag.current != entry_pair
         assert bench.tag.previous != entry_pair
 
@@ -251,8 +258,8 @@ class TestDesyncBitflip:
         twin.run_honest()
         # the burnt pair stays 'previous'; the reader never saw the attack
         assert bench.tag.previous == twin.tag.previous
-        twin_entry = list(twin.reader.entries.values())[0].pair()
-        assert list(bench.reader.entries.values())[0].pair() == twin_entry
+        (twin_entry,), (entry,) = twin.reader.entries.values(), bench.reader.entries.values()
+        assert PairState(entry.idt, entry.key) == PairState(twin_entry.idt, twin_entry.key)
         # but the tag recomputed 'current' under the masked nonce
         assert bench.tag.current != twin.tag.current
 
@@ -422,10 +429,10 @@ class TestDesyncSuccessPredicate:
 
 class TestTraceabilityAttack:
     def test_strategy_wins_every_game(self):
-        from umarfid.adversary import GameConfig
-        from umarfid.attacks import attack_traceability
+        from umarfid.adversary import GameConfig, run_untraceability_game
 
-        outcomes = [attack_traceability(GameConfig(seed=31), t) for t in range(50)]
+        outcomes = [run_untraceability_game(distinguish_strategy, GameConfig(seed=31), t)
+                    for t in range(50)]
         assert all(o.success for o in outcomes)
 
 

@@ -22,11 +22,12 @@ from umarfid.cli import build_parser, main
 from umarfid.harness import (
     EXPERIMENTS,
     RANGE_CAP,
+    FORMATS,
     SummaryStats,
     TrialConfig,
+    TrialResult,
     render,
     render_records,
-    report_record,
     run_trials,
     summarize,
     summary_text,
@@ -56,7 +57,7 @@ class TestRunTrials:
         def no_pool(max_workers):
             pytest.fail("a pool was built")
 
-        monkeypatch.setitem(EXPERIMENTS, "clone", no_trial)
+        monkeypatch.setitem(EXPERIMENTS, "clone", EXPERIMENTS["clone"]._replace(run=no_trial))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         written = []
         for write in (written.append, None):
@@ -104,9 +105,7 @@ class TestRunTrials:
     def test_identical_config_identical_records(self):
         first, _ = run("full-disclosure", trials=10, seed=9)
         second, _ = run("full-disclosure", trials=10, seed=9)
-        assert [report_record(r, i, 128) for i, r in enumerate(first)] == [
-            report_record(r, i, 128) for i, r in enumerate(second)
-        ]
+        assert first == second
 
     def test_different_seeds_differ(self):
         first, _ = run("full-disclosure", trials=5, seed=1)
@@ -117,9 +116,7 @@ class TestRunTrials:
         config = TrialConfig(experiment="clone", trials=16, seed=4)
         serial, serial_stats = run_trials(config, workers=1)
         parallel, parallel_stats = run_trials(config, workers=2)
-        assert [report_record(r, i, 128) for i, r in enumerate(serial)] == [
-            report_record(r, i, 128) for i, r in enumerate(parallel)
-        ]
+        assert serial == parallel
         assert serial_stats.successes == parallel_stats.successes
 
     def test_game_experiment_carries_advantage(self):
@@ -189,8 +186,12 @@ WIDTH_ERRORS = [
     ("word_len", 128.0, "word_len must be an int, got 128.0"),
     ("word_len", True, "word_len must be an int, got True"),
 ]
-# the game budgets, which TrialConfig and GameConfig both check
-BUDGET_ERRORS = [
+# the seed and the game budgets, which TrialConfig and GameConfig both check
+SHARED_ERRORS = [
+    # a float or bool seed once ran the records of int(seed) without a word
+    ("seed", 1.5, "seed must be an int, got 1.5"),
+    ("seed", True, "seed must be an int, got True"),
+    ("seed", "1", "seed must be an int, got '1'"),
     ("execute_budget", -1, "execute_budget must be >= 0, got -1"),
     ("send_budget", -1, "send_budget must be >= 0, got -1"),
     ("execute_budget", 2.0, "execute_budget must be an int, got 2.0"),
@@ -202,7 +203,7 @@ class TestConfigConstruction:
     """Every way of building a config checks it, with the same messages."""
 
     @pytest.mark.parametrize("path", PATHS)
-    @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS + BUDGET_ERRORS + [
+    @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS + SHARED_ERRORS + [
         ("trials", 0, "trials must be >= 1, got 0"),
         ("followups", -1, "followups must be >= 0, got -1"),
         ("c1_round_cap", 0, "c1_round_cap must be >= 1, got 0"),
@@ -221,7 +222,7 @@ class TestConfigConstruction:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("path", PATHS)
-    @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS + BUDGET_ERRORS)
+    @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS + SHARED_ERRORS)
     def test_game_config_refused(self, path, field, bad, message):
         valid = GameConfig(seed=3)
         with pytest.raises(ValueError) as err:
@@ -232,7 +233,9 @@ class TestConfigConstruction:
     @pytest.mark.parametrize("valid", [
         TrialConfig("untraceability", word_len=8, trials=3, strategy="random-guess"),
         GameConfig(word_len=16, execute_budget=0, send_budget=0, seed=5),
-    ], ids=["TrialConfig", "GameConfig"])
+        TrialConfig("clone", seed=-7),
+        GameConfig(seed=-(2**70)),
+    ], ids=["TrialConfig", "GameConfig", "TrialConfig-negative-seed", "GameConfig-negative-seed"])
     def test_valid_config_survives_every_path(self, path, valid):
         config = built(type(valid), tuple(valid), path, valid)
         assert type(config) is type(valid)
@@ -363,7 +366,7 @@ class TestStreaming:
         # every record before the failing range, in trial order, and no summary
         before, _ = run_trials(TrialConfig(
             experiment="untraceability", word_len=8, trials=failing.start))
-        assert path.read_bytes() == render_records(before, 0, 8, fmt).encode()
+        assert path.read_bytes() == render_records("untraceability", before, 0, 8, fmt).encode()
 
 
 class TestSummarize:
@@ -455,6 +458,64 @@ class TestRender:
         assert str(err.value) == "unknown format 'xml'; choose text, json-lines or csv"
 
 
+def noop_trial(config, trial):
+    return TrialResult(label="noop", success=trial % 2 == 0, detail=f"trial {trial}")
+
+
+class TestExperimentTable:
+    """An experiment is one table row: the CLI, the trials, the summary
+    and the records all take it from there."""
+
+    @pytest.fixture
+    def noop(self, monkeypatch):
+        row = harness.Experiment(
+            ("attack", "noop"), "unused", noop_trial, EXPERIMENTS["session"].report, 5)
+        monkeypatch.setitem(EXPERIMENTS, "noop", row)
+        build_parser.cache_clear()
+        yield
+        build_parser.cache_clear()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_an_added_row_runs_from_the_cli(self, noop, capsys, workers):
+        outputs = {}
+        for fmt in FORMATS:
+            argv = ["attack", "noop", "--trials", "3", "--format", fmt, "--workers", workers]
+            assert main(argv) == 1  # trial 1 fails
+            outputs[fmt] = capsys.readouterr().out
+        records = [
+            "trial=0 label=noop success=True detail=trial 0",
+            "trial=1 label=noop success=False detail=trial 1",
+            "trial=2 label=noop success=True detail=trial 2",
+        ]
+        text = outputs["text"].splitlines()
+        assert text[:5] == [*records, "# summary", "experiment=noop"]
+        assert text[5:7] == ["trials=3", "successes=2"]
+        assert not any(line.startswith(("advantage=", "attempts_")) for line in text)
+        lines = [json.loads(line) for line in outputs["json-lines"].splitlines()]
+        assert lines[:3] == [
+            {"trial": t, "label": "noop", "success": t != 1, "detail": f"trial {t}"}
+            for t in range(3)
+        ]
+        assert lines[3]["summary"]["experiment"] == "noop"
+        assert outputs["csv"] == (
+            "trial,label,success,detail\r\n0,noop,True,trial 0\r\n"
+            "1,noop,False,trial 1\r\n2,noop,True,trial 2\r\n"
+        )
+
+    def test_an_added_row_runs_from_the_library(self, noop, capsys):
+        reports, stats = run_trials(TrialConfig("noop", trials=3))
+        assert reports == [noop_trial(None, t) for t in range(3)]
+        assert (stats.experiment, stats.trials, stats.successes) == ("noop", 3, 2)
+        assert stats.advantage is stats.attempts_mean is None
+        assert summarize("noop", reports) == stats._replace(duration_s=0.0)
+        assert render_records("noop", reports, 1, 128, "csv").startswith("1,noop,True")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["attack", "noop", "--help"])
+        assert "{full-disclosure,clone,desync-mitm,desync-bitflip,noop}" in (
+            capsys.readouterr().out)
+        assert build_parser().parse_args(["attack", "noop"]).trials == 200
+
+
 class TestCli:
     def test_session_run_exits_zero(self, capsys):
         assert main(["session", "--trials", "5", "--seed", "1"]) == 0
@@ -496,6 +557,51 @@ class TestCli:
         assert rows[0][0] == "trial"
         assert len(rows) == 5
         assert "records written" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_longer_out_file_holds_exactly_the_run(self, tmp_path, capsys, fmt):
+        # --out is opened without truncating it; the old bytes past the
+        # run's own are cut off when the run ends
+        argv = ["attack", "clone", "--trials", "4", "--format", fmt]
+        path = tmp_path / "records"
+        path.write_bytes(b"earlier run\n" * 10_000)
+        assert main([*argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert strip_duration(path.read_bytes().decode()) == strip_duration(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("trials", [100, 2000])
+    def test_longer_out_file_holds_exactly_what_an_abort_wrote(self, tmp_path, capsys, trials):
+        # the pseudonym collision at trial 71 of seed 0 aborts the run
+        # mid-way; the file keeps only the ranges written before it
+        failing = next(r for r in trial_ranges(trials, 1) if 71 in r)
+        path = tmp_path / "records"
+        path.write_bytes(b"earlier run\n" * 10_000)
+        with pytest.raises(SystemExit) as err:
+            main(["game", "--bits", "8", "--trials", str(trials), "--out", str(path)])
+        assert err.value.code == 2
+        assert "pseudonym collision" in capsys.readouterr().err
+        before, _ = run_trials(TrialConfig(
+            experiment="untraceability", word_len=8, trials=max(failing.start, 1)))
+        written = render_records("untraceability", before[:failing.start], 0, 8, "text")
+        assert path.read_bytes() == written.encode()
+        assert (trials == 2000) == (written == "")  # one range of 500 holds trial 71
+
+    def test_out_to_a_device_or_a_pipe(self, capsys):
+        # neither can be truncated, and neither holds old bytes to cut off
+        argv = ["attack", "clone", "--trials", "2", "--format", "csv"]
+        assert main([*argv, "--out", os.devnull]) == 0
+        assert "records written to" in capsys.readouterr().out
+        read, write = os.pipe()
+        with open(read, newline="") as pipe:
+            try:
+                assert main([*argv, "--out", f"/dev/fd/{write}"]) == 0
+            finally:
+                os.close(write)
+            piped = pipe.read()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert piped == capsys.readouterr().out
 
     def test_workers_flag(self, capsys):
         assert main(["attack", "clone", "--trials", "8", "--workers", "2"]) == 0

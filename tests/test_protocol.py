@@ -461,7 +461,7 @@ class TestFusedAgainstReference:
             assert reader.pending.expected_c == compute_c(key, nonce, width)
             assert reader.complete(compute_c(key, nonce, width))
             (entry,) = reader.entries.values()
-            assert entry.pair() == next_pair(pair, nonce, width)
+            assert PairState(entry.idt, entry.key) == next_pair(pair, nonce, width)
             assert list(reader.entries) == [entry.idt]
 
     @pytest.mark.parametrize("width", [4, 8, 16, 128])

@@ -13,15 +13,14 @@ import json
 import pytest
 
 import oracle_render as oracle
-from umarfid.adversary import GameOutcome, outcome_record
-from umarfid.attacks import AttackReport, attack_record
+from umarfid.adversary import GameOutcome
+from umarfid.attacks import AttackReport
 from umarfid.harness import (
     EXPERIMENTS,
     FORMATS,
     TrialConfig,
     TrialResult,
     render_records,
-    report_record,
 )
 from umarfid.protocol import PairState
 
@@ -34,16 +33,16 @@ def experiment_reports(experiment: str, width: int, trials: int = 60) -> list:
     reports = []
     for trial in range(trials):
         try:
-            reports.append(EXPERIMENTS[experiment](config, trial))
+            reports.append(EXPERIMENTS[experiment].run(config, trial))
         except ValueError as err:
             assert "pseudonym collision" in str(err)
     return reports
 
 
-def assert_renders_like_oracle(reports, width: int) -> None:
+def assert_renders_like_oracle(experiment: str, reports, width: int) -> None:
     for fmt in FORMATS:
         for first_trial in (0, 1000):  # csv writes its header before trial 0 only
-            got = render_records(reports, first_trial, width, fmt)
+            got = render_records(experiment, reports, first_trial, width, fmt)
             want = oracle.render_records(reports, first_trial, width, fmt)
             # compared as lists of lines: a failure names the first line that
             # differs, without a character diff of the whole output
@@ -55,7 +54,7 @@ def assert_renders_like_oracle(reports, width: int) -> None:
 def test_every_experiment_renders_like_the_oracle(experiment, width):
     reports = experiment_reports(experiment, width)
     assert len(reports) >= 40
-    assert_renders_like_oracle(reports, width)
+    assert_renders_like_oracle(experiment, reports, width)
 
 
 def test_small_widths_cover_failed_trials():
@@ -75,28 +74,31 @@ def full_words(width: int) -> AttackReport:
     )
 
 
+# name -> (an experiment with that report type, the report)
 EMPTY_REPORTS = {
-    "attack, every optional field None": AttackReport(attack="x", success=False),
-    "attack, every field False or 0": AttackReport(
+    "attack, every optional field None": ("clone", AttackReport(attack="x", success=False)),
+    "attack, every field False or 0": ("desync-bitflip", AttackReport(
         attack="", success=False, recovered_key=0, recovered_nonce=0,
         cloned_pair=PairState(0, 0), c1_rounds=0, c2_trials=0, a_mask=0, b_mask=0,
         hw_matched=False, synchronized=False, followup_outcomes=(), detail="",
-    ),
-    "game, every field False or 0": GameOutcome(0, 0, False, 0, 0),
-    "result, empty text": TrialResult(label="", success=False),
+    )),
+    "game, every field False or 0": ("untraceability", GameOutcome(0, 0, False, 0, 0)),
+    "result, empty text": ("session", TrialResult(label="", success=False)),
 }
 
 
 @pytest.mark.parametrize("width", [4, 8, 12, 16, 20, 128])
 @pytest.mark.parametrize("name", list(EMPTY_REPORTS))
 def test_empty_and_zero_fields_render_like_the_oracle(name, width):
-    assert_renders_like_oracle([EMPTY_REPORTS[name]] * 3, width)
+    experiment, report = EMPTY_REPORTS[name]
+    assert_renders_like_oracle(experiment, [report] * 3, width)
 
 
 @pytest.mark.parametrize("width", [4, 12, 16, 20, 128])
 def test_words_render_like_the_oracle(width):
     # 12 and 20 bits are an odd number of nibbles
-    assert_renders_like_oracle([full_words(width), full_words(width)._replace(success=False)], width)
+    reports = [full_words(width), full_words(width)._replace(success=False)]
+    assert_renders_like_oracle("clone", reports, width)
 
 
 AWKWARD_TEXT = [
@@ -111,41 +113,33 @@ def test_free_text_escaped_and_quoted_like_the_oracle(text):
         attack=text, detail=text, followup_outcomes=(text, "ok", text)
     )
     result = TrialResult(label=text, success=False, detail=text)
-    for reports in ([attack], [result], [result._replace(success=True), result]):
-        assert_renders_like_oracle(reports, 16)
-    assert json.loads(render_records([attack], 0, 16, "json-lines"))["detail"] == text
-
-
-@pytest.mark.parametrize("report", [full_words(16), *EMPTY_REPORTS.values()])
-def test_report_record_equals_the_oracle_record(report):
-    record = report_record(report, 5, 16)
-    assert record == oracle.report_record(report, 5, 16)
-    assert list(record) == list(oracle.report_record(report, 5, 16))
+    for experiment, reports in (("clone", [attack]), ("session", [result]),
+                                ("identities", [result._replace(success=True), result])):
+        assert_renders_like_oracle(experiment, reports, 16)
+    assert json.loads(render_records("clone", [attack], 0, 16, "json-lines"))["detail"] == text
 
 
 @pytest.mark.parametrize("width", [4, 12, 128])
-def test_dict_builders_equal_the_oracle_records(width):
-    for report in experiment_reports("desync-bitflip", width, 10) + [full_words(width)]:
-        record = attack_record(report, 3, width)
-        assert list(record.items()) == list(oracle.attack_record(report, 3, width).items())
-    for outcome in experiment_reports("untraceability", 16, 10):
-        record = outcome_record(outcome, 3)
-        assert list(record.items()) == list(oracle.outcome_record(outcome, 3).items())
+def test_bitflip_and_game_reports_render_like_the_oracle(width):
+    # 12 bits, an odd number of nibbles, with reports of a real run
+    reports = experiment_reports("desync-bitflip", width, 10) + [full_words(width)]
+    assert_renders_like_oracle("desync-bitflip", reports, width)
+    assert_renders_like_oracle("untraceability", experiment_reports("untraceability", 16, 10), 16)
 
 
 def test_no_reports_render_nothing():
     for fmt in FORMATS:
-        assert render_records([], 0, 128, fmt) == ""
+        assert render_records("clone", [], 0, 128, fmt) == ""
 
 
 def test_mixed_report_types_refused():
-    game, result = EMPTY_REPORTS["game, every field False or 0"], TrialResult("x", True)
-    with pytest.raises(TypeError, match="one type, GameOutcome first"):
-        render_records([game, result], 0, 128, "csv")
+    _, game = EMPTY_REPORTS["game, every field False or 0"]
+    with pytest.raises(TypeError, match="^untraceability records need GameOutcome reports$"):
+        render_records("untraceability", [game, TrialResult("x", True)], 0, 128, "csv")
 
 
 def test_unknown_report_type_refused():
-    with pytest.raises(TypeError, match="unknown report type tuple"):
-        render_records([(1, 2)], 0, 128, "json-lines")
-    with pytest.raises(TypeError, match="unknown report type tuple"):
-        report_record((1, 2), 0, 128)
+    with pytest.raises(TypeError, match="^clone records need AttackReport reports$"):
+        render_records("clone", [(1, 2)], 0, 128, "json-lines")
+    with pytest.raises(TypeError, match="^session records need TrialResult reports$"):
+        render_records("session", [GameOutcome(0, 0, False, 0, 0)], 0, 128, "text")

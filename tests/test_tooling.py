@@ -5,15 +5,17 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from umarfid import adversary, attacks, cli, harness
+from umarfid import cli, harness
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "umarfid"
+README = SRC.parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -91,19 +93,12 @@ def test_a_serial_run_imports_no_pool_dataclasses_or_statistics():
     assert not loaded, f"a serial run imported {loaded}"
 
 
-def refuse_to_build_records(*args, **kwargs):
-    raise AssertionError("a record dict was built while rendering")
-
-
 @pytest.mark.parametrize("argv", [
     ["attack", "clone"], ["attack", "desync-mitm", "--bits", "8"], ["game"], ["session"],
 ], ids=["AttackReport", "AttackReport-8bit", "GameOutcome", "TrialResult"])
 def test_streamed_json_lines_builds_no_record_dict(monkeypatch, argv):
     # rendering through a dict and json.dumps per record once cost a fifth
     # of a clone trial; this fails if a run quietly goes back to it
-    for module, name in ((harness, "report_record"), (attacks, "attack_record"),
-                         (adversary, "outcome_record")):
-        monkeypatch.setattr(module, name, refuse_to_build_records)
     dumped = []
     dumps = json.dumps
     monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(obj) or dumps(obj, **kw))
@@ -114,3 +109,31 @@ def test_streamed_json_lines_builds_no_record_dict(monkeypatch, argv):
     lines = out.getvalue().splitlines()
     assert len(lines) == 51
     assert [json.loads(line)["trial"] for line in lines[:50]] == list(range(50))
+
+
+def string_constants(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_experiment_names_live_only_in_the_table():
+    # the CLI takes its subcommands, attack names and defaults from
+    # harness.EXPERIMENTS; a name spelled in cli.py would be a second copy
+    found = string_constants(SRC / "cli.py") & set(harness.EXPERIMENTS)
+    assert not found, f"cli.py spells experiment name(s) {sorted(found)}"
+    assert "clone" in string_constants(SRC / "harness.py")  # the check can see a name
+
+
+def test_readme_lists_exactly_the_package_exports():
+    # README's Library section has a table, one row per module, of the
+    # names `import umarfid` gives
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    library = README.read_text().split("\n## Library\n")[1].split("\n## ")[0]
+    rows = [line for line in library.splitlines() if line.startswith("| `umarfid.")]
+    listed = [name for row in rows for cell in row.split("|")[2:]
+              for name in re.findall(r"`(\w+)`", cell)]
+    assert len(rows) == 5
+    assert sorted(listed) == sorted(exported)
