@@ -1,7 +1,6 @@
 """Simulator and attack suite for the UMA-RFID mutual-authentication protocol."""
 
 from .adversary import (
-    GameConfig,
     GameEnvironment,
     GameOutcome,
     random_guess_strategy,
@@ -9,7 +8,6 @@ from .adversary import (
 )
 from .attacks import (
     AttackReport,
-    Bench,
     attack_clone,
     attack_desync_bitflip,
     attack_desync_mitm,
@@ -19,6 +17,7 @@ from .attacks import (
 )
 from .harness import SummaryStats, TrialConfig, run_trials, summarize
 from .protocol import (
+    Bench,
     Channel,
     ChannelEvent,
     DatabaseEntry,

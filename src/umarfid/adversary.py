@@ -17,17 +17,10 @@ resists tracing when that advantage stays negligible.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
-from .protocol import (
-    Channel,
-    ChannelEvent,
-    SessionTranscript,
-    fresh_system,
-    run_honest_session,
-)
-from .word import WordStream, check_count, check_width, derive_seed
+from .protocol import Bench, Channel, SessionTranscript
+from .word import WordStream, derive_seed
 
 class GameError(RuntimeError):
     """Strategy broke the game procedure (harness bug, not a protocol event)."""
@@ -35,44 +28,6 @@ class GameError(RuntimeError):
 
 class BudgetError(GameError):
     """Strategy exceeded its execute or send query budget."""
-
-
-class ValidatedTuple:
-    """Config mixin for named tuples with a word_len and a seed: every
-    instance is checked by _check, since call, _make, _replace, copy and
-    unpickling all build it through __new__."""
-
-    __slots__ = ()
-    COUNTS: dict[str, int] = {}  # count field -> its lowest value
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def _check(self):
-        check_width(self.word_len)
-        check_count("seed", self.seed, -math.inf)  # any int, negative included
-        for name, low in self.COUNTS.items():
-            check_count(name, getattr(self, name), low)
-
-
-class _GameFields(NamedTuple):
-    word_len: int = 128
-    execute_budget: int = 2
-    send_budget: int = 1
-    seed: int = 0
-
-
-class GameConfig(ValidatedTuple, _GameFields):
-    """Game parameters: word length, query budgets, seed."""
-
-    __slots__ = ()
-    COUNTS = {"execute_budget": 0, "send_budget": 0}
 
 
 class GameOutcome(NamedTuple):
@@ -85,36 +40,29 @@ class GameOutcome(NamedTuple):
     sends_used: int
 
 
-class GameEnvironment:
-    """Referee for one game: two fresh tags, a reader, budget accounting.
+class GameEnvironment(Bench):
+    """Referee for one game: a bench of two tags, a channel, budgets.
 
-    The hidden challenge bit is private to the environment; strategies
-    see only what test() returns. Strategies may draw randomness from
-    adversary_rng, an independent stream.
+    config is the game's TrialConfig. The bench's streams are the game's:
+    "init" draws both tags, "nonce" the reader's nonces, and strategies
+    may draw randomness from adv_rng. The hidden challenge bit, drawn
+    from its own "bit" stream, is private to the environment; strategies
+    see only what test() returns.
     """
 
-    def __init__(self, config: GameConfig, game_seed: int):
+    def __init__(self, config, game_seed: int):
+        super().__init__(config.word_len, game_seed, n_tags=2)
         self.config = config
-        self._game_seed = game_seed
-        init = WordStream(config.word_len, derive_seed(game_seed, "init"))
-        self.reader, self.tags = fresh_system(init, config.word_len, n_tags=2)
-        self._nonce_rng = WordStream(config.word_len, derive_seed(game_seed, "nonce"))
         self._bit_rng = WordStream(config.word_len, derive_seed(game_seed, "bit"))
         self.channel = Channel()
         self.executes_used = 0
         self.sends_used = 0
-        self._session = 0
         self._hidden_bit: int | None = None
-
-    @cached_property
-    def adversary_rng(self) -> WordStream:
-        """The strategy's own stream, seeded on first use."""
-        return WordStream(self.config.word_len, derive_seed(self._game_seed, "adv"))
 
     @property
     def next_session(self) -> int:
         """Index the next execute or test will run under."""
-        return self._session
+        return self.session
 
     def execute(self, tag_index: int) -> SessionTranscript:
         """Run one genuine session with the chosen tag; return its transcript."""
@@ -123,15 +71,7 @@ class GameEnvironment:
                 f"execute budget {self.config.execute_budget} exhausted"
             )
         self.executes_used += 1
-        transcript = run_honest_session(
-            self.reader,
-            self.tags[tag_index],
-            self._nonce_rng,
-            channel=self.channel,
-            session=self._session,
-        )
-        self._session += 1
-        return transcript
+        return self.run_honest(self.channel, self.tags[tag_index])
 
     def send(self, session: int, label: str, replace: int | None = None) -> None:
         """Register an interception: block the message, or substitute one.
@@ -168,7 +108,7 @@ class GameEnvironment:
         revealed = [tag.present()]
         if not self.reader.knows(revealed[0]):
             revealed.append(tag.present(use_previous=True))
-        self._session += 1
+        self.session += 1
         return revealed
 
     def reveal_hidden_bit(self) -> int:
@@ -178,12 +118,13 @@ class GameEnvironment:
         return self._hidden_bit
 
 
-def run_untraceability_game(strategy, config: GameConfig, trial: int = 0) -> GameOutcome:
+def run_untraceability_game(strategy, config, trial: int = 0) -> GameOutcome:
     """Play one full game with a fresh environment and score the guess.
 
     `strategy` is a callable taking the environment and returning the
-    guessed bit. Each trial gets its own derived seed, so outcomes are
-    reproducible and independent of scheduling.
+    guessed bit; `config` is the game's TrialConfig (its word_len,
+    budgets and seed). Each trial gets its own derived seed, so outcomes
+    are reproducible and independent of scheduling.
     """
     env = GameEnvironment(config, derive_seed(config.seed, "game", trial))
     guess = int(strategy(env))
@@ -200,7 +141,7 @@ def run_untraceability_game(strategy, config: GameConfig, trial: int = 0) -> Gam
 def random_guess_strategy(env: GameEnvironment) -> int:
     """Null baseline: ask for the challenge, then guess a coin flip."""
     env.test()
-    return env.adversary_rng.next_bit()
+    return env.adv_rng.next_bit()
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

@@ -23,24 +23,11 @@ simulator state the attacker could not see.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .adversary import GameEnvironment
-from .protocol import (
-    MSG_C,
-    Outcome,
-    PairState,
-    SessionTranscript,
-    TagState,
-    compute_b,
-    compute_c,
-    fresh_system,
-    next_pair,
-    run_honest_session,
-    synchronized,
-)
-from .word import WordStream, check_width, derive_seed, rot
+from .protocol import MSG_C, Bench, Outcome, PairState, TagState, compute_b, compute_c, next_pair
+from .word import WordStream, rot
 
 
 def recover_key(a_n: int, b_n: int, idt_next: int) -> int:
@@ -68,43 +55,6 @@ class AttackReport(NamedTuple):
     synchronized: bool | None = None  # post-attack tag/reader sync state
     followup_outcomes: tuple[str, ...] | None = None
     detail: str = ""
-
-
-class Bench:
-    """Single-tag lab for attack trials: reader, tag, seeded streams.
-
-    Every trial builds its own bench from a derived seed, so trials are
-    independent and reproducible in any execution order.
-    """
-
-    def __init__(self, word_len: int, seed: int):
-        check_width(word_len)
-        self.word_len = word_len
-        self._seed = seed
-        init = WordStream(word_len, derive_seed(seed, "init"))
-        self.reader, tags = fresh_system(init, word_len, n_tags=1)
-        self.tag = tags[0]
-        self.nonce_rng = WordStream(word_len, derive_seed(seed, "nonce"))
-        self.session = 0
-
-    @cached_property
-    def adv_rng(self) -> WordStream:
-        """The attacker's own stream, seeded on first use."""
-        return WordStream(self.word_len, derive_seed(self._seed, "adv"))
-
-    def run_honest(self, channel=None) -> SessionTranscript:
-        t = run_honest_session(
-            self.reader, self.tag, self.nonce_rng, channel=channel, session=self.session
-        )
-        self.session += 1
-        return t
-
-    def followup_outcomes(self, count: int) -> tuple[str, ...]:
-        """Outcomes of `count` honest recovery attempts after an attack."""
-        return tuple(str(self.run_honest().outcome) for _ in range(count))
-
-    def synchronized(self) -> bool:
-        return synchronized(self.reader, self.tag)
 
 
 def distinguish_strategy(env: GameEnvironment) -> int:
@@ -177,11 +127,7 @@ def attack_clone(bench: Bench) -> AttackReport:
     # Ground truth: the clone must hold exactly what the real tag holds now.
     pair_matches = cloned == bench.tag.current
 
-    blank = TagState.fresh(id=0, pair=cloned, width=bench.word_len)
-    verification = run_honest_session(
-        bench.reader, blank, bench.nonce_rng, session=bench.session
-    )
-    bench.session += 1
+    verification = bench.run_honest(tag=TagState.fresh(id=0, pair=cloned, width=bench.word_len))
     return AttackReport(
         attack="clone",
         success=pair_matches and verification.outcome is Outcome.MUTUAL_SUCCESS,

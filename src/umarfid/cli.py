@@ -30,12 +30,16 @@ def _at_least(low: int):
     return parse
 
 
+_DEFAULT = TrialConfig._field_defaults  # the one home of every config default
+
+
 def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
-    parser.add_argument("--bits", type=int, default=128, metavar="L",
-                        help="word length in bits (default 128)")
+    # a config flag that is not given is left out of the namespace; TrialConfig fills it
+    parser.add_argument("--bits", dest="word_len", type=int, default=argparse.SUPPRESS,
+                        metavar="L", help=f"word length in bits (default {_DEFAULT['word_len']})")
     parser.add_argument("--trials", type=_at_least(1), default=trials, metavar="N",
                         help=f"number of trials (default {trials})")
-    parser.add_argument("--seed", type=int, default=0, metavar="S",
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="S",
                         help="base seed; every trial derives its own stream")
     parser.add_argument("--format", choices=FORMATS,
                         default="text", help="record output format")
@@ -47,15 +51,17 @@ def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
 
 # config field -> (flag, argparse spec); a subcommand gets those its experiments read
 _FLAGS = {
-    "execute_budget": ("--executes", dict(type=_at_least(0), default=2, metavar="EXECUTES",
-                       help="eavesdrop query budget per game (default 2)")),
-    "send_budget": ("--sends", dict(type=_at_least(0), default=1, metavar="SENDS",
-                    help="block/alter query budget per game (default 1)")),
-    "strategy": ("--strategy", dict(choices=sorted(STRATEGIES), default="distinguish",
+    "execute_budget": ("--executes", dict(
+        type=_at_least(0), metavar="EXECUTES",
+        help=f"eavesdrop query budget per game (default {_DEFAULT['execute_budget']})")),
+    "send_budget": ("--sends", dict(
+        type=_at_least(0), metavar="SENDS",
+        help=f"block/alter query budget per game (default {_DEFAULT['send_budget']})")),
+    "strategy": ("--strategy", dict(choices=sorted(STRATEGIES),
                  help="adversary strategy (random-guess is the null baseline)")),
-    "followups": ("--followups", dict(type=_at_least(0), default=3,
+    "followups": ("--followups", dict(type=_at_least(0),
                   help="honest recovery attempts verified after a desync")),
-    "c1_round_cap": ("--c1-cap", dict(type=_at_least(1), default=64, metavar="C1_CAP",
+    "c1_round_cap": ("--c1-cap", dict(type=_at_least(1), metavar="C1_CAP",
                      help="bit-flip attack: cap on mask redraw rounds")),
 }
 
@@ -83,15 +89,20 @@ def build_parser() -> argparse.ArgumentParser:
         reads = {field for e in experiments for field in e.reads}
         for field, (flag, spec) in _FLAGS.items():
             if field in reads:
-                p.add_argument(flag, dest=field, **spec)
+                p.add_argument(flag, dest=field, default=argparse.SUPPRESS, **spec)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> TrialConfig:
+    """The config of the parsed experiment, from the flags given; a flag of
+    the subcommand that this experiment does not read is refused."""
     words = (args.command, args.name) if "name" in args else (args.command,)
     name = next(name for name, e in EXPERIMENTS.items() if e.words == words)
-    return TrialConfig(name, word_len=args.bits, trials=args.trials, seed=args.seed,
-                       **{field: getattr(args, field) for field in EXPERIMENTS[name].reads})
+    for field, (flag, _) in _FLAGS.items():
+        if field in args and field not in EXPERIMENTS[name].reads:
+            raise ValueError(f"argument {flag}: not read by {name}")
+    return TrialConfig(name, **{field: getattr(args, field)
+                                for field in TrialConfig._fields[1:] if field in args})
 
 
 @contextlib.contextmanager

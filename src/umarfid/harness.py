@@ -14,15 +14,16 @@ import csv
 import functools
 import itertools
 import json
+import math
 import time
 import types
 from typing import Callable, NamedTuple
 
 from . import adversary, attacks
-from .adversary import GameConfig, GameOutcome, ValidatedTuple, wilson_interval
-from .attacks import AttackReport, Bench
-from .protocol import MSG_C, Channel, Outcome, PairState, compute_a, compute_b, next_pair
-from .word import WordStream, derive_seed, rot
+from .adversary import GameOutcome, wilson_interval
+from .attacks import AttackReport
+from .protocol import MSG_C, Bench, Channel, Outcome, PairState, compute_a, compute_b, next_pair
+from .word import WordStream, check_count, check_width, derive_seed, rot
 
 STRATEGIES = {
     "distinguish": attacks.distinguish_strategy,
@@ -42,18 +43,32 @@ class _TrialFields(NamedTuple):
     strategy: str = "distinguish"
 
 
-class TrialConfig(ValidatedTuple, _TrialFields):
-    """One experiment run: what to execute, how often, and under which seed."""
+class TrialConfig(_TrialFields):
+    """One experiment run: what to execute, how often, and under which seed.
+
+    Every instance is checked, since call, _make, _replace, copy and
+    unpickling all build it through __new__.
+    """
 
     __slots__ = ()
-    COUNTS = {"trials": 1, "followups": 0, "c1_round_cap": 1, **GameConfig.COUNTS}
+    COUNTS = {  # count field -> its lowest value
+        "trials": 1, "followups": 0, "c1_round_cap": 1, "execute_budget": 0, "send_budget": 0}
 
-    def _check(self):
-        super()._check()
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        check_width(self.word_len)
+        check_count("seed", self.seed, -math.inf)  # any int, negative included
+        for name, low in cls.COUNTS.items():
+            check_count(name, getattr(self, name), low)
         for name, choices in (("experiment", EXPERIMENTS), ("strategy", STRATEGIES)):
             value = getattr(self, name)
             if value not in choices:
                 raise ValueError(f"unknown {name} {value!r}; choose from {sorted(choices)}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class TrialResult(NamedTuple):
@@ -135,11 +150,6 @@ def _identities_trial(config: TrialConfig, trial: int) -> TrialResult:
         "identities", ok, "" if ok else f"key={key_identity} pseudonym={pseudonym_identity}")
 
 
-def _game_trial(config: TrialConfig, trial: int) -> GameOutcome:
-    game = GameConfig(config.word_len, config.execute_budget, config.send_budget, config.seed)
-    return adversary.run_untraceability_game(STRATEGIES[config.strategy], game, trial)
-
-
 # csv.writer's writerow returns what its file's write returns: with str
 # as write, the formatted row itself.
 _csv_row = csv.writer(types.SimpleNamespace(write=str)).writerow
@@ -204,7 +214,9 @@ EXPERIMENTS = {
     "session": Experiment(
         ("session",), "honest-session smoke scenarios", _session_trial, _RESULTS, 100),
     "untraceability": Experiment(
-        ("game",), "untraceability distinguishing games", _game_trial,
+        ("game",), "untraceability distinguishing games",
+        lambda config, trial: adversary.run_untraceability_game(
+            STRATEGIES[config.strategy], config, trial),
         _report_type(GameOutcome, adversary.OUTCOME_FIELDS, _trial_and_fields), 1000,
         ("execute_budget", "send_budget", "strategy"), "advantage"),
     "full-disclosure": Experiment(
@@ -240,8 +252,9 @@ IN_FLIGHT = 2
 
 
 def trial_ranges(trials: int, workers: int) -> list[range]:
-    """Split trials into contiguous ranges, about four per worker."""
-    size = min(RANGE_CAP, -(-trials // (4 * workers)))
+    """Split trials into contiguous ranges: about four per worker, or
+    RANGE_CAP each for one process, which has no load to balance."""
+    size = RANGE_CAP if workers == 1 else min(RANGE_CAP, -(-trials // (4 * workers)))
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
 
 

@@ -30,11 +30,12 @@ desynchronization attack in this suite exploits.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .word import DEFAULT_WORD_LEN, WordStream, rot, to_hex
+from .word import DEFAULT_WORD_LEN, WordStream, check_count, check_width, derive_seed, rot, to_hex
 
 MSG_IDT = "IDT"
 MSG_A = "A"
@@ -481,3 +482,43 @@ def fresh_system(
         reader.register(DatabaseEntry(idt=pair.idt, key=pair.key, id=id))
         tags.append(tag)
     return reader, tags
+
+
+class Bench:
+    """Lab for one trial: a reader, n_tags registered tags, seeded streams.
+
+    Every trial builds its own bench from a derived seed, so trials are
+    independent and reproducible in any execution order. The "init"
+    stream draws the tags, "nonce" the reader's nonces and "adv" the
+    attacker's words.
+    """
+
+    def __init__(self, word_len: int, seed: int, n_tags: int = 1):
+        check_width(word_len)
+        check_count("seed", seed, -math.inf)  # any int, negative included
+        self.word_len = word_len
+        self._seed = seed
+        init = WordStream(word_len, derive_seed(seed, "init"))
+        self.reader, self.tags = fresh_system(init, word_len, n_tags)
+        self.tag = self.tags[0]
+        self.nonce_rng = WordStream(word_len, derive_seed(seed, "nonce"))
+        self.session = 0
+
+    @cached_property
+    def adv_rng(self) -> WordStream:
+        """The attacker's own stream, seeded on first use."""
+        return WordStream(self.word_len, derive_seed(self._seed, "adv"))
+
+    def run_honest(self, channel=None, tag=None) -> SessionTranscript:
+        """The next session, of tag (the bench's first tag by default)."""
+        t = run_honest_session(self.reader, self.tag if tag is None else tag,
+                               self.nonce_rng, channel, self.session)
+        self.session += 1
+        return t
+
+    def followup_outcomes(self, count: int) -> tuple[str, ...]:
+        """Outcomes of `count` honest recovery attempts after an attack."""
+        return tuple(str(self.run_honest().outcome) for _ in range(count))
+
+    def synchronized(self) -> bool:
+        return synchronized(self.reader, self.tag)

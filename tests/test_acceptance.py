@@ -21,7 +21,7 @@ must not be loosened:
 import pytest
 
 import oracle_bits as oracle
-from umarfid.adversary import GameConfig, run_untraceability_game
+from umarfid.adversary import run_untraceability_game
 from umarfid.attacks import (
     Bench,
     attack_clone,
@@ -90,7 +90,7 @@ def test_criterion_1_full_disclosure():
 
 
 def test_criterion_2_traceability():
-    config = GameConfig(word_len=128, execute_budget=2, send_budget=1, seed=0)
+    config = TrialConfig("untraceability", word_len=128, execute_budget=2, send_budget=1, seed=0)
     outcomes = [
         run_untraceability_game(distinguish_strategy, config, trial)
         for trial in range(1000)
@@ -98,7 +98,8 @@ def test_criterion_2_traceability():
     est = summarize("untraceability", outcomes)
     full_ok = est.success_rate == 1.0 and est.advantage == 0.5
 
-    ablation_config = GameConfig(word_len=128, execute_budget=2, send_budget=0, seed=0)
+    ablation_config = TrialConfig(
+        "untraceability", word_len=128, execute_budget=2, send_budget=0, seed=0)
     ablation = [
         run_untraceability_game(distinguish_strategy, ablation_config, trial)
         for trial in range(1000)

@@ -4,7 +4,6 @@ import pytest
 
 from umarfid.adversary import (
     BudgetError,
-    GameConfig,
     GameEnvironment,
     GameError,
     GameOutcome,
@@ -13,15 +12,14 @@ from umarfid.adversary import (
     wilson_interval,
 )
 from umarfid.attacks import distinguish_strategy
-from umarfid.harness import render_records, summarize
+from umarfid.harness import TrialConfig, render_records, summarize
 from umarfid.protocol import MSG_C, Outcome, next_pair
 from umarfid.word import WordStream, derive_seed
 
 
 def make_env(execute_budget=2, send_budget=1, game_seed=0, word_len=128):
-    config = GameConfig(
-        word_len=word_len, execute_budget=execute_budget, send_budget=send_budget
-    )
+    config = TrialConfig("untraceability", word_len=word_len,
+                         execute_budget=execute_budget, send_budget=send_budget)
     return GameEnvironment(config, game_seed)
 
 
@@ -123,23 +121,23 @@ class TestLazyAdversaryStream:
     def test_distinguish_game_never_builds_it(self):
         env = make_env(game_seed=9)
         distinguish_strategy(env)
-        assert "adversary_rng" not in vars(env)
+        assert "adv_rng" not in vars(env)
 
     def test_stream_matches_eager_seeding(self):
         env = make_env(game_seed=9, word_len=16)
         eager = WordStream(16, derive_seed(9, "adv"))
-        drawn = [env.adversary_rng.next_word() for _ in range(5)]
+        drawn = [env.adv_rng.next_word() for _ in range(5)]
         assert drawn == [eager.next_word() for _ in range(5)]
-        assert env.adversary_rng.next_bit() == eager.next_bit()
+        assert env.adv_rng.next_bit() == eager.next_bit()
 
 
 class TestGame:
     def test_game_without_test_is_harness_error(self):
         with pytest.raises(GameError):
-            run_untraceability_game(lambda env: 0, GameConfig())
+            run_untraceability_game(lambda env: 0, TrialConfig("untraceability"))
 
     def test_distinguish_strategy_always_wins(self):
-        config = GameConfig(seed=21)
+        config = TrialConfig("untraceability", seed=21)
         outcomes = [
             run_untraceability_game(distinguish_strategy, config, trial)
             for trial in range(100)
@@ -149,7 +147,7 @@ class TestGame:
         assert summarize("untraceability", outcomes).advantage == 0.5
 
     def test_distinguish_without_send_budget_is_blind(self):
-        config = GameConfig(send_budget=0, seed=22)
+        config = TrialConfig("untraceability", send_budget=0, seed=22)
         outcomes = [
             run_untraceability_game(distinguish_strategy, config, trial)
             for trial in range(300)
@@ -160,7 +158,7 @@ class TestGame:
         assert all(o.guess == 1 for o in outcomes)
 
     def test_random_guess_is_a_coin_flip(self):
-        config = GameConfig(seed=23)
+        config = TrialConfig("untraceability", seed=23)
         outcomes = [
             run_untraceability_game(random_guess_strategy, config, trial)
             for trial in range(400)
@@ -170,7 +168,7 @@ class TestGame:
     def test_null_strategy_advantage_regression(self):
         # resistance baseline: the null strategy must stay near zero
         # advantage at scale, pinned at 10^4 games below 0.02
-        config = GameConfig(seed=0)
+        config = TrialConfig("untraceability", seed=0)
         outcomes = [
             run_untraceability_game(random_guess_strategy, config, trial)
             for trial in range(10_000)
@@ -179,16 +177,16 @@ class TestGame:
 
     def test_config_word_len_validated(self):
         with pytest.raises(ValueError):
-            GameConfig(word_len=10)
+            TrialConfig("untraceability", word_len=10)
 
     def test_fresh_environment_per_game(self):
-        config = GameConfig(seed=24)
+        config = TrialConfig("untraceability", seed=24)
         first = GameEnvironment(config, derive_seed(config.seed, "game", 0))
         second = GameEnvironment(config, derive_seed(config.seed, "game", 1))
         assert first.tags[0].current.idt != second.tags[0].current.idt
 
     def test_games_reproducible(self):
-        config = GameConfig(seed=25)
+        config = TrialConfig("untraceability", seed=25)
         a = [run_untraceability_game(distinguish_strategy, config, t) for t in range(20)]
         b = [run_untraceability_game(distinguish_strategy, config, t) for t in range(20)]
         assert a == b

@@ -429,10 +429,11 @@ class TestDesyncSuccessPredicate:
 
 class TestTraceabilityAttack:
     def test_strategy_wins_every_game(self):
-        from umarfid.adversary import GameConfig, run_untraceability_game
+        from umarfid.adversary import run_untraceability_game
+        from umarfid.harness import TrialConfig
 
-        outcomes = [run_untraceability_game(distinguish_strategy, GameConfig(seed=31), t)
-                    for t in range(50)]
+        config = TrialConfig("untraceability", seed=31)
+        outcomes = [run_untraceability_game(distinguish_strategy, config, t) for t in range(50)]
         assert all(o.success for o in outcomes)
 
 

@@ -16,9 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from umarfid import harness
-from umarfid.adversary import GameConfig
 from umarfid.attacks import AttackReport
-from umarfid.cli import build_parser, main
+from umarfid.cli import build_parser, config_from_args, main
 from umarfid.harness import (
     EXPERIMENTS,
     RANGE_CAP,
@@ -140,9 +139,10 @@ CLI_WORDS = {
     "identities": ["verify-identities"],
 }
 
-# spans at least 3 ranges with 1 and 2 workers, and is a multiple of neither
-# range size
+# spans at least 3 ranges with 2 workers, and is a multiple of no range size
 SPANNING_TRIALS = 50
+# the same for one process, whose ranges hold RANGE_CAP trials each
+SERIAL_SPANNING_TRIALS = 2 * RANGE_CAP + 1
 
 
 def strip_duration(text):
@@ -186,7 +186,7 @@ WIDTH_ERRORS = [
     ("word_len", 128.0, "word_len must be an int, got 128.0"),
     ("word_len", True, "word_len must be an int, got True"),
 ]
-# the seed and the game budgets, which TrialConfig and GameConfig both check
+# the seed and the game budgets, which every experiment's TrialConfig checks
 SHARED_ERRORS = [
     # a float or bool seed once ran the records of int(seed) without a word
     ("seed", 1.5, "seed must be an int, got 1.5"),
@@ -224,18 +224,18 @@ class TestConfigConstruction:
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS + SHARED_ERRORS)
     def test_game_config_refused(self, path, field, bad, message):
-        valid = GameConfig(seed=3)
+        valid = TrialConfig("untraceability", seed=3)
         with pytest.raises(ValueError) as err:
-            built(GameConfig, values_with(valid, field, bad), path, valid)
+            built(TrialConfig, values_with(valid, field, bad), path, valid)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("valid", [
         TrialConfig("untraceability", word_len=8, trials=3, strategy="random-guess"),
-        GameConfig(word_len=16, execute_budget=0, send_budget=0, seed=5),
+        TrialConfig("untraceability", word_len=16, execute_budget=0, send_budget=0, seed=5),
         TrialConfig("clone", seed=-7),
-        GameConfig(seed=-(2**70)),
-    ], ids=["TrialConfig", "GameConfig", "TrialConfig-negative-seed", "GameConfig-negative-seed"])
+        TrialConfig("untraceability", seed=-(2**70)),
+    ], ids=["TrialConfig", "game", "TrialConfig-negative-seed", "game-negative-seed"])
     def test_valid_config_survives_every_path(self, path, valid):
         config = built(type(valid), tuple(valid), path, valid)
         assert type(config) is type(valid)
@@ -253,10 +253,16 @@ class TestTrialRanges:
         assert all(1 <= len(r) <= RANGE_CAP for r in ranges)
 
     def test_spanning_count_crosses_range_edges(self):
-        for workers in (1, 2):
-            ranges = trial_ranges(SPANNING_TRIALS, workers)
+        for workers, trials in ((1, SERIAL_SPANNING_TRIALS), (2, SPANNING_TRIALS)):
+            ranges = trial_ranges(trials, workers)
             assert len(ranges) >= 3
-            assert SPANNING_TRIALS % len(ranges[0]) != 0
+            assert trials % len(ranges[0]) != 0
+
+    def test_one_process_runs_ranges_of_the_cap(self):
+        # only workers need smaller ranges, to balance their load
+        assert trial_ranges(10, 1) == [range(10)]
+        cap = RANGE_CAP
+        assert trial_ranges(cap + 1, 1) == [range(cap), range(cap, cap + 1)]
 
 
 class _CountingExecutor:
@@ -336,6 +342,20 @@ class TestStreaming:
                         assert main(argv) == 0
                     assert strip_duration(sink.getvalue()) == want, (argv, fmt)
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_serial_run_crosses_range_edges(self, capsys, fmt):
+        config = TrialConfig("identities", trials=SERIAL_SPANNING_TRIALS, seed=3)
+        parts = []
+        _, streamed = run_trials(config, 1, parts.append, fmt)
+        reports, stats = run_trials(config)
+        assert len(parts) == 3
+        assert streamed._replace(duration_s=0.0) == summarize("identities", reports)
+        assert "".join(parts) == render_records("identities", reports, 0, 128, fmt)
+        assert main(["verify-identities", "--trials", str(SERIAL_SPANNING_TRIALS),
+                     "--seed", "3", "--format", fmt]) == 0
+        want = strip_duration(render(reports, stats, 128, fmt))
+        assert strip_duration(capsys.readouterr().out) == want
+
     def test_csv_header_written_once(self, capsys):
         assert main(["attack", "clone", "--trials", str(SPANNING_TRIALS),
                      "--format", "csv", "--workers", "2"]) == 0
@@ -354,19 +374,21 @@ class TestStreaming:
     @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
     def test_abort_leaves_the_ranges_before_the_failing_one(self, tmp_path, capsys,
                                                            workers, fmt):
-        trials, first_failure = 100, 71
+        # seed 5 at L=12 first meets a pseudonym collision on update at
+        # trial 1080, past the first range of one process or of two
+        trials, first_failure = 1100, 1080
         failing = next(r for r in trial_ranges(trials, workers) if first_failure in r)
         assert failing.start > 0
         path = tmp_path / "records"
         with pytest.raises(SystemExit) as err:
-            main(["game", "--bits", "8", "--trials", str(trials), "--format", fmt,
-                  "--workers", str(workers), "--out", str(path)])
+            main(["game", "--bits", "12", "--seed", "5", "--trials", str(trials),
+                  "--format", fmt, "--workers", str(workers), "--out", str(path)])
         assert err.value.code == 2
         assert "pseudonym collision" in capsys.readouterr().err
         # every record before the failing range, in trial order, and no summary
         before, _ = run_trials(TrialConfig(
-            experiment="untraceability", word_len=8, trials=failing.start))
-        assert path.read_bytes() == render_records("untraceability", before, 0, 8, fmt).encode()
+            experiment="untraceability", word_len=12, trials=failing.start, seed=5))
+        assert path.read_bytes() == render_records("untraceability", before, 0, 12, fmt).encode()
 
 
 class TestSummarize:
@@ -553,7 +575,8 @@ class TestCli:
             "--format", "csv", "--out", str(path),
         ])
         assert code == 0
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as records:
+            rows = list(csv.reader(records))
         assert rows[0][0] == "trial"
         assert len(rows) == 5
         assert "records written" in capsys.readouterr().out
@@ -570,22 +593,27 @@ class TestCli:
         assert main(argv) == 0
         assert strip_duration(path.read_bytes().decode()) == strip_duration(capsys.readouterr().out)
 
-    @pytest.mark.parametrize("trials", [100, 2000])
-    def test_longer_out_file_holds_exactly_what_an_abort_wrote(self, tmp_path, capsys, trials):
-        # the pseudonym collision at trial 71 of seed 0 aborts the run
-        # mid-way; the file keeps only the ranges written before it
-        failing = next(r for r in trial_ranges(trials, 1) if 71 in r)
+    @pytest.mark.parametrize("bits, seed, trials, first_failure", [
+        (8, 0, 2000, 71),  # a registration collision inside the first range
+        (12, 5, 1100, 1080),  # an update collision in the second range
+    ], ids=["first-range", "second-range"])
+    def test_longer_out_file_holds_exactly_what_an_abort_wrote(
+            self, tmp_path, capsys, bits, seed, trials, first_failure):
+        # a pseudonym collision aborts the run mid-way; the file keeps
+        # only the ranges written before it
+        failing = next(r for r in trial_ranges(trials, 1) if first_failure in r)
         path = tmp_path / "records"
         path.write_bytes(b"earlier run\n" * 10_000)
         with pytest.raises(SystemExit) as err:
-            main(["game", "--bits", "8", "--trials", str(trials), "--out", str(path)])
+            main(["game", "--bits", str(bits), "--seed", str(seed), "--trials", str(trials),
+                  "--out", str(path)])
         assert err.value.code == 2
         assert "pseudonym collision" in capsys.readouterr().err
         before, _ = run_trials(TrialConfig(
-            experiment="untraceability", word_len=8, trials=max(failing.start, 1)))
-        written = render_records("untraceability", before[:failing.start], 0, 8, "text")
+            experiment="untraceability", word_len=bits, trials=max(failing.start, 1), seed=seed))
+        written = render_records("untraceability", before[:failing.start], 0, bits, "text")
         assert path.read_bytes() == written.encode()
-        assert (trials == 2000) == (written == "")  # one range of 500 holds trial 71
+        assert (failing.start == 0) == (written == "")
 
     def test_out_to_a_device_or_a_pipe(self, capsys):
         # neither can be truncated, and neither holds old bytes to cut off
@@ -627,6 +655,35 @@ class TestCli:
             main([*argv, "--out", str(path)])
         assert err.value.code == 2
         assert path.read_bytes() == b"earlier run\r\nkept\n"
+
+    @pytest.mark.parametrize("attack, flag", [
+        ("full-disclosure", "--followups"),
+        ("full-disclosure", "--c1-cap"),
+        ("clone", "--followups"),
+        ("clone", "--c1-cap"),
+        ("desync-mitm", "--c1-cap"),
+    ])
+    def test_flag_the_attack_does_not_read_is_refused(self, tmp_path, capsys, attack, flag):
+        # the attack subcommand offers every attack's flags; one that the
+        # chosen attack would ignore is a usage error, and --out stays as it was
+        path = tmp_path / "records.txt"
+        path.write_bytes(b"earlier run\r\nkept\n")
+        with pytest.raises(SystemExit) as err:
+            main(["attack", attack, flag, "5", "--trials", "3", "--out", str(path)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == f"error: argument {flag}: not read by {attack}\n"
+        assert path.read_bytes() == b"earlier run\r\nkept\n"
+
+    @pytest.mark.parametrize("argv, config", [
+        (["attack", "desync-bitflip"], TrialConfig("desync-bitflip", trials=200)),
+        (["attack", "desync-mitm", "--followups", "0", "--bits", "16"],
+         TrialConfig("desync-mitm", word_len=16, trials=200, followups=0)),
+        (["game", "--sends", "0", "--seed", "-4", "--strategy", "random-guess"],
+         TrialConfig("untraceability", trials=1000, seed=-4, send_budget=0,
+                     strategy="random-guess")),
+    ])
+    def test_a_flag_not_given_takes_the_config_default(self, argv, config):
+        assert config_from_args(build_parser().parse_args(argv)) == config
 
     @pytest.mark.parametrize(
         "argv, flag",

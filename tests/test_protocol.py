@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 import oracle_bits as oracle
 import oracle_session
+from umarfid.adversary import GameEnvironment
+from umarfid.harness import TrialConfig
 from umarfid.protocol import (
     MSG_A,
     MSG_B,
     MSG_C,
     MSG_IDT,
+    Bench,
     Channel,
     ChannelEvent,
     DatabaseEntry,
@@ -423,6 +426,32 @@ class TestHonestSession:
 
         assert transcript_lines(11) == transcript_lines(11)
         assert transcript_lines(11) != transcript_lines(12)
+
+
+class TestBench:
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None])
+    def test_seed_that_is_not_an_int_refused(self, seed):
+        # a float or bool seed once built the bench of int(seed) without a word
+        for build in (lambda: Bench(128, seed),
+                      lambda: GameEnvironment(TrialConfig("untraceability"), seed)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == f"seed must be an int, got {seed!r}"
+
+    def test_tags_come_from_the_init_stream_in_order(self):
+        bench = Bench(16, 7, n_tags=2)
+        reader, tags = fresh_system(WordStream(16, derive_seed(7, "init")), 16, 2)
+        assert bench.tags == tags and bench.tag is bench.tags[0]
+        assert bench.reader.entries == reader.entries
+
+    def test_run_honest_runs_the_chosen_tag_and_counts_sessions(self):
+        bench = Bench(16, 7, n_tags=2)
+        nonces = WordStream(16, derive_seed(7, "nonce"))
+        second = bench.tags[1].current
+        t = bench.run_honest(tag=bench.tags[1])
+        assert (t.session, t.outcome, bench.session) == (0, Outcome.MUTUAL_SUCCESS, 1)
+        assert t.a == second.key ^ nonces.next_word()
+        assert bench.run_honest().presented_idts == [bench.tags[0].previous.idt]
 
 
 class _FixedNonce:
