@@ -67,10 +67,13 @@ def distinguish_strategy(env: GameEnvironment) -> int:
     rot(K, K) xor K. Challenge: if any revealed pseudonym reproduces
     that fingerprint against the stored B, the challenge tag is tag 0.
 
-    With no send budget the block is skipped, the pseudonym the
-    fingerprint predicts is consumed before the challenge, and the
-    strategy degrades to a constant guess.
+    With no send budget the block is skipped and the predicted pseudonym
+    is consumed before the challenge; fewer than two executes leave no
+    fingerprint. Either way the strategy degrades to a constant guess.
     """
+    if env.config.execute_budget < 2:
+        env.test()
+        return 1
     first = env.execute(0)
     if env.config.send_budget > 0:
         env.send(env.next_session, MSG_C)

@@ -1,8 +1,8 @@
 """Command line front-end: every experiment as a reproducible run.
 
-Exit code 0 means every trial-level assertion held; 1 means at least
-one trial failed; 2 is a usage error. Records are written in trial
-order while the run goes on, and the summary last.
+Exit code 0 means every trial-level assertion held, 1 that a trial
+failed, 2 an argument or config error, found before any trial runs.
+Records are written in trial order while the run goes on, summary last.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import functools
 import os
 import sys
 
-from .adversary import GameError
 from .harness import EXPERIMENTS, FORMATS, STRATEGIES, TrialConfig, run_trials, summary_text
 
 
@@ -127,10 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, f"error: {err}\n")
 
     with _output(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
-        try:
-            _, stats = run_trials(config, args.workers, out.write, args.format)
-        except (ValueError, GameError) as err:
-            parser.exit(2, f"error: {err}\n")
+        _, stats = run_trials(config, args.workers, out.write, args.format)
         out.write(summary_text(stats, args.format))
     if args.out:
         print(f"{stats.experiment}: {stats.successes}/{stats.trials} ok, "

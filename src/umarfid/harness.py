@@ -23,7 +23,7 @@ from . import adversary, attacks
 from .adversary import GameOutcome, wilson_interval
 from .attacks import AttackReport
 from .protocol import MSG_C, Bench, Channel, Outcome, PairState, compute_a, compute_b, next_pair
-from .word import WordStream, check_count, check_width, derive_seed, rot
+from .word import DEFAULT_WORD_LEN, WordStream, check_count, check_width, derive_seed, rot
 
 STRATEGIES = {
     "distinguish": attacks.distinguish_strategy,
@@ -33,7 +33,7 @@ STRATEGIES = {
 
 class _TrialFields(NamedTuple):
     experiment: str
-    word_len: int = 128
+    word_len: int = DEFAULT_WORD_LEN
     trials: int = 100
     seed: int = 0
     followups: int = 3  # honest recovery attempts after a desync
@@ -280,6 +280,7 @@ def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "te
     """
     started = time.perf_counter()
     _check_format(fmt)
+    check_count("workers", workers, 1)
     run_range = functools.partial(_run_range, config, fmt if write else None)
     reports, successes, attempts = [], 0, []
     emit = write or reports.extend

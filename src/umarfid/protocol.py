@@ -215,9 +215,7 @@ class ReaderState:
 
     def register(self, entry: DatabaseEntry) -> None:
         if entry.idt in self.entries:
-            raise ValueError(
-                f"pseudonym collision on registration: {to_hex(entry.idt, self.width)}"
-            )
+            raise ValueError(f"pseudonym collision on registration: {to_hex(entry.idt, self.width)}")
         self.entries[entry.idt] = entry
 
     def knows(self, idt: int) -> bool:
@@ -244,7 +242,8 @@ class ReaderState:
     def complete(self, c: int) -> bool:
         """Check the tag's response; update the database entry on success.
 
-        Calling with no session in flight is a harness bug.
+        An update onto another tag's pseudonym is declined like a wrong C:
+        False, both entries kept. No session in flight is a harness bug.
         """
         if self.pending is None:
             raise RuntimeError("reader_complete called with no pending session")
@@ -254,9 +253,7 @@ class ReaderState:
         entry, updated = pending.entry, pending.updated
         if updated.idt != entry.idt:
             if updated.idt in self.entries:
-                raise ValueError(
-                    f"pseudonym collision on update: {to_hex(updated.idt, self.width)}"
-                )
+                return False
             del self.entries[entry.idt]
             self.entries[updated.idt] = entry
         entry.idt = updated.idt
@@ -471,16 +468,18 @@ def fresh_system(
     """Reader plus n freshly initialized, registered tags.
 
     Each tag gets an independently drawn ID, pseudonym and key; the
-    reader and every tag work on word_len-bit words.
+    reader and every tag work on word_len-bit words. A pseudonym already
+    registered is redrawn from init before the key is drawn.
     """
     reader = ReaderState(word_len)
     tags = []
     for _ in range(n_tags):
-        id = init.next_word()
-        pair = PairState(idt=init.next_word(), key=init.next_word())
-        tag = TagState.fresh(id=id, pair=pair, width=word_len)
-        reader.register(DatabaseEntry(idt=pair.idt, key=pair.key, id=id))
-        tags.append(tag)
+        id, idt = init.next_word(), init.next_word()
+        while idt in reader.entries:
+            idt = init.next_word()
+        pair = PairState(idt=idt, key=init.next_word())
+        reader.register(DatabaseEntry(idt=idt, key=pair.key, id=id))
+        tags.append(TagState.fresh(id=id, pair=pair, width=word_len))
     return reader, tags
 
 

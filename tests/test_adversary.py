@@ -157,6 +157,21 @@ class TestGame:
         # without the block the fingerprint never matches: constant guess 1
         assert all(o.guess == 1 for o in outcomes)
 
+    @pytest.mark.parametrize("seed, trial", [
+        (0, 71), (1, 1902), (2, 201), (3, 757), (4, 397), (5, 1080), (6, 1894), (7, 291)])
+    def test_twelve_bit_game_with_a_pseudonym_collision_is_played(self, seed, trial):
+        # the first game of each seed at L=12 whose two tags draw one
+        # pseudonym, or whose update lands on the other tag's pseudonym
+        config = TrialConfig("untraceability", word_len=12, seed=seed)
+        outcome = run_untraceability_game(distinguish_strategy, config, trial)
+        assert (outcome.executes_used, outcome.sends_used) == (2, 1)
+
+    @pytest.mark.parametrize("executes", [0, 1])
+    def test_distinguish_with_fewer_than_two_executes_guesses_one(self, executes):
+        config = TrialConfig("untraceability", execute_budget=executes, seed=26)
+        outcomes = [run_untraceability_game(distinguish_strategy, config, t) for t in range(50)]
+        assert all((o.guess, o.executes_used, o.sends_used) == (1, 0, 0) for o in outcomes)
+
     def test_random_guess_is_a_coin_flip(self):
         config = TrialConfig("untraceability", seed=23)
         outcomes = [

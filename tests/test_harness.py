@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umarfid import harness
@@ -41,28 +42,50 @@ def run(experiment, trials, **kwargs):
     return run_trials(TrialConfig(experiment=experiment, trials=trials, **kwargs))
 
 
+@pytest.fixture
+def no_clone_run(monkeypatch):
+    """Fails the test if a clone trial runs or a process pool is built."""
+
+    def no_trial(config, trial):
+        pytest.fail("a trial ran")
+
+    def no_pool(max_workers):
+        pytest.fail("a pool was built")
+
+    monkeypatch.setitem(EXPERIMENTS, "clone", EXPERIMENTS["clone"]._replace(run=no_trial))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+
 class TestRunTrials:
     def test_unknown_experiment_lists_choices(self):
         with pytest.raises(ValueError, match="desync-mitm"):
             run_trials(TrialConfig(experiment="nope"))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_unknown_format_refused_before_any_trial(self, monkeypatch, workers):
+    def test_unknown_format_refused_before_any_trial(self, no_clone_run, workers):
         # checked before the first range (or the pool) starts, not when
         # the first record of a long run is rendered
-        def no_trial(config, trial):
-            pytest.fail("a trial ran")
-
-        def no_pool(max_workers):
-            pytest.fail("a pool was built")
-
-        monkeypatch.setitem(EXPERIMENTS, "clone", EXPERIMENTS["clone"]._replace(run=no_trial))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         written = []
         for write in (written.append, None):
             with pytest.raises(ValueError) as err:
                 run_trials(TrialConfig("clone", trials=2000), workers, write, "xml")
             assert str(err.value) == "unknown format 'xml'; choose text, json-lines or csv"
+        assert written == []
+
+    @pytest.mark.parametrize("workers, message", [
+        (0, "workers must be >= 1, got 0"),
+        (-1, "workers must be >= 1, got -1"),
+        (1.0, "workers must be an int, got 1.0"),
+    ])
+    def test_worker_count_below_one_refused_before_any_trial(self, no_clone_run, workers,
+                                                             message):
+        # 0 once divided by zero while splitting the trials, and -1 ran no
+        # trial and summed up five that never ran
+        written = []
+        for write in (written.append, None):
+            with pytest.raises(ValueError) as err:
+                run_trials(TrialConfig("clone", trials=5), workers, write)
+            assert str(err.value) == message
         assert written == []
 
     def test_config_validation(self):
@@ -126,6 +149,15 @@ class TestRunTrials:
         _, stats = run("desync-bitflip", trials=5, word_len=16)
         assert stats.attempts_mean is not None
         assert stats.attempts_max >= stats.attempts_median
+
+    @settings(max_examples=50, deadline=None)
+    @given(width=st.sampled_from(range(4, 33, 4)), seed=st.integers())
+    def test_every_width_and_seed_runs_every_experiment(self, width, seed):
+        # a protocol coincidence at a small width may fail a trial, but it
+        # never ends the run
+        for name in EXPERIMENTS:
+            reports, stats = run(name, trials=20, word_len=width, seed=seed)
+            assert stats.trials == len(reports) == 20, name
 
 
 # experiment -> CLI words that run it
@@ -362,33 +394,35 @@ class TestStreaming:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert [row[0] for row in rows] == ["trial", *map(str, range(SPANNING_TRIALS))]
 
-    def test_pseudonym_collision_still_aborts_with_exit_two(self, capsys):
-        # the registration collision at L=8 (first at trial 71 of seed 0)
-        # is still reported as an error until collisions are handled
-        with pytest.raises(SystemExit) as err:
-            main(["game", "--bits", "8", "--trials", "2000"])
-        assert err.value.code == 2
-        assert capsys.readouterr().err == "error: pseudonym collision on registration: da\n"
+    def test_pseudonym_collisions_at_eight_bits_end_no_run(self, capsys):
+        # seed 0 at L=8 first draws two tags with one pseudonym at trial
+        # 71, and more collisions follow; each is handled in its game
+        code = main(["game", "--bits", "8", "--trials", "2000", "--format", "json-lines"])
+        *records, summary = capsys.readouterr().out.splitlines()
+        summary = json.loads(summary)["summary"]
+        assert [json.loads(record)["trial"] for record in records] == list(range(2000))
+        assert summary["trials"] == 2000
+        assert code == (0 if summary["successes"] == 2000 else 1)
+        assert main(["game", "--bits", "8", "--trials", "71", "--format", "json-lines"]) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == records[:71]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
-    def test_abort_leaves_the_ranges_before_the_failing_one(self, tmp_path, capsys,
+    def test_abort_leaves_the_ranges_before_the_failing_one(self, tmp_path, broken_row,
                                                            workers, fmt):
-        # seed 5 at L=12 first meets a pseudonym collision on update at
-        # trial 1080, past the first range of one process or of two
-        trials, first_failure = 1100, 1080
-        failing = next(r for r in trial_ranges(trials, workers) if first_failure in r)
+        # trial 1080 lies past the first range of one process or of two
+        trials, failing_trial = 1100, 1080
+        broken_row(failing_trial)
+        failing = next(r for r in trial_ranges(trials, workers) if failing_trial in r)
         assert failing.start > 0
         path = tmp_path / "records"
-        with pytest.raises(SystemExit) as err:
-            main(["game", "--bits", "12", "--seed", "5", "--trials", str(trials),
-                  "--format", fmt, "--workers", str(workers), "--out", str(path)])
-        assert err.value.code == 2
-        assert "pseudonym collision" in capsys.readouterr().err
+        # a trial's exception is a bug: it leaves main as it is, not as exit 2
+        with pytest.raises(ValueError, match=f"^bug in trial {failing_trial}$"):
+            main(["attack", "broken", "--trials", str(trials), "--format", fmt,
+                  "--workers", str(workers), "--out", str(path)])
         # every record before the failing range, in trial order, and no summary
-        before, _ = run_trials(TrialConfig(
-            experiment="untraceability", word_len=12, trials=failing.start, seed=5))
-        assert path.read_bytes() == render_records("untraceability", before, 0, 12, fmt).encode()
+        before = [noop_trial(None, trial) for trial in range(failing.start)]
+        assert path.read_bytes() == render_records("broken", before, 0, 128, fmt).encode()
 
 
 class TestSummarize:
@@ -482,6 +516,30 @@ class TestRender:
 
 def noop_trial(config, trial):
     return TrialResult(label="noop", success=trial % 2 == 0, detail=f"trial {trial}")
+
+
+def broken_trial(at, config, trial):
+    """noop_trial, except that trial `at` raises: a stand-in for a bug. A
+    ValueError, which main once reported as a usage error."""
+    if trial == at:
+        raise ValueError(f"bug in trial {trial}")
+    return noop_trial(config, trial)
+
+
+@pytest.fixture
+def broken_row(monkeypatch):
+    """Adds the experiment "broken" (`attack broken`) whose trial `at`
+    raises; the test calls the fixture with `at`."""
+
+    def add(at):
+        row = harness.Experiment(("attack", "broken"), "unused",
+                                 functools.partial(broken_trial, at),
+                                 EXPERIMENTS["session"].report, 5)
+        monkeypatch.setitem(EXPERIMENTS, "broken", row)
+        build_parser.cache_clear()
+
+    yield add
+    build_parser.cache_clear()
 
 
 class TestExperimentTable:
@@ -593,25 +651,22 @@ class TestCli:
         assert main(argv) == 0
         assert strip_duration(path.read_bytes().decode()) == strip_duration(capsys.readouterr().out)
 
-    @pytest.mark.parametrize("bits, seed, trials, first_failure", [
-        (8, 0, 2000, 71),  # a registration collision inside the first range
-        (12, 5, 1100, 1080),  # an update collision in the second range
+    @pytest.mark.parametrize("trials, failing_trial", [
+        (2000, 71),  # inside the first range
+        (1100, 1080),  # in the second range
     ], ids=["first-range", "second-range"])
     def test_longer_out_file_holds_exactly_what_an_abort_wrote(
-            self, tmp_path, capsys, bits, seed, trials, first_failure):
-        # a pseudonym collision aborts the run mid-way; the file keeps
-        # only the ranges written before it
-        failing = next(r for r in trial_ranges(trials, 1) if first_failure in r)
+            self, tmp_path, broken_row, trials, failing_trial):
+        # a trial that raises aborts the run mid-way; the file keeps only
+        # the ranges written before it
+        broken_row(failing_trial)
+        failing = next(r for r in trial_ranges(trials, 1) if failing_trial in r)
         path = tmp_path / "records"
         path.write_bytes(b"earlier run\n" * 10_000)
-        with pytest.raises(SystemExit) as err:
-            main(["game", "--bits", str(bits), "--seed", str(seed), "--trials", str(trials),
-                  "--out", str(path)])
-        assert err.value.code == 2
-        assert "pseudonym collision" in capsys.readouterr().err
-        before, _ = run_trials(TrialConfig(
-            experiment="untraceability", word_len=bits, trials=max(failing.start, 1), seed=seed))
-        written = render_records("untraceability", before[:failing.start], 0, bits, "text")
+        with pytest.raises(ValueError, match=f"^bug in trial {failing_trial}$"):
+            main(["attack", "broken", "--trials", str(trials), "--out", str(path)])
+        before = [noop_trial(None, trial) for trial in range(failing.start)]
+        written = render_records("broken", before, 0, 128, "text")
         assert path.read_bytes() == written.encode()
         assert (failing.start == 0) == (written == "")
 
@@ -721,13 +776,24 @@ class TestCli:
     def test_zero_budgets_and_followups_accepted(self, capsys, argv):
         assert main([*argv, "--trials", "2"]) in (0, 1)
 
-    def test_budget_too_small_for_strategy_is_a_usage_error(self, capsys):
-        # the distinguisher needs two executes; one is a usage error, not
-        # a failed trial, and no traceback escapes
-        with pytest.raises(SystemExit) as err:
-            main(["game", "--executes", "1", "--trials", "2"])
-        assert err.value.code == 2
-        assert "error: execute budget 1 exhausted" in capsys.readouterr().err
+    @pytest.mark.parametrize("executes", ["0", "1"])
+    def test_too_few_executes_for_the_strategy_is_an_ablation(self, capsys, executes):
+        # the distinguisher needs two executes; with fewer it asks for the
+        # challenge at once and guesses 1, as --sends 0 is an ablation too
+        code = main(["game", "--executes", executes, "--trials", "50", "--format", "json-lines"])
+        *records, summary = map(json.loads, capsys.readouterr().out.splitlines())
+        assert [record["trial"] for record in records] == list(range(50))
+        for record in records:
+            assert (record["d"], record["executes"], record["sends"]) == (1, 0, 0)
+            assert record["success"] == (record["b"] == 1)
+        assert code == (0 if summary["summary"]["successes"] == 50 else 1)
+
+    def test_four_bit_game_runs_to_the_end(self, capsys):
+        # at L=4 pseudonyms collide often, on registration and on update
+        code = main(["game", "--bits", "4", "--format", "json-lines"])
+        *records, summary = map(json.loads, capsys.readouterr().out.splitlines())
+        assert len(records) == summary["summary"]["trials"] == 1000
+        assert code == (0 if summary["summary"]["successes"] == 1000 else 1)
 
     def test_unknown_attack_rejected(self, capsys):
         with pytest.raises(SystemExit):
