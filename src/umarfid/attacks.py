@@ -235,15 +235,6 @@ def weight2_index(mask: int, width: int) -> int | None:
     return lo * (2 * width - lo - 1) // 2 + (hi - lo - 1)
 
 
-def weight2_mask(index: int, width: int) -> int:
-    """Inverse of weight2_index: the mask at position index."""
-    lo = 0
-    while index >= width - 1 - lo:
-        index -= width - 1 - lo
-        lo += 1
-    return (1 << lo) | (1 << (lo + 1 + index))
-
-
 def random_weight2(rng: WordStream, width: int) -> int:
     """Uniform word of hamming weight exactly 2."""
     lo = rng.next_below(width)
@@ -292,9 +283,9 @@ def attack_desync_bitflip(
 
     The tag evaluates each round's sweep once (TagState.respond_sweep),
     which tells the attacker only which probe of its order would have
-    been answered. c2_trials still counts the probes the literal sweep
-    sends: up to and including the answered one, or all C(L, 2) of a
-    round without an answer.
+    been answered, and so that probe's mask. c2_trials still counts the
+    probes the literal sweep sends: up to and including the answered
+    one, or all C(L, 2) of a round without an answer.
     """
     key_before = bench.tag.current.key  # ground truth snapshot
     captured = bench.run_honest()
@@ -307,12 +298,12 @@ def attack_desync_bitflip(
     tag = bench.tag
     c1_rounds = 0
     c2_trials = 0
-    accepted: tuple[int, int] | None = None
+    b_mask: int | None = None  # the answered B-mask, once a round has one
 
     def index_of(mask: int) -> int | None:
         return weight2_index(mask, width)
 
-    while accepted is None and c1_rounds < c1_round_cap:
+    while b_mask is None and c1_rounds < c1_round_cap:
         c1_rounds += 1
         a_mask = random_weight2(bench.adv_rng, width)
         # Rogue-reader dance: refuse the current pseudonym so the tag
@@ -336,11 +327,10 @@ def attack_desync_bitflip(
                 raise RuntimeError("tag state changed on a rejected probe")
             c2_trials += space
             continue
-        index, _ = hit
+        index, b_mask, _ = hit
         c2_trials += index + 1
-        accepted = (a_mask, weight2_mask(index, width))
 
-    if accepted is None:
+    if b_mask is None:
         return AttackReport(
             attack="desync-bitflip",
             success=False,
@@ -349,7 +339,6 @@ def attack_desync_bitflip(
             detail=f"no accepting mask within {c1_round_cap} rounds",
         )
 
-    a_mask, b_mask = accepted
     # Ground truth: weight condition of the accepted round and post-state.
     hw_matched = (nonce_truth ^ a_mask).bit_count() == nonce_truth.bit_count()
     still_synchronized = bench.synchronized()

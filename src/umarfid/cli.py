@@ -30,13 +30,14 @@ def _at_least(low: int):
 
 
 _DEFAULT = TrialConfig._field_defaults  # the one home of every config default
+_LOW = TrialConfig.COUNTS  # and of every count's lowest value
 
 
 def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
     # a config flag that is not given is left out of the namespace; TrialConfig fills it
     parser.add_argument("--bits", dest="word_len", type=int, default=argparse.SUPPRESS,
                         metavar="L", help=f"word length in bits (default {_DEFAULT['word_len']})")
-    parser.add_argument("--trials", type=_at_least(1), default=trials, metavar="N",
+    parser.add_argument("--trials", type=_at_least(_LOW["trials"]), default=trials, metavar="N",
                         help=f"number of trials (default {trials})")
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="S",
                         help="base seed; every trial derives its own stream")
@@ -51,16 +52,16 @@ def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
 # config field -> (flag, argparse spec); a subcommand gets those its experiments read
 _FLAGS = {
     "execute_budget": ("--executes", dict(
-        type=_at_least(0), metavar="EXECUTES",
+        type=_at_least(_LOW["execute_budget"]), metavar="EXECUTES",
         help=f"eavesdrop query budget per game (default {_DEFAULT['execute_budget']})")),
     "send_budget": ("--sends", dict(
-        type=_at_least(0), metavar="SENDS",
+        type=_at_least(_LOW["send_budget"]), metavar="SENDS",
         help=f"block/alter query budget per game (default {_DEFAULT['send_budget']})")),
     "strategy": ("--strategy", dict(choices=sorted(STRATEGIES),
                  help="adversary strategy (random-guess is the null baseline)")),
-    "followups": ("--followups", dict(type=_at_least(0),
+    "followups": ("--followups", dict(type=_at_least(_LOW["followups"]),
                   help="honest recovery attempts verified after a desync")),
-    "c1_round_cap": ("--c1-cap", dict(type=_at_least(1), metavar="C1_CAP",
+    "c1_round_cap": ("--c1-cap", dict(type=_at_least(_LOW["c1_round_cap"]), metavar="C1_CAP",
                      help="bit-flip attack: cap on mask redraw rounds")),
 }
 
@@ -105,10 +106,10 @@ def config_from_args(args: argparse.Namespace) -> TrialConfig:
 
 
 @contextlib.contextmanager
-def _output(path: str):
-    """path opened for writing without truncating it; what lies past the
-    bytes the run wrote is cut off when the run ends, by success or error."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as out:
+def _output(fd: int):
+    """fd as a text file; as it was opened without truncating, what lies past
+    the run's bytes is cut off when the run ends, by success or error."""
+    with open(fd, "w") as out:
         try:
             yield out
         finally:
@@ -122,10 +123,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        # opened last, so an argument error leaves the file as it was, and not
+        # truncated: on ext4 that costs ms when the file was just written (README)
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666) if args.out else None
     except ValueError as err:
         parser.exit(2, f"error: {err}\n")
+    except OSError as err:  # a directory, a missing parent directory, no permission
+        parser.exit(2, f"error: argument --out: {err}\n")
 
-    with _output(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+    with _output(fd) if args.out else contextlib.nullcontext(sys.stdout) as out:
         _, stats = run_trials(config, args.workers, out.write, args.format)
         out.write(summary_text(stats, args.format))
     if args.out:

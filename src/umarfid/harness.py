@@ -207,9 +207,10 @@ _ATTACK_HELP = "run one attack as a Monte Carlo experiment"
 _ATTACKS = _report_type(AttackReport, attacks.ATTACK_FIELDS, attacks.attack_columns)
 _RESULTS = _report_type(TrialResult, RESULT_FIELDS, _trial_and_fields)
 
-# Every experiment, in CLI order. A name is also the seed label of its
-# trials (derive_seed), so renaming one changes every record it makes. A
-# row calls traced functions through their module, as attacks.attack_clone.
+# Every experiment, in CLI order. A name but "untraceability" (seeded
+# under "game") is also the seed label of its trials (derive_seed), so a
+# rename changes every record. A row calls traced functions through
+# their module, as attacks.attack_clone.
 EXPERIMENTS = {
     "session": Experiment(
         ("session",), "honest-session smoke scenarios", _session_trial, _RESULTS, 100),

@@ -163,7 +163,7 @@ class TagState(_Record):
 
     def respond_sweep(
         self, use_previous: bool, a: int, b: int, index_of
-    ) -> tuple[int, int] | None:
+    ) -> tuple[int, int, int] | None:
         """Answer a prober's whole sweep of B-masks with one evaluation.
 
         The prober sends (a, b xor mask) for every mask in its own fixed
@@ -173,15 +173,16 @@ class TagState(_Record):
         position for that mask, or None when its order does not contain
         it. On a hit the tag commits through respond with the accepted B,
         exactly as the literal probe at that position would, and returns
-        (index, C). On a miss it returns None and keeps its state
-        bit-identical. The expected B itself is never returned.
+        (index, mask, C); the prober knows the mask at its own index, so
+        that reveals nothing new. On a miss it returns None and keeps its
+        state bit-identical.
         """
         used = self.pair(use_previous)
         expected = compute_b(used.key, a ^ used.key, self.width)
         index = index_of(expected ^ b)
         if index is None:
             return None
-        return index, self.respond(use_previous, a, expected)
+        return index, expected ^ b, self.respond(use_previous, a, expected)
 
 
 class DatabaseEntry(_Record):
@@ -469,8 +470,12 @@ def fresh_system(
 
     Each tag gets an independently drawn ID, pseudonym and key; the
     reader and every tag work on word_len-bit words. A pseudonym already
-    registered is redrawn from init before the key is drawn.
+    registered is redrawn from init before the key is drawn, so n_tags
+    must lie in [1, 2**word_len]; it is checked before the first draw.
     """
+    check_count("n_tags", n_tags, 1)
+    if n_tags > 1 << word_len:
+        raise ValueError(f"n_tags must be <= 2**{word_len}, got {n_tags}")
     reader = ReaderState(word_len)
     tags = []
     for _ in range(n_tags):

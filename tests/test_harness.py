@@ -686,6 +686,20 @@ class TestCli:
         assert main(argv) == 0
         assert piped == capsys.readouterr().out
 
+    @pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+    def test_out_that_cannot_be_opened_exits_two(self, tmp_path, capsys, broken_row, where):
+        # a trial of "broken" raises, so a run that reached trial 0 would not exit 2
+        broken_row(0)
+        path = tmp_path if where == "a directory" else tmp_path / "missing" / "records"
+        with pytest.raises(SystemExit) as err:
+            main(["attack", "broken", "--out", str(path)])
+        assert err.value.code == 2
+        out, message = capsys.readouterr()
+        assert out == ""
+        assert message.startswith("error: argument --out: ")
+        assert str(path) in message
+        assert not any(tmp_path.iterdir())  # no file, no directory made
+
     def test_workers_flag(self, capsys):
         assert main(["attack", "clone", "--trials", "8", "--workers", "2"]) == 0
 

@@ -239,6 +239,27 @@ class TestReader:
         assert {idt: entry.words() for idt, entry in reader.entries.items()} == {
             0xAA: (0xAA, 0x22, 0x11), 0xBB: (0xBB, 0x44, 0x33)}
 
+    @pytest.mark.parametrize("n_tags, message", [
+        (0, "n_tags must be >= 1, got 0"),
+        (-1, "n_tags must be >= 1, got -1"),
+        (True, "n_tags must be an int, got True"),
+        (17, r"n_tags must be <= 2\*\*4, got 17"),
+    ])
+    def test_fresh_system_refuses_a_tag_count_it_cannot_register(self, n_tags, message):
+        # only 2**4 pseudonyms exist at L=4, so a 17th tag would redraw
+        # forever; this stream runs dry (StopIteration) after 48 draws
+        init = _Words(*range(16), *range(16), *range(16))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fresh_system(init, 4, n_tags)
+        with pytest.raises(ValueError, match="^n_tags must be >= 1, got 0$"):
+            Bench(4, 0, n_tags=0)
+
+    def test_every_pseudonym_of_a_width_can_be_registered(self):
+        init = WordStream(4, derive_seed(0, "init"))
+        reader, tags = fresh_system(init, 4, n_tags=16)
+        assert sorted(reader.entries) == sorted(tag.present() for tag in tags) == list(range(16))
+        assert len(Bench(4, 0, n_tags=16).reader.entries) == 16
+
     def test_determinism(self):
         first = make_system(seed=5)
         second = make_system(seed=5)

@@ -137,3 +137,15 @@ def test_readme_lists_exactly_the_package_exports():
               for name in re.findall(r"`(\w+)`", cell)]
     assert len(rows) == 5
     assert sorted(listed) == sorted(exported)
+
+
+
+def test_readme_command_lines_parse():
+    # each `umarfid ...` line of README's Command line block, its comment
+    # cut, parses: a flag renamed or removed in the CLI must not stay documented
+    section = README.read_text().split("\n## Command line\n")[1].split("\n## ")[0]
+    lines = [line.partition("#")[0].split()[1:]
+             for line in section.split("```\n")[1].splitlines() if line.startswith("umarfid ")]
+    assert len(lines) >= 9  # the block was found
+    for argv in lines:
+        cli.config_from_args(cli.build_parser().parse_args(argv))
