@@ -3,7 +3,7 @@
 The adversary gets three capabilities:
 
   * execute  - eavesdrop one genuine session and read its transcript,
-  * send     - block or replace one named message of a chosen session,
+  * send     - block one named message of a chosen session,
   * test     - the challenge: the environment flips a hidden bit b,
                identifies tag_b against the genuine reader and reveals
                the pseudonym sequence that identification broadcast.
@@ -16,7 +16,6 @@ resists tracing when that advantage stays negligible.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .protocol import Bench, Channel, SessionTranscript
@@ -59,11 +58,6 @@ class GameEnvironment(Bench):
         self.sends_used = 0
         self._hidden_bit: int | None = None
 
-    @property
-    def next_session(self) -> int:
-        """Index the next execute or test will run under."""
-        return self.session
-
     def execute(self, tag_index: int) -> SessionTranscript:
         """Run one genuine session with the chosen tag; return its transcript."""
         if self.executes_used >= self.config.execute_budget:
@@ -73,24 +67,12 @@ class GameEnvironment(Bench):
         self.executes_used += 1
         return self.run_honest(self.channel, self.tags[tag_index])
 
-    def send(self, session: int, label: str, replace: int | None = None) -> None:
-        """Register an interception: block the message, or substitute one.
-
-        A substitute is the one word a strategy injects from outside the
-        simulation, so it is checked here: it must lie in [0, 2**L).
-        """
-        if replace is not None and not 0 <= replace < 1 << self.config.word_len:
-            raise ValueError(
-                f"replacement {replace:#x} out of range for a "
-                f"{self.config.word_len}-bit word"
-            )
+    def send(self, session: int, label: str) -> None:
+        """Register an interception: block the message."""
         if self.sends_used >= self.config.send_budget:
             raise BudgetError(f"send budget {self.config.send_budget} exhausted")
         self.sends_used += 1
-        if replace is None:
-            self.channel.block(session, label)
-        else:
-            self.channel.replace(session, label, replace)
+        self.channel.block(session, label)
 
     def test(self) -> list[int]:
         """Challenge: identify a secretly chosen tag, reveal its pseudonyms.
@@ -142,17 +124,6 @@ def random_guess_strategy(env: GameEnvironment) -> int:
     """Null baseline: ask for the challenge, then guess a coin flip."""
     env.test()
     return env.adv_rng.next_bit()
-
-
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
-    if trials < 1:
-        raise ValueError("wilson_interval needs at least one trial")
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
-    return (max(0.0, center - half), min(1.0, center + half))
 
 
 # a GameOutcome's record keys (the trial, then its fields), with kinds

@@ -23,11 +23,11 @@ simulator state the attacker could not see.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .adversary import GameEnvironment
 from .protocol import MSG_C, Bench, Outcome, PairState, TagState, compute_b, compute_c, next_pair
-from .word import WordStream, rot
+from .word import WordStream
 
 
 def recover_key(a_n: int, b_n: int, idt_next: int) -> int:
@@ -76,7 +76,7 @@ def distinguish_strategy(env: GameEnvironment) -> int:
         return 1
     first = env.execute(0)
     if env.config.send_budget > 0:
-        env.send(env.next_session, MSG_C)
+        env.send(env.session, MSG_C)
     second = env.execute(0)
     fingerprint = first.b ^ second.presented_idts[0]
     for pseudonym in env.test():
@@ -206,27 +206,17 @@ def attack_desync_mitm(bench: Bench, followups: int = 3) -> AttackReport:
     )
 
 
-def weight2_words(width: int) -> Iterator[int]:
-    """Every width-bit word with exactly two set bits.
-
-    Fixed enumeration order, lexicographic by (lower set bit, upper set
-    bit), so attempt counts are reproducible. C(width, 2) words total.
-    """
-    for lo in range(width):
-        for hi in range(lo + 1, width):
-            yield (1 << lo) | (1 << hi)
-
-
 def weight2_count(width: int) -> int:
     """Size of the per-round mask search space: C(width, 2)."""
     return width * (width - 1) // 2
 
 
 def weight2_index(mask: int, width: int) -> int | None:
-    """Position of mask in weight2_words(width), or None if not weight 2.
+    """Position of mask among the width-bit words of weight 2, ordered by
+    (lower set bit, upper set bit), or None if mask is not weight 2.
 
-    Closed form of the (lo, hi) order: the rows for lower bits below lo
-    hold lo*(2*width - lo - 1)/2 masks, then hi - lo - 1 more precede it.
+    Rows for lower bits below lo hold lo*(2*width - lo - 1)/2 masks,
+    then hi - lo - 1 more precede it.
     """
     if mask.bit_count() != 2:
         return None
@@ -244,28 +234,6 @@ def random_weight2(rng: WordStream, width: int) -> int:
     return (1 << lo) | (1 << hi)
 
 
-def required_b_mask(nonce: int, a_mask: int, width: int) -> int:
-    """Analysis side: the unique B-mask the tag would accept.
-
-    Masking A by a_mask shifts the nonce the tag recovers to
-    N xor a_mask; the B equality then demands exactly
-    rot(N, N) xor rot(N xor a_mask, N xor a_mask) as the B-mask.
-    """
-    altered = nonce ^ a_mask
-    return rot(nonce, nonce, width) ^ rot(altered, altered, width)
-
-
-def bitflip_round_admits(nonce: int, a_mask: int, width: int) -> bool:
-    """Analysis side: does any weight-2 B-mask exist for this round?
-
-    True exactly when the required mask has weight 2: always when mask_a
-    flips one set and one clear nonce bit (probability exactly 1/2), else
-    by a coincidence of rotations, common at small widths. Over all
-    (N, mask_a) pairs: 11/12 at L=4, 19/32 at L=8, 525/1024 at L=12.
-    """
-    return required_b_mask(nonce, a_mask, width).bit_count() == 2
-
-
 def attack_desync_bitflip(
     bench: Bench, c1_round_cap: int = 64, followups: int = 3
 ) -> AttackReport:
@@ -279,7 +247,9 @@ def attack_desync_bitflip(
     while the reader kept its state, and no shared pair remains. A round
     whose mask_a changes the nonce's weight (half of them) admits a mask_b
     only by a coincidence that is rare at large widths, so about 2 rounds
-    are expected there, capped as a safety net (bitflip_round_admits).
+    are expected there, capped as a safety net. Exactly 11/10 rounds and
+    41/10 probes are expected at L=4, 1.7168 and 34.584 at L=8, where
+    coincidences are common (bitflip_cost, tests/oracle_bitflip.py).
 
     The tag evaluates each round's sweep once (TagState.respond_sweep),
     which tells the attacker only which probe of its order would have

@@ -20,7 +20,7 @@ import types
 from typing import Callable, NamedTuple
 
 from . import adversary, attacks
-from .adversary import GameOutcome, wilson_interval
+from .adversary import GameOutcome
 from .attacks import AttackReport
 from .protocol import MSG_C, Bench, Channel, Outcome, PairState, compute_a, compute_b, next_pair
 from .word import DEFAULT_WORD_LEN, WordStream, check_count, check_width, derive_seed, rot
@@ -330,6 +330,17 @@ def summarize(experiment: str, reports) -> SummaryStats:
     if not reports:
         raise ValueError("summarize needs at least one report")
     return _summary(experiment, len(reports), *_tally(EXPERIMENTS[experiment], reports))
+
+
+def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion (95% by default)."""
+    if trials < 1:
+        raise ValueError("wilson_interval needs at least one trial")
+    p = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / denom
+    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
+    return (max(0.0, center - half), min(1.0, center + half))
 
 
 def _summary(experiment, trials, successes, attempts) -> SummaryStats:

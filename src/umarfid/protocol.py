@@ -67,9 +67,6 @@ class PairState(NamedTuple):
     idt: int
     key: int
 
-    def words(self) -> tuple[int, int]:
-        return (self.idt, self.key)
-
 
 def next_pair(used: PairState, nonce: int, width: int = DEFAULT_WORD_LEN) -> PairState:
     """Updated pair after a session that used `used` with nonce N."""
@@ -133,9 +130,6 @@ class TagState(_Record):
         # A tag that has never updated has nothing older to remember.
         return cls(id=id, current=pair, previous=pair, width=width)
 
-    def words(self) -> tuple[int, ...]:
-        return (self.id,) + self.current.words() + self.previous.words()
-
     def present(self, use_previous: bool = False) -> int:
         """Pseudonym broadcast during identification. No state change."""
         return self.previous.idt if use_previous else self.current.idt
@@ -192,9 +186,6 @@ class DatabaseEntry(_Record):
 
     def __init__(self, idt: int, key: int, id: int):
         self.idt, self.key, self.id = idt, key, id
-
-    def words(self) -> tuple[int, int, int]:
-        return (self.idt, self.key, self.id)
 
 
 class _Pending(NamedTuple):
@@ -296,11 +287,7 @@ class ChannelEvent(NamedTuple):
     replacement: int | None = None  # delivered payload when replaced
 
     def delivered_payload(self) -> int | None:
-        if self.disposition == BLOCKED:
-            return None
-        if self.disposition == REPLACED:
-            return self.replacement
-        return self.payload
+        return self.payload if self.disposition == DELIVERED else self.replacement
 
     def line(self, width: int) -> str:
         """Fixed-order structured-text record for transcript dumps."""
@@ -317,32 +304,28 @@ class ChannelEvent(NamedTuple):
 class Channel:
     """Interception rules an active adversary has placed on the radio.
 
-    A rule targets (session index, message label) and blocks the
-    transmission, substitutes a fixed payload, or XORs a mask into the
-    in-flight payload (bit flipping). Rules apply to every matching
-    transmission of that session.
+    A rule targets (session index, message label) and either blocks the
+    transmission or XORs a mask into the in-flight payload (bit flipping).
+    Rules apply to every matching transmission of that session.
     """
 
     def __init__(self):
-        # session -> label -> (disposition, word, whether word is a mask)
-        self._rules: dict[int, dict[str, tuple[str, int | None, bool]]] = {}
+        # session -> label -> (disposition, mask; None when blocked)
+        self._rules: dict[int, dict[str, tuple[str, int | None]]] = {}
 
     def block(self, session: int, label: str) -> None:
-        self._rules.setdefault(session, {})[label] = (BLOCKED, None, False)
-
-    def replace(self, session: int, label: str, payload: int) -> None:
-        self._rules.setdefault(session, {})[label] = (REPLACED, payload, False)
+        self._rules.setdefault(session, {})[label] = (BLOCKED, None)
 
     def flip(self, session: int, label: str, mask: int) -> None:
         """Alter the message in flight by XORing a mask into it."""
-        self._rules.setdefault(session, {})[label] = (REPLACED, mask, True)
+        self._rules.setdefault(session, {})[label] = (REPLACED, mask)
 
     def intercept(self, t: "SessionTranscript", label: str, payload: int) -> int | None:
         """Apply session t's rule for label to one transmission: record the
         event in t.acted, return what arrives (None when blocked)."""
-        disposition, word, flip = self._rules[t.session][label]
+        disposition, mask = self._rules[t.session][label]
         event = ChannelEvent(t.session, _DIRECTION[label], label, payload, disposition,
-                             payload ^ word if flip else word)
+                             None if mask is None else payload ^ mask)
         t.acted += (event,)
         return event.delivered_payload()
 
@@ -400,7 +383,7 @@ def run_honest_session(
     Identification presents the current pseudonym first; if the reader
     does not recognize it, the tag retries exactly once with its
     previous pseudonym. Both pseudonyms unknown is the observable
-    desynchronization state. The optional channel may block or replace
+    desynchronization state. The optional channel may block or bit-flip
     any message; the transcript rebuilds every transmission on demand.
     """
     t = SessionTranscript(session)
@@ -451,10 +434,16 @@ def run_honest_session(
 
 
 def synchronized(reader: ReaderState, tag: TagState) -> bool:
-    """Ground truth: can this tag still authenticate against this reader?
+    """Ground truth: does the database hold one of the tag's pairs?
 
-    True when the database entry under one of the tag's pseudonyms
-    carries the matching key and identity.
+    True when the entry under the tag's current or previous pseudonym
+    carries that pair's key and the tag's ID. That does not mean the next
+    session succeeds: a session falls back to the previous pseudonym only
+    when the reader does not know the current one. So the tag is stuck,
+    while this is True through its previous pair, when the reader knows
+    its current pseudonym under another key: after an update onto the
+    same pseudonym (IDT' = IDT) whose C was blocked, and after the reader
+    declined an update onto another tag's pseudonym.
     """
     for pair in (tag.current, tag.previous):
         entry = reader.entries.get(pair.idt)

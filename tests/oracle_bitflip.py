@@ -1,14 +1,104 @@
-"""Literal per-mask bit-flip attack, kept as an oracle for the batch sweep.
+"""The bit-flip attack's oracles: the literal probe loop and its exact cost.
 
-One TagState.respond call per weight-2 B-mask, in the fixed (lo, hi)
-order, exactly as a rogue reader would send them over the air. Slow on
-purpose: about 8128 probes per mask round at L=128. It uses only the
-single-probe tag interface, never TagState.respond_sweep or the closed
-form mask index, so it checks the sweep rather than sharing its code.
+literal_desync_bitflip makes one TagState.respond call per weight-2
+B-mask, in the fixed (lo, hi) order, exactly as a rogue reader would
+send them over the air. Slow on purpose: about 8128 probes per mask
+round at L=128. It uses only the single-probe tag interface, never
+TagState.respond_sweep or the closed form mask index, so it checks the
+sweep rather than sharing its code.
+
+required_b_mask and bitflip_round_admits are the analysis side of one
+round, and bitflip_cost enumerates them over every (N, A-mask) pair into
+the exact distribution of a trial's c1_rounds and c2_trials.
 """
 
-from umarfid.attacks import AttackReport, random_weight2, weight2_words
+from fractions import Fraction
+from typing import Iterator, NamedTuple
+
+from umarfid.attacks import AttackReport, random_weight2
 from umarfid.protocol import Outcome
+from umarfid.word import rot
+
+
+def weight2_words(width: int) -> Iterator[int]:
+    """Every width-bit word with exactly two set bits.
+
+    Fixed enumeration order, lexicographic by (lower set bit, upper set
+    bit), so attempt counts are reproducible. C(width, 2) words total.
+    """
+    for lo in range(width):
+        for hi in range(lo + 1, width):
+            yield (1 << lo) | (1 << hi)
+
+
+def required_b_mask(nonce: int, a_mask: int, width: int) -> int:
+    """The unique B-mask the tag would accept.
+
+    Masking A by a_mask shifts the nonce the tag recovers to
+    N xor a_mask; the B equality then demands exactly
+    rot(N, N) xor rot(N xor a_mask, N xor a_mask) as the B-mask.
+    """
+    altered = nonce ^ a_mask
+    return rot(nonce, nonce, width) ^ rot(altered, altered, width)
+
+
+def bitflip_round_admits(nonce: int, a_mask: int, width: int) -> bool:
+    """Does any weight-2 B-mask exist for this round?
+
+    True exactly when the required mask has weight 2: always when mask_a
+    flips one set and one clear nonce bit (probability exactly 1/2), else
+    by a coincidence of rotations, common at small widths. Over all
+    (N, mask_a) pairs: 11/12 at L=4, 19/32 at L=8, 525/1024 at L=12.
+    """
+    return required_b_mask(nonce, a_mask, width).bit_count() == 2
+
+
+class BitflipCost(NamedTuple):
+    """Exact moments of one desync-bitflip trial's counts, and admission rates."""
+
+    admission: Fraction  # share of all (N, A-mask) rounds that admit a B-mask
+    min_admission: Fraction  # the smallest admission probability of any one N
+    c1_mean: Fraction
+    c1_var: Fraction
+    c2_mean: Fraction
+    c2_var: Fraction
+
+
+def bitflip_cost(width: int) -> BitflipCost:
+    """Enumerate every (N, A-mask) pair at this width into exact moments.
+
+    The captured nonce N is uniform and fixed for the whole trial; each
+    round draws a uniform A-mask. With N fixed, a round admits with
+    probability p(N), and an admitting round is answered at probe y, the
+    1-based position of its required B-mask. So c1_rounds K is geometric
+    with p(N), and c2_trials is S(K - 1) + Y for S = C(L, 2) probes per
+    unanswered round, with Y drawn from the admitting rounds' y
+    independently of K. The moments average those of each N; the round
+    cap is ignored, so every p(N) must be positive.
+    """
+    position = {mask: y for y, mask in enumerate(weight2_words(width), 1)}
+    space = len(position)
+    admitted = 0
+    min_p = Fraction(1)
+    k1 = k2 = c1 = c2 = Fraction(0)  # sums over N of E[K], E[K^2], E[c2], E[c2^2]
+    for nonce in range(1 << width):
+        ys = [position[m] for a_mask in position
+              if (m := required_b_mask(nonce, a_mask, width)) in position]
+        admitted += len(ys)
+        p = Fraction(len(ys), space)
+        min_p = min(min_p, p)
+        mean_k, mean_k2 = 1 / p, (2 - p) / p**2
+        mean_y, mean_y2 = Fraction(sum(ys), len(ys)), Fraction(sum(y * y for y in ys), len(ys))
+        k1 += mean_k
+        k2 += mean_k2
+        c1 += space * (mean_k - 1) + mean_y
+        c2 += (space**2 * (mean_k2 - 2 * mean_k + 1)
+               + 2 * space * (mean_k - 1) * mean_y + mean_y2)
+    n = 1 << width
+    return BitflipCost(
+        Fraction(admitted, n * space), min_p,
+        k1 / n, k2 / n - (k1 / n) ** 2, c1 / n, c2 / n - (c1 / n) ** 2,
+    )
 
 
 def literal_desync_bitflip(bench, c1_round_cap=64, followups=3) -> AttackReport:

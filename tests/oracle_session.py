@@ -34,7 +34,6 @@ class OracleChannel:
     """Interception rules keyed by (session index, message label)."""
 
     _BLOCK = "block"
-    _REPLACE = "replace"
     _FLIP = "flip"
 
     def __init__(self):
@@ -42,9 +41,6 @@ class OracleChannel:
 
     def block(self, session: int, label: str) -> None:
         self._rules[(session, label)] = (self._BLOCK, None)
-
-    def replace(self, session: int, label: str, payload: int) -> None:
-        self._rules[(session, label)] = (self._REPLACE, payload)
 
     def flip(self, session: int, label: str, mask: int) -> None:
         self._rules[(session, label)] = (self._FLIP, mask)
@@ -56,8 +52,7 @@ class OracleChannel:
         action, word = rule
         if action == self._BLOCK:
             return _event(session, label, payload, BLOCKED)
-        replacement = payload ^ word if action == self._FLIP else word
-        return _event(session, label, payload, REPLACED, replacement)
+        return _event(session, label, payload, REPLACED, payload ^ word)
 
 
 @dataclass

@@ -9,10 +9,9 @@ from umarfid.adversary import (
     GameOutcome,
     random_guess_strategy,
     run_untraceability_game,
-    wilson_interval,
 )
 from umarfid.attacks import distinguish_strategy
-from umarfid.harness import TrialConfig, render_records, summarize
+from umarfid.harness import TrialConfig, render_records, summarize, wilson_interval
 from umarfid.protocol import MSG_C, Outcome, next_pair
 from umarfid.word import WordStream, derive_seed
 
@@ -62,31 +61,12 @@ class TestQueries:
 
     def test_blocked_c_splits_states(self):
         env = make_env()
-        env.send(env.next_session, MSG_C)
+        env.send(env.session, MSG_C)
         t = env.execute(0)
         assert t.outcome is Outcome.BLOCKED
         tag = env.tags[0]
         assert not env.reader.knows(tag.current.idt)
         assert env.reader.knows(tag.previous.idt)
-
-    def test_send_replace_substitutes_payload(self):
-        env = make_env()
-        env.send(env.next_session, MSG_C, replace=0)
-        t = env.execute(0)
-        assert t.outcome is Outcome.READER_REJECTED_TAG
-
-    @pytest.mark.parametrize(
-        "word_len, payload",
-        [(128, -1), (128, 2**128), (8, 2**8)],
-        ids=["negative", "two-to-the-L", "two-to-the-L-at-8-bits"],
-    )
-    def test_send_replace_rejects_out_of_range_word(self, word_len, payload):
-        env = make_env(word_len=word_len)
-        with pytest.raises(ValueError, match=f"out of range for a {word_len}-bit word"):
-            env.send(env.next_session, MSG_C, replace=payload)
-        assert env.sends_used == 0  # a rejected substitute costs no budget
-        env.send(env.next_session, MSG_C, replace=payload - 1 if payload > 0 else 0)
-        assert env.sends_used == 1  # the largest (or smallest) word is accepted
 
     def test_test_reveals_single_pseudonym_when_synchronized(self):
         env = env_with_hidden_bit(0)
@@ -95,7 +75,7 @@ class TestQueries:
 
     def test_test_after_desync_reveals_fallback_sequence(self):
         env = env_with_hidden_bit(0)
-        env.send(env.next_session, MSG_C)
+        env.send(env.session, MSG_C)
         env.execute(0)
         tag = env.tags[0]
         revealed = env.test()

@@ -1,11 +1,20 @@
 import json
+import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_bitflip import literal_desync_bitflip
+from oracle_bitflip import (
+    bitflip_cost,
+    bitflip_round_admits,
+    literal_desync_bitflip,
+    required_b_mask,
+    weight2_words,
+)
+from state_words import stored_words
 from umarfid.attacks import (
     AttackReport,
     Bench,
@@ -13,16 +22,13 @@ from umarfid.attacks import (
     attack_desync_bitflip,
     attack_desync_mitm,
     attack_full_disclosure,
-    bitflip_round_admits,
     distinguish_strategy,
     random_weight2,
     recover_key,
-    required_b_mask,
     weight2_count,
     weight2_index,
-    weight2_words,
 )
-from umarfid.harness import render_records
+from umarfid.harness import TrialConfig, render_records, run_trials
 from umarfid.protocol import (
     Outcome,
     PairState,
@@ -288,12 +294,12 @@ class TestDesyncBitflip:
         c1 = random_weight2(rng, 16)
         while bitflip_round_admits(nonce, c1, 16):
             c1 = random_weight2(rng, 16)
-        snapshot = tag.words()
+        snapshot = stored_words(tag)
         hit = tag.respond_sweep(
             True, captured.a ^ c1, captured.b, lambda m: weight2_index(m, 16)
         )
         assert hit is None
-        assert tag.words() == snapshot
+        assert stored_words(tag) == snapshot
 
     def test_sweep_hit_equals_the_literal_probe(self):
         bench = Bench(16, 6)
@@ -312,7 +318,7 @@ class TestDesyncBitflip:
         assert answered == mask
         assert index == weight2_index(mask, 16)
         assert c == twin.tag.respond(True, captured.a ^ c1, captured.b ^ mask)
-        assert bench.tag.words() == twin.tag.words()
+        assert stored_words(bench.tag) == stored_words(twin.tag)
 
     def test_round_cap_reports_failure(self):
         report = attack_desync_bitflip(Bench(16, 7), c1_round_cap=0)
@@ -358,9 +364,9 @@ class TestBitflipAgainstLiteralOracle:
             sweep, literal = Bench(16, seed), Bench(16, seed)
             attack_desync_bitflip(sweep, followups=0)
             literal_desync_bitflip(literal, followups=0)
-            assert sweep.tag.words() == literal.tag.words()
-            assert [e.words() for e in sweep.reader.entries.values()] == [
-                e.words() for e in literal.reader.entries.values()
+            assert stored_words(sweep.tag) == stored_words(literal.tag)
+            assert [stored_words(e) for e in sweep.reader.entries.values()] == [
+                stored_words(e) for e in literal.reader.entries.values()
             ]
 
     def test_stale_capture_reported_after_one_probe(self):
@@ -403,6 +409,38 @@ class TestBitflipExhaustive:
         matched = sum((n ^ c1).bit_count() == n.bit_count() for n, c1 in rounds)
         assert Fraction(admits, len(rounds)) == admitted
         assert Fraction(matched, len(rounds)) == Fraction(1, 2)
+        assert bitflip_cost(width).admission == admitted
+
+
+class TestBitflipCost:
+    """The exact cost model of tests/oracle_bitflip.py against seed-0 runs.
+
+    Rounds are not plain geometric: the captured nonce is fixed for the
+    whole trial, so E[c1_rounds] is E_N[1/p(N)], not 1/E[p]."""
+
+    @pytest.mark.parametrize("width, c1_mean, c2_mean", [
+        (4, Fraction(11, 10), Fraction(41, 10)),
+        (8, 1.716779, 34.58392),
+    ])
+    def test_exact_means(self, width, c1_mean, c2_mean):
+        cost = bitflip_cost(width)
+        assert cost.c1_mean == pytest.approx(c1_mean, abs=1e-6)
+        assert cost.c2_mean == pytest.approx(c2_mean, abs=1e-5)
+        # no nonce leaves a round without an answer, and the model ignores
+        # the attack's 64-round cap, which a trial reaches this rarely
+        assert cost.min_admission > 0
+        assert (1 - cost.min_admission) ** 64 < 1e-17
+
+    @pytest.mark.parametrize("width, trials", [(4, 1000), (8, 3000)])
+    def test_run_lies_in_the_exact_interval(self, width, trials):
+        cost = bitflip_cost(width)
+        reports, stats = run_trials(
+            TrialConfig("desync-bitflip", word_len=width, trials=trials, seed=0))
+        z = NormalDist().inv_cdf(0.9995)  # two-sided 99.9%
+        c1_mean = sum(r.c1_rounds for r in reports) / trials
+        assert abs(c1_mean - cost.c1_mean) <= z * math.sqrt(cost.c1_var / trials)
+        assert all(r.c2_trials is not None for r in reports)
+        assert abs(stats.attempts_mean - cost.c2_mean) <= z * math.sqrt(cost.c2_var / trials)
 
 
 class TestDesyncSuccessPredicate:

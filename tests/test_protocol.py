@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracle_bits as oracle
 import oracle_session
+from state_words import stored_words
 from umarfid.adversary import GameEnvironment
 from umarfid.harness import TrialConfig
 from umarfid.protocol import (
@@ -150,11 +151,11 @@ class TestTag:
 class TestStateSizes:
     def test_tag_holds_five_words(self):
         _, tags, _ = make_system()
-        assert len(tags[0].words()) == 5
+        assert len(stored_words(tags[0])) == 5
 
     def test_database_entry_holds_three_words(self):
         entry = DatabaseEntry(idt=1, key=2, id=3)
-        assert len(entry.words()) == 3
+        assert len(stored_words(entry)) == 3
 
 
 class TestRecords:
@@ -165,7 +166,7 @@ class TestRecords:
             pair.key = 3
         with pytest.raises(AttributeError):
             event.payload = 6
-        assert pair.words() == (1, 2)
+        assert tuple(pair) == (1, 2)
         assert event.disposition == "delivered" and event.replacement is None
         assert event.delivered_payload() == 5
 
@@ -234,9 +235,9 @@ class TestReader:
         # the second tag's first pseudonym draw repeats the first tag's
         init = _Words(0x11, 0xAA, 0x22, 0x33, 0xAA, 0xBB, 0x44)
         reader, tags = fresh_system(init, 8, n_tags=2)
-        assert [tag.words() for tag in tags] == [
+        assert [stored_words(tag) for tag in tags] == [
             (0x11, 0xAA, 0x22, 0xAA, 0x22), (0x33, 0xBB, 0x44, 0xBB, 0x44)]
-        assert {idt: entry.words() for idt, entry in reader.entries.items()} == {
+        assert {idt: stored_words(entry) for idt, entry in reader.entries.items()} == {
             0xAA: (0xAA, 0x22, 0x11), 0xBB: (0xBB, 0x44, 0x33)}
 
     @pytest.mark.parametrize("n_tags, message", [
@@ -422,14 +423,14 @@ class TestHonestSession:
     def test_replaced_event_records_both_payloads(self):
         reader, tags, rng = make_system()
         channel = Channel()
-        substitute = 2**128 - 1
-        channel.replace(0, MSG_B, substitute)
+        channel.flip(0, MSG_B, 1 << 127)
         t = run_honest_session(reader, tags[0], rng, channel=channel)
         event = next(e for e in t.events if e.label == MSG_B)
         assert event.disposition == "replaced"
         assert event.payload == t.b
-        assert event.replacement == substitute
-        assert event.line(128).endswith(f"replacement={'f' * 32}")
+        flipped = t.b ^ 1 << 127
+        assert event.replacement == flipped
+        assert event.line(128).endswith(f"replacement={to_hex(flipped, 128)}")
 
     def test_sync_invariant_over_many_sessions(self):
         reader, tags, rng = make_system(seed=3)
@@ -443,10 +444,10 @@ class TestHonestSession:
         reader, (tag,) = fresh_system(WordStream(width, 3), width)
         updated = next_pair(tag.current, nonce, width)
         reader.register(DatabaseEntry(idt=updated.idt, key=0x5555, id=0x7777))
-        entries = {idt: entry.words() for idt, entry in reader.entries.items()}
+        entries = {idt: stored_words(entry) for idt, entry in reader.entries.items()}
         t = run_honest_session(reader, tag, _FixedNonce(nonce))
         assert t.outcome is Outcome.READER_REJECTED_TAG
-        assert {idt: entry.words() for idt, entry in reader.entries.items()} == entries
+        assert {idt: stored_words(entry) for idt, entry in reader.entries.items()} == entries
         assert tag.current == updated  # the tag committed when it sent C
 
     def test_two_tags_share_one_reader(self):
@@ -549,9 +550,9 @@ class TestFusedAgainstReference:
 
             tag = TagState.fresh(id=1, pair=pair, width=width)
             wrong = b ^ (rng.next_below((1 << width) - 1) + 1)
-            before = tag.words()
+            before = stored_words(tag)
             assert tag.respond(False, a, wrong) is None
-            assert tag.words() == before
+            assert stored_words(tag) == before
 
             assert tag.respond(False, a, b) == compute_c(key, nonce, width)
             assert tag.current == next_pair(pair, nonce, width)
@@ -559,13 +560,13 @@ class TestFusedAgainstReference:
 
             # after the update, a wrong B through either pair leaves the
             # tag untouched
-            before = tag.words()
+            before = stored_words(tag)
             for use_previous in (False, True):
                 used_key = tag.pair(use_previous).key
                 b2 = compute_b(used_key, nonce, width)
                 delta = rng.next_below((1 << width) - 1) + 1
                 assert tag.respond(use_previous, used_key ^ nonce, b2 ^ delta) is None
-                assert tag.words() == before
+                assert stored_words(tag) == before
 
 
 class TestSessionAgainstClosureOracle:
@@ -574,13 +575,13 @@ class TestSessionAgainstClosureOracle:
 
     Each case runs four sessions on two identical systems, one through
     each loop, with rules drawn at random: none, no channel at all, or
-    block, replace and flip on IDT, A, B and C (sometimes two at once).
+    block and flip on IDT, A, B and C (sometimes two at once).
     Blocked and altered C leave the tag one step ahead, so later sessions
-    fall back to the previous pair; a replaced IDT or an unregistered
+    fall back to the previous pair; a flipped IDT or an unregistered
     tag fails identification.
     """
 
-    ACTIONS = ("block", "replace", "flip")
+    ACTIONS = ("block", "flip")
     LABELS = (MSG_IDT, MSG_A, MSG_B, MSG_C)
 
     @staticmethod
@@ -608,7 +609,7 @@ class TestSessionAgainstClosureOracle:
     def state(reader, tags):
         return (
             [(tag.current, tag.previous) for tag in tags],
-            {idt: entry.words() for idt, entry in reader.entries.items()},
+            {idt: stored_words(entry) for idt, entry in reader.entries.items()},
             reader.pending,
         )
 
@@ -637,7 +638,7 @@ class TestSessionAgainstClosureOracle:
                             if action == "block":
                                 channel.block(session, label)
                             else:
-                                getattr(channel, action)(session, label, word)
+                                channel.flip(session, label, word)
                     seen_rules.update((action, label) for action, label, _ in rules)
                 got = self.run(run_honest_session, new, tag_index, channels[0], session)
                 want = self.run(
