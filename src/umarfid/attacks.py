@@ -91,7 +91,7 @@ def attack_full_disclosure(bench: Bench) -> AttackReport:
     # Ground truth: the key the next session will use, straight from tag memory.
     true_key = bench.tag.current.key
     second = bench.run_honest()
-    if first.outcome is not Outcome.MUTUAL_SUCCESS or second.outcome is not Outcome.MUTUAL_SUCCESS:
+    if first.outcome != Outcome.MUTUAL_SUCCESS or second.outcome != Outcome.MUTUAL_SUCCESS:
         return AttackReport(attack="full-disclosure", success=False, detail="observation failed")
     recovered = recover_key(first.a, first.b, second.presented_idts[0])
     return AttackReport(
@@ -111,7 +111,7 @@ def attack_clone(bench: Bench) -> AttackReport:
     """
     first = bench.run_honest()
     second = bench.run_honest()
-    if first.outcome is not Outcome.MUTUAL_SUCCESS or second.outcome is not Outcome.MUTUAL_SUCCESS:
+    if first.outcome != Outcome.MUTUAL_SUCCESS or second.outcome != Outcome.MUTUAL_SUCCESS:
         return AttackReport(attack="clone", success=False, detail="observation failed")
 
     session_idt = second.presented_idts[0]
@@ -133,7 +133,7 @@ def attack_clone(bench: Bench) -> AttackReport:
     verification = bench.run_honest(tag=TagState.fresh(id=0, pair=cloned, width=bench.word_len))
     return AttackReport(
         attack="clone",
-        success=pair_matches and verification.outcome is Outcome.MUTUAL_SUCCESS,
+        success=pair_matches and verification.outcome == Outcome.MUTUAL_SUCCESS,
         recovered_key=key,
         recovered_nonce=nonce,
         cloned_pair=cloned,
@@ -153,7 +153,7 @@ def attack_desync_mitm(bench: Bench, followups: int = 3) -> AttackReport:
     pair remains and no follow-up session authenticates.
     """
     first = bench.run_honest()
-    if first.outcome is not Outcome.MUTUAL_SUCCESS:
+    if first.outcome != Outcome.MUTUAL_SUCCESS:
         return AttackReport(attack="desync-mitm", success=False, detail="observation failed")
 
     # Session under attack: tag broadcasts its pseudonym, reader answers,
@@ -197,7 +197,7 @@ def attack_desync_mitm(bench: Bench, followups: int = 3) -> AttackReport:
             tag_accepted
             and reader_accepted
             and not still_synchronized
-            and str(Outcome.MUTUAL_SUCCESS) not in outcomes
+            and Outcome.MUTUAL_SUCCESS not in outcomes
         ),
         recovered_key=key,
         recovered_nonce=genuine_nonce,
@@ -234,8 +234,11 @@ def random_weight2(rng: WordStream, width: int) -> int:
     return (1 << lo) | (1 << hi)
 
 
+C1_ROUND_CAP = 64  # bit-flip mask rounds; reached with chance < 1e-17 at L = 4, 8 and 128
+
+
 def attack_desync_bitflip(
-    bench: Bench, c1_round_cap: int = 64, followups: int = 3
+    bench: Bench, c1_round_cap: int = C1_ROUND_CAP, followups: int = 3
 ) -> AttackReport:
     """Desynchronize with weight-2 replay masks, no key knowledge needed.
 
@@ -246,10 +249,10 @@ def attack_desync_bitflip(
     order; when the tag answers, it has updated off its previous pair
     while the reader kept its state, and no shared pair remains. A round
     whose mask_a changes the nonce's weight (half of them) admits a mask_b
-    only by a coincidence that is rare at large widths, so about 2 rounds
-    are expected there, capped as a safety net. Exactly 11/10 rounds and
-    41/10 probes are expected at L=4, 1.7168 and 34.584 at L=8, where
-    coincidences are common (bitflip_cost, tests/oracle_bitflip.py).
+    only by a coincidence of rotations, rare at large widths. Rounds stop
+    at c1_round_cap. Expected: 11/10 rounds and 41/10 probes at L=4,
+    1.7168 and 34.584 at L=8, 2.000254 and 12194.57 at L=128 (exact
+    models in tests/oracle_bitflip.py).
 
     The tag evaluates each round's sweep once (TagState.respond_sweep),
     which tells the attacker only which probe of its order would have
@@ -259,7 +262,7 @@ def attack_desync_bitflip(
     """
     key_before = bench.tag.current.key  # ground truth snapshot
     captured = bench.run_honest()
-    if captured.outcome is not Outcome.MUTUAL_SUCCESS:
+    if captured.outcome != Outcome.MUTUAL_SUCCESS:
         return AttackReport(attack="desync-bitflip", success=False, detail="observation failed")
     nonce_truth = captured.a ^ key_before  # ground truth, attacker never sees it
 
@@ -315,7 +318,7 @@ def attack_desync_bitflip(
     outcomes = bench.followup_outcomes(followups)
     return AttackReport(
         attack="desync-bitflip",
-        success=not still_synchronized and str(Outcome.MUTUAL_SUCCESS) not in outcomes,
+        success=not still_synchronized and Outcome.MUTUAL_SUCCESS not in outcomes,
         c1_rounds=c1_rounds,
         c2_trials=c2_trials,
         a_mask=a_mask,

@@ -61,8 +61,6 @@ _FLAGS = {
                  help="adversary strategy (random-guess is the null baseline)")),
     "followups": ("--followups", dict(type=_at_least(_LOW["followups"]),
                   help="honest recovery attempts verified after a desync")),
-    "c1_round_cap": ("--c1-cap", dict(type=_at_least(_LOW["c1_round_cap"]), metavar="C1_CAP",
-                     help="bit-flip attack: cap on mask redraw rounds")),
 }
 
 

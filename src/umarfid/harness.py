@@ -37,7 +37,6 @@ class _TrialFields(NamedTuple):
     trials: int = 100
     seed: int = 0
     followups: int = 3  # honest recovery attempts after a desync
-    c1_round_cap: int = 64  # safety cap on bit-flip mask redraws
     execute_budget: int = 2  # game budgets
     send_budget: int = 1
     strategy: str = "distinguish"
@@ -52,7 +51,7 @@ class TrialConfig(_TrialFields):
 
     __slots__ = ()
     COUNTS = {  # count field -> its lowest value
-        "trials": 1, "followups": 0, "c1_round_cap": 1, "execute_budget": 0, "send_budget": 0}
+        "trials": 1, "followups": 0, "execute_budget": 0, "send_budget": 0}
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -110,22 +109,22 @@ def _session_trial(config: TrialConfig, trial: int) -> TrialResult:
 
     for _ in range(2):
         t = bench.run_honest()
-        checks += [t.outcome is Outcome.MUTUAL_SUCCESS, bench.synchronized(),
+        checks += [t.outcome == Outcome.MUTUAL_SUCCESS, bench.synchronized(),
                    t.transmissions() == 3]
 
     # Block the closing C: tag moves ahead, reader keeps the stale pair.
     channel = Channel()
     channel.block(bench.session, MSG_C)
     blocked = bench.run_honest(channel)
-    checks += [blocked.outcome is Outcome.BLOCKED, bench.synchronized()]  # previous pair matches
+    checks += [blocked.outcome == Outcome.BLOCKED, bench.synchronized()]  # previous pair matches
 
     # Next honest session must identify via the fallback and resync.
     recovery = bench.run_honest()
-    checks += [recovery.outcome is Outcome.MUTUAL_SUCCESS, len(recovery.presented_idts) == 2,
+    checks += [recovery.outcome == Outcome.MUTUAL_SUCCESS, len(recovery.presented_idts) == 2,
                bench.reader.entries.get(bench.tag.current.idt) is not None]
 
     final = bench.run_honest()
-    checks += [final.outcome is Outcome.MUTUAL_SUCCESS, len(final.presented_idts) == 1]
+    checks += [final.outcome == Outcome.MUTUAL_SUCCESS, len(final.presented_idts) == 1]
 
     bad = [i for i, ok in enumerate(checks) if not ok]
     return TrialResult("session", not bad, f"failed checks {bad}" if bad else "")
@@ -234,8 +233,8 @@ EXPERIMENTS = {
     "desync-bitflip": Experiment(
         ("attack", "desync-bitflip"), _ATTACK_HELP,
         lambda config, trial: attacks.attack_desync_bitflip(
-            _bench(config, trial), config.c1_round_cap, config.followups),
-        _ATTACKS, 200, ("followups", "c1_round_cap"), "attempts"),
+            _bench(config, trial), followups=config.followups),
+        _ATTACKS, 200, ("followups",), "attempts"),
     "identities": Experiment(
         ("verify-identities",), "check the XOR identities the attacks rely on",
         _identities_trial, _RESULTS, 10000),

@@ -31,7 +31,6 @@ desynchronization attack in this suite exploits.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
@@ -257,15 +256,14 @@ class ReaderState:
         self.pending = None
 
 
-class Outcome(str, Enum):
+class Outcome:
+    """How a session ended: the strings its records print."""
+
     MUTUAL_SUCCESS = "mutual-success"
     READER_REJECTED_TAG = "reader-rejected-tag"
     TAG_REJECTED_READER = "tag-rejected-reader"
     IDENTIFICATION_FAILED = "identification-failed"
     BLOCKED = "blocked"
-
-    def __str__(self) -> str:  # plain value in reports
-        return self.value
 
 
 DELIVERED = "delivered"
@@ -285,9 +283,6 @@ class ChannelEvent(NamedTuple):
     payload: int  # what the sender emitted
     disposition: str = DELIVERED
     replacement: int | None = None  # delivered payload when replaced
-
-    def delivered_payload(self) -> int | None:
-        return self.payload if self.disposition == DELIVERED else self.replacement
 
     def line(self, width: int) -> str:
         """Fixed-order structured-text record for transcript dumps."""
@@ -320,28 +315,25 @@ class Channel:
         """Alter the message in flight by XORing a mask into it."""
         self._rules.setdefault(session, {})[label] = (REPLACED, mask)
 
-    def intercept(self, t: "SessionTranscript", label: str, payload: int) -> int | None:
-        """Apply session t's rule for label to one transmission: record the
-        event in t.acted, return what arrives (None when blocked)."""
-        disposition, mask = self._rules[t.session][label]
-        event = ChannelEvent(t.session, _DIRECTION[label], label, payload, disposition,
-                             None if mask is None else payload ^ mask)
-        t.acted += (event,)
-        return event.delivered_payload()
+
+def _arrives(rule: tuple[str, int | None], payload: int) -> int | None:
+    """What a transmission under a channel rule delivers: None when blocked."""
+    return None if rule[1] is None else payload ^ rule[1]
 
 
 class SessionTranscript(_Record):
     """Everything observable on the radio during one session: the words
-    sent, and in `acted` the event of each transmission a channel rule
-    acted on. `events` rebuilds every transmission on first read."""
+    sent, a snapshot of the channel rules placed on the session (label ->
+    rule, None when it had none) and its outcome. `events` rebuilds every
+    transmission from the words and the rules on first read."""
 
-    _fields = ("session", "presented_idts", "a", "b", "c", "outcome", "acted")
+    _fields = ("session", "presented_idts", "a", "b", "c", "outcome", "rules")
 
     def __init__(self, session: int, presented_idts: list[int] | None = None,
                  a: int | None = None, b: int | None = None, c: int | None = None,
-                 outcome: Outcome = Outcome.BLOCKED, acted: tuple[ChannelEvent, ...] = ()):
+                 outcome: str = Outcome.BLOCKED, rules: dict | None = None):
         self.session, self.a, self.b, self.c = session, a, b, c
-        self.outcome, self.acted = outcome, acted
+        self.outcome, self.rules = outcome, rules
         self.presented_idts = [] if presented_idts is None else presented_idts
 
     @cached_property
@@ -352,13 +344,13 @@ class SessionTranscript(_Record):
             sent += [(MSG_A, self.a), (MSG_B, self.b)]
         if self.c is not None:
             sent.append((MSG_C, self.c))
-        # a rule acts on every transmission of its label, and the same
-        # payload meets the same rule, so (label, payload) finds the event
-        acted = {(e.label, e.payload): e for e in self.acted}
+        rules = self.rules or {}
         return [
-            acted.get(sent_word)
-            or ChannelEvent(self.session, _DIRECTION[sent_word[0]], *sent_word)
-            for sent_word in sent
+            ChannelEvent(self.session, _DIRECTION[label], label, payload)
+            if (rule := rules.get(label)) is None
+            else ChannelEvent(self.session, _DIRECTION[label], label, payload,
+                              rule[0], _arrives(rule, payload))
+            for label, payload in sent
         ]
 
     def transmissions(self) -> int:
@@ -386,17 +378,18 @@ def run_honest_session(
     desynchronization state. The optional channel may block or bit-flip
     any message; the transcript rebuilds every transmission on demand.
     """
-    t = SessionTranscript(session)
     # The one per-session look at the channel: a transmission without a rule
-    # costs nothing more. A rule's early return leaves the outcome BLOCKED.
+    # costs nothing more. The transcript copies the rules, so one placed later
+    # cannot rewrite it. A rule's early return leaves the outcome BLOCKED.
     rules = channel._rules.get(session) if channel is not None else None
+    t = SessionTranscript(session, rules=rules and dict(rules))
 
     # Identification: current pseudonym, then one retry with the previous.
     for use_previous in (False, True):
         idt = tag.previous.idt if use_previous else tag.current.idt
         t.presented_idts.append(idt)
         if rules and MSG_IDT in rules:
-            idt = channel.intercept(t, MSG_IDT, idt)
+            idt = _arrives(rules[MSG_IDT], idt)
             if idt is None:
                 return t
         challenge = reader.begin(idt, rng)
@@ -409,9 +402,9 @@ def run_honest_session(
     t.a, t.b = a, b = challenge
     if rules:
         if MSG_A in rules:
-            a = channel.intercept(t, MSG_A, a)
+            a = _arrives(rules[MSG_A], a)
         if MSG_B in rules:
-            b = channel.intercept(t, MSG_B, b)
+            b = _arrives(rules[MSG_B], b)
         if a is None or b is None:
             reader.abandon()
             return t
@@ -424,7 +417,7 @@ def run_honest_session(
     t.c = c
 
     if rules and MSG_C in rules:
-        c = channel.intercept(t, MSG_C, c)
+        c = _arrives(rules[MSG_C], c)
         if c is None:
             reader.abandon()
             return t
@@ -511,7 +504,7 @@ class Bench:
 
     def followup_outcomes(self, count: int) -> tuple[str, ...]:
         """Outcomes of `count` honest recovery attempts after an attack."""
-        return tuple(str(self.run_honest().outcome) for _ in range(count))
+        return tuple(self.run_honest().outcome for _ in range(count))
 
     def synchronized(self) -> bool:
         return synchronized(self.reader, self.tag)

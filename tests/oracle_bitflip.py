@@ -10,8 +10,11 @@ sweep rather than sharing its code.
 required_b_mask and bitflip_round_admits are the analysis side of one
 round, and bitflip_cost enumerates them over every (N, A-mask) pair into
 the exact distribution of a trial's c1_rounds and c2_trials.
+bitflip_weight_cost gives the same moments for large widths from a sum
+over the nonce's weight, with a bound on what that sum leaves out.
 """
 
+import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -48,7 +51,10 @@ def bitflip_round_admits(nonce: int, a_mask: int, width: int) -> bool:
     True exactly when the required mask has weight 2: always when mask_a
     flips one set and one clear nonce bit (probability exactly 1/2), else
     by a coincidence of rotations, common at small widths. Over all
-    (N, mask_a) pairs: 11/12 at L=4, 19/32 at L=8, 525/1024 at L=12.
+    (N, mask_a) pairs: 11/12 at L=4, 19/32 at L=8, 525/1024 at L=12. As
+    N is fixed for a trial, a trial expects E_N[1/p(N)] rounds, not the
+    inverse of these: 11/10 at L=4, 1.7168 at L=8, 2.000254 at L=128
+    (bitflip_cost, bitflip_weight_cost).
     """
     return required_b_mask(nonce, a_mask, width).bit_count() == 2
 
@@ -99,6 +105,50 @@ def bitflip_cost(width: int) -> BitflipCost:
         Fraction(admitted, n * space), min_p,
         k1 / n, k2 / n - (k1 / n) ** 2, c1 / n, c2 / n - (c1 / n) ** 2,
     )
+
+
+def bitflip_weight_cost(width: int, cap: int = 64) -> tuple[BitflipCost, float]:
+    """Exact moments of the weight-class model, and the share it ignores.
+
+    For widths too large to enumerate; R_k(x) is x rotated left by k bits.
+    An A-mask that flips one set and one clear bit of N keeps its weight
+    w, so the required B-mask is R_w(a_mask), always of weight 2. Such
+    masks are a share p(w) = w(L - w)/C(L, 2) of all. Over the nonces of
+    weight w such a mask is, by symmetry, a uniform pair of bits, and a
+    fixed rotation keeps it one, so the answered probe y is uniform on
+    1..C(L, 2). So the moments are those of bitflip_cost, summed over
+    w ~ Binomial(L, 1/2) for 0 < w < L.
+
+    An A-mask that moves the weight by 2 leaves a B-mask of the weight of
+    N xor R_2(N) xor R_2(a_mask), which is 2 only when N xor R_2(N) has
+    weight at most 4. The model ignores these rotation coincidences: at
+    most 4(1 + C(L, 2) + C(L, 4)) nonces, w = 0 and w = L among them, as
+    N -> N xor R_2(N) is linear with a kernel of 4 words. It also ignores
+    the round cap, reached with chance sum_w P(w)(1 - p(w))^cap. The
+    second value is the sum of the two shares. A trial averages at most
+    max(cap, L/2) rounds, in truth and in the model, so the means are off
+    by at most that share times max(cap, L/2) rounds, and times C(L, 2)
+    probes.
+    """
+    space = width * (width - 1) // 2
+    ignored = Fraction(4 * (1 + space + math.comb(width, 4)), 2**width)
+    mean_y = Fraction(space + 1, 2)
+    mean_y2 = Fraction((space + 1) * (2 * space + 1), 6)
+    admission = k1 = k2 = c1 = c2 = Fraction(0)
+    for w in range(1, width):
+        share = Fraction(math.comb(width, w), 2**width)
+        p = Fraction(w * (width - w), space)
+        mean_k, mean_k2 = 1 / p, (2 - p) / p**2
+        admission += share * p
+        ignored += share * (1 - p) ** cap
+        k1 += share * mean_k
+        k2 += share * mean_k2
+        c1 += share * (space * (mean_k - 1) + mean_y)
+        c2 += share * (space**2 * (mean_k2 - 2 * mean_k + 1)
+                       + 2 * space * (mean_k - 1) * mean_y + mean_y2)
+    # p(w) is smallest at w = 1 and w = L - 1
+    cost = BitflipCost(admission, Fraction(width - 1, space), k1, k2 - k1**2, c1, c2 - c1**2)
+    return cost, float(ignored)
 
 
 def literal_desync_bitflip(bench, c1_round_cap=64, followups=3) -> AttackReport:

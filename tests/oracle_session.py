@@ -82,7 +82,7 @@ def run_honest_session(reader, tag, rng, channel=None, session=0) -> OracleTrans
         else:
             event = channel.apply(session, label, payload)
         t.events.append(event)
-        return event.delivered_payload()
+        return event.payload if event.disposition == DELIVERED else event.replacement
 
     # Identification: current pseudonym, then one retry with the previous.
     for use_previous in (False, True):

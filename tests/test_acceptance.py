@@ -9,7 +9,8 @@ must not be loosened:
   3. cloning 1000/1000 with the challenge cross-check passing
   4. MITM desync 1000/1000, irreversible across 3 follow-up sessions
   5. bit-flip desync: admission rate 0.50 +/- 0.02 over 10^4 rounds
-     (exactly 11/12 at 4 bits, 19/32 at 8), search space C(L,2), 200/200 at 16 bits and 200/200 at 128 bits
+     (exactly 11/12 at 4 bits, 19/32 at 8, 525/1024 at 12), search space
+     C(L,2), 200/200 at 16 bits and 200/200 at 128 bits
      with the rotation closed form, rejected probes side-effect free
   6. XOR identities: 10^5 random words at 128 bits, exhaustive at 8
      bits, word ops equal the naive per-bit oracle exhaustively at 8
@@ -158,8 +159,9 @@ def test_criterion_5_desync_bitflip():
 
     # (a) at small widths rotations coincide often: the exact rate over
     # every (nonce, mask) pair is well above one half
-    small = {width: bitflip_cost(width).admission for width in (4, 8)}
-    part_a = part_a and small == {4: Fraction(11, 12), 8: Fraction(19, 32)}
+    small = {width: bitflip_cost(width).admission for width in (4, 8, 12)}
+    part_a = part_a and small == {
+        4: Fraction(11, 12), 8: Fraction(19, 32), 12: Fraction(525, 1024)}
 
     # (a) cross-check at 16 bits: the algebraic predicate agrees with a
     # full enumeration against a live tag
@@ -254,7 +256,7 @@ def test_criterion_5_desync_bitflip():
         "criterion-5 desync-bitflip",
         part_a and part_b and part_c and part_d,
         f"admission={fraction:.4f} (target 0.50+/-0.02; exactly {small[4]} at L=4, "
-        f"{small[8]} at L=8), spaces 8128/120, "
+        f"{small[8]} at L=8, {small[12]} at L=12), spaces 8128/120, "
         f"{attack_stats.successes}/200 attacks at L=16 closed_form={closed_form} "
         f"off-weight collisions={collisions}, "
         f"{wide_stats.successes}/200 attacks at L=128 closed_form={wide_closed_form} "

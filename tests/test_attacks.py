@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracle_bitflip import (
     bitflip_cost,
     bitflip_round_admits,
+    bitflip_weight_cost,
     literal_desync_bitflip,
     required_b_mask,
     weight2_words,
@@ -431,9 +432,37 @@ class TestBitflipCost:
         assert cost.min_admission > 0
         assert (1 - cost.min_admission) ** 64 < 1e-17
 
-    @pytest.mark.parametrize("width, trials", [(4, 1000), (8, 3000)])
+    @pytest.mark.parametrize("width", [8, 12])
+    def test_weight_class_model_premise(self, width):
+        # over every (N, A-mask) pair: a mask that keeps the nonce's weight w
+        # is answered at the mask rotated left by w, and any other mask is
+        # answered only for a nonce of the set bitflip_weight_cost ignores
+        def rotl(x, k):
+            k %= width
+            return ((x << k) | (x >> (width - k))) & ((1 << width) - 1)
+
+        ignored = {n for n in range(1 << width) if (n ^ rotl(n, 2)).bit_count() <= 4}
+        assert len(ignored) <= 4 * (1 + math.comb(width, 2) + math.comb(width, 4))
+        for nonce in range(1 << width):
+            w = nonce.bit_count()
+            for a_mask in weight2_words(width):
+                required = required_b_mask(nonce, a_mask, width)
+                if (nonce ^ a_mask).bit_count() == w:
+                    assert required == rotl(a_mask, w)
+                elif required.bit_count() == 2:
+                    assert nonce in ignored
+
+    def test_weight_class_means_at_128(self):
+        cost, ignored = bitflip_weight_cost(128)
+        assert cost.admission == Fraction(1, 2)
+        assert cost.c1_mean == pytest.approx(2.000254, abs=1e-6)
+        assert cost.c2_mean == pytest.approx(12194.57, abs=1e-2)
+        # what the model leaves out moves neither mean by 1e-12
+        assert ignored * 64 * weight2_count(128) < 1e-12
+
+    @pytest.mark.parametrize("width, trials", [(4, 1000), (8, 3000), (128, 2000)])
     def test_run_lies_in_the_exact_interval(self, width, trials):
-        cost = bitflip_cost(width)
+        cost = bitflip_cost(width) if width <= 8 else bitflip_weight_cost(width)[0]
         reports, stats = run_trials(
             TrialConfig("desync-bitflip", word_len=width, trials=trials, seed=0))
         z = NormalDist().inv_cdf(0.9995)  # two-sided 99.9%

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umarfid import harness
-from umarfid.attacks import AttackReport
+from umarfid.attacks import AttackReport, attack_desync_bitflip
 from umarfid.cli import build_parser, config_from_args, main
 from umarfid.harness import (
     EXPERIMENTS,
@@ -33,6 +33,8 @@ from umarfid.harness import (
     summary_text,
     trial_ranges,
 )
+from umarfid.protocol import Bench
+from umarfid.word import derive_seed
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,12 +101,11 @@ class TestRunTrials:
 
     @pytest.mark.parametrize(
         "field, low",
-        [("trials", 1), ("followups", 0), ("c1_round_cap", 1),
-         ("execute_budget", 0), ("send_budget", 0)],
+        [("trials", 1), ("followups", 0), ("execute_budget", 0), ("send_budget", 0)],
     )
     def test_counts_below_their_floor_rejected(self, field, low):
         # followups=-1 would run no follow-up and still claim the desync
-        # cannot be undone; c1_round_cap=0 would fail every bit-flip trial
+        # cannot be undone
         for bad in (low - 1, -5):
             with pytest.raises(ValueError, match=f"^{field} must be >= {low}, got {bad}$"):
                 TrialConfig(experiment="desync-mitm", **{field: bad})
@@ -238,12 +239,11 @@ class TestConfigConstruction:
     @pytest.mark.parametrize("field, bad, message", WIDTH_ERRORS + SHARED_ERRORS + [
         ("trials", 0, "trials must be >= 1, got 0"),
         ("followups", -1, "followups must be >= 0, got -1"),
-        ("c1_round_cap", 0, "c1_round_cap must be >= 1, got 0"),
         # a float count once built a config that failed later, in trial_ranges
         ("trials", 2.5, "trials must be an int, got 2.5"),
         ("trials", True, "trials must be an int, got True"),
         ("followups", "3", "followups must be an int, got '3'"),
-        ("c1_round_cap", None, "c1_round_cap must be an int, got None"),
+        ("followups", None, "followups must be an int, got None"),
         ("experiment", "nope", f"unknown experiment 'nope'; choose from {sorted(EXPERIMENTS)}"),
         ("strategy", "nope", f"unknown strategy 'nope'; choose from {sorted(harness.STRATEGIES)}"),
     ])
@@ -439,8 +439,12 @@ class TestSummarize:
 
     def test_zero_success_run(self):
         # one mask round fails about half of the bit-flip trials, honestly;
-        # the summary of ten such failures (a round cap of 0 is refused)
-        reports, _ = run("desync-bitflip", trials=40, word_len=16, c1_round_cap=1)
+        # the summary of ten such failures
+        reports = [
+            attack_desync_bitflip(
+                Bench(16, derive_seed(0, "desync-bitflip", trial)), c1_round_cap=1)
+            for trial in range(40)
+        ]
         failed = [r for r in reports if not r.success][:10]
         assert len(failed) == 10
         stats = summarize("desync-bitflip", failed)
@@ -613,15 +617,13 @@ class TestCli:
         assert main(["attack", "full-disclosure", "--trials", "10"]) == 0
 
     def test_failing_run_exits_one(self, capsys):
-        # a one-round cap fails every bit-flip trial whose single mask
-        # round admits no B-mask (about half of them), honestly
-        code = main([
-            "attack", "desync-bitflip", "--bits", "16",
-            "--trials", "3", "--c1-cap", "1",
-        ])
+        # at 4 bits seed-0 trial 3 is desynchronized, but its first
+        # follow-up authenticates by a small-width coincidence, honestly
+        code = main(["attack", "desync-bitflip", "--bits", "4", "--trials", "4"])
         assert code == 1
         out = capsys.readouterr().out
-        assert "no accepting mask within 1 rounds" in out
+        assert "trial=3 attack=desync-bitflip success=False" in out
+        assert "followups=mutual-success;" in out
 
     def test_verify_identities(self, capsys):
         assert main(["verify-identities", "--trials", "50"]) == 0
@@ -727,10 +729,7 @@ class TestCli:
 
     @pytest.mark.parametrize("attack, flag", [
         ("full-disclosure", "--followups"),
-        ("full-disclosure", "--c1-cap"),
         ("clone", "--followups"),
-        ("clone", "--c1-cap"),
-        ("desync-mitm", "--c1-cap"),
     ])
     def test_flag_the_attack_does_not_read_is_refused(self, tmp_path, capsys, attack, flag):
         # the attack subcommand offers every attack's flags; one that the
@@ -741,6 +740,18 @@ class TestCli:
             main(["attack", attack, flag, "5", "--trials", "3", "--out", str(path)])
         assert err.value.code == 2
         assert capsys.readouterr().err == f"error: argument {flag}: not read by {attack}\n"
+        assert path.read_bytes() == b"earlier run\r\nkept\n"
+
+    @pytest.mark.parametrize("command", [
+        ["session"], ["game"], ["attack", "desync-bitflip"], ["verify-identities"]])
+    def test_no_subcommand_offers_a_round_cap(self, tmp_path, capsys, command):
+        # the bit-flip round cap is the constant attacks.C1_ROUND_CAP
+        path = tmp_path / "records.txt"
+        path.write_bytes(b"earlier run\r\nkept\n")
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--c1-cap", "5", "--out", str(path)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --c1-cap 5" in capsys.readouterr().err
         assert path.read_bytes() == b"earlier run\r\nkept\n"
 
     @pytest.mark.parametrize("argv, config", [
@@ -760,8 +771,6 @@ class TestCli:
             (["session", "--trials", "0"], "--trials"),
             (["session", "--workers", "0"], "--workers"),
             (["session", "--workers", "-3"], "--workers"),
-            (["attack", "desync-bitflip", "--c1-cap", "0"], "--c1-cap"),
-            (["attack", "desync-bitflip", "--c1-cap", "-1"], "--c1-cap"),
             (["attack", "desync-mitm", "--followups", "-1"], "--followups"),
             (["game", "--executes", "-1"], "--executes"),
             (["game", "--sends", "-1"], "--sends"),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracle_bits as oracle
 import oracle_session
+import umarfid
 from state_words import stored_words
 from umarfid.adversary import GameEnvironment
 from umarfid.harness import TrialConfig
@@ -168,7 +169,13 @@ class TestRecords:
             event.payload = 6
         assert tuple(pair) == (1, 2)
         assert event.disposition == "delivered" and event.replacement is None
-        assert event.delivered_payload() == 5
+
+    def test_outcomes_are_the_strings_records_print(self):
+        outcomes = {value for name, value in vars(umarfid.Outcome).items() if name.isupper()}
+        assert outcomes == {"mutual-success", "reader-rejected-tag", "tag-rejected-reader",
+                            "identification-failed", "blocked"}
+        assert all(type(outcome) is str for outcome in outcomes)
+        assert umarfid.Outcome.MUTUAL_SUCCESS == "mutual-success"
 
 
 class TestReader:
@@ -432,6 +439,27 @@ class TestHonestSession:
         assert event.replacement == flipped
         assert event.line(128).endswith(f"replacement={to_hex(flipped, 128)}")
 
+    @pytest.mark.parametrize("rule_during_run", [True, False])
+    def test_rule_placed_after_the_run_leaves_the_transcript(self, rule_during_run):
+        # events are built on first read, so neither transcript is read
+        # before the later rules are placed
+        def session():
+            reader, tags, rng = make_system()
+            channel = Channel()
+            if rule_during_run:
+                channel.flip(0, MSG_B, 1 << 5)
+            return run_honest_session(reader, tags[0], rng, channel=channel), channel
+
+        later, channel = session()
+        channel.block(0, MSG_B)
+        channel.flip(0, MSG_IDT, 1)
+        unchanged, _ = session()
+        assert later.events == unchanged.events
+        assert later.lines(128) == unchanged.lines(128)
+        # a flipped B is rejected by the tag, so no C follows it
+        expected = ["delivered", "delivered", "replaced"] if rule_during_run else ["delivered"] * 4
+        assert [e.disposition for e in later.events] == expected
+
     def test_sync_invariant_over_many_sessions(self):
         reader, tags, rng = make_system(seed=3)
         for i in range(200):
@@ -656,6 +684,8 @@ class TestSessionAgainstClosureOracle:
                 fallbacks += (
                     len(got.presented_idts) == 2 and got.outcome is Outcome.MUTUAL_SUCCESS)
         assert cases >= 1000
-        assert seen_outcomes == set(Outcome)
+        assert seen_outcomes == {
+            Outcome.MUTUAL_SUCCESS, Outcome.READER_REJECTED_TAG, Outcome.TAG_REJECTED_READER,
+            Outcome.IDENTIFICATION_FAILED, Outcome.BLOCKED}
         assert seen_rules == {(a, label) for a in self.ACTIONS for label in self.LABELS}
         assert fallbacks > 0

@@ -205,3 +205,20 @@ def test_readme_command_lines_parse():
     assert len(lines) >= 9  # the block was found
     for argv in lines:
         cli.config_from_args(cli.build_parser().parse_args(argv))
+
+
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def test_readme_names_only_options_of_the_cli():
+    # every --flag README names, in its prose too, is an option of some
+    # umarfid subcommand: a flag removed from the CLI must not stay documented
+    helps = []
+    for words in {experiment.words for experiment in harness.EXPERIMENTS.values()}:
+        with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit):
+            cli.build_parser().parse_args([*words, "--help"])
+        helps.append(out.getvalue())
+    options = set(FLAG.findall("".join(helps)))
+    named = set(FLAG.findall(README.read_text()))
+    assert {"--out", "--followups", "--executes"} <= named & options  # both were read
+    assert not named - options, f"README names {sorted(named - options)}"
