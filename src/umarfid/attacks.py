@@ -23,6 +23,7 @@ simulator state the attacker could not see.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .adversary import GameEnvironment
@@ -260,37 +261,29 @@ def attack_desync_bitflip(
     probes the literal sweep sends: up to and including the answered
     one, or all C(L, 2) of a round without an answer.
     """
-    key_before = bench.tag.current.key  # ground truth snapshot
     captured = bench.run_honest()
     if captured.outcome != Outcome.MUTUAL_SUCCESS:
         return AttackReport(attack="desync-bitflip", success=False, detail="observation failed")
-    nonce_truth = captured.a ^ key_before  # ground truth, attacker never sees it
+
+    # Rogue-reader dance: refuse the current pseudonym so the tag falls back to
+    # the pair the capture used, under its last pseudonym. A rejected sweep keeps
+    # that pair, so one look covers every round; a miss costs the first probe.
+    tag = bench.tag
+    if tag.present(use_previous=True) != captured.presented_idts[-1]:
+        return AttackReport(attack="desync-bitflip", success=False, c1_rounds=1, c2_trials=1,
+                            detail="tag no longer holds the captured pair")
+    nonce_truth = captured.a ^ tag.previous.key  # ground truth, attacker never sees it
 
     width = bench.word_len
     space = weight2_count(width)
-    tag = bench.tag
+    index_of = functools.partial(weight2_index, width=width)
     c1_rounds = 0
     c2_trials = 0
     b_mask: int | None = None  # the answered B-mask, once a round has one
 
-    def index_of(mask: int) -> int | None:
-        return weight2_index(mask, width)
-
     while b_mask is None and c1_rounds < c1_round_cap:
         c1_rounds += 1
         a_mask = random_weight2(bench.adv_rng, width)
-        # Rogue-reader dance: refuse the current pseudonym so the tag
-        # falls back to the pair the captured session used.
-        tag.present()
-        replayed = tag.present(use_previous=True)
-        if replayed != captured.presented_idts[0]:
-            return AttackReport(
-                attack="desync-bitflip",
-                success=False,
-                c1_rounds=c1_rounds,
-                c2_trials=c2_trials + 1,  # the probe that found out
-                detail="tag no longer holds the captured pair",
-            )
         state_before = (tag.current, tag.previous)
         hit = tag.respond_sweep(True, captured.a ^ a_mask, captured.b, index_of)
         if hit is None:

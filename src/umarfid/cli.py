@@ -39,8 +39,8 @@ def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
                         metavar="L", help=f"word length in bits (default {_DEFAULT['word_len']})")
     parser.add_argument("--trials", type=_at_least(_LOW["trials"]), default=trials, metavar="N",
                         help=f"number of trials (default {trials})")
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="S",
-                        help="base seed; every trial derives its own stream")
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="S", help=(
+        f"base seed; every trial derives its own stream (default {_DEFAULT['seed']})"))
     parser.add_argument("--format", choices=FORMATS,
                         default="text", help="record output format")
     parser.add_argument("--out", metavar="PATH",
@@ -56,11 +56,11 @@ _FLAGS = {
         help=f"eavesdrop query budget per game (default {_DEFAULT['execute_budget']})")),
     "send_budget": ("--sends", dict(
         type=_at_least(_LOW["send_budget"]), metavar="SENDS",
-        help=f"block/alter query budget per game (default {_DEFAULT['send_budget']})")),
-    "strategy": ("--strategy", dict(choices=sorted(STRATEGIES),
-                 help="adversary strategy (random-guess is the null baseline)")),
-    "followups": ("--followups", dict(type=_at_least(_LOW["followups"]),
-                  help="honest recovery attempts verified after a desync")),
+        help=f"block query budget per game (default {_DEFAULT['send_budget']})")),
+    "strategy": ("--strategy", dict(choices=sorted(STRATEGIES), help=(
+        f"adversary strategy, random-guess the null baseline (default {_DEFAULT['strategy']})"))),
+    "followups": ("--followups", dict(type=_at_least(_LOW["followups"]), help=(
+        f"honest recovery attempts verified after a desync (default {_DEFAULT['followups']})"))),
 }
 
 

@@ -76,22 +76,18 @@ def next_pair(used: PairState, nonce: int, width: int = DEFAULT_WORD_LEN) -> Pai
     )
 
 
-def _session_words(key: int, nonce: int, width: int, received_b: int | None = None):
+def _session_words(key: int, nonce: int, width: int) -> tuple[int, int, PairState]:
     """(B, C, updated pair) from one rot(K, K) and one rot(N, N).
 
     compute_b, compute_c and next_pair fused for reader and tag, with both
-    rotations written out as in word.rot. Given the B a tag received,
-    returns None on a mismatch before building C.
+    rotations written out as in word.rot.
     """
     mask = (1 << width) - 1
     n = key.bit_count() % width
     rk = ((key << n) | (key >> (width - n))) & mask
     n = nonce.bit_count() % width
     rn = ((nonce << n) | (nonce >> (width - n))) & mask
-    b = rk ^ rn
-    if received_b is not None and received_b != b:
-        return None
-    return b, (key | rn) ^ (rk & nonce), PairState(key ^ rn, rk ^ nonce)
+    return rk ^ rn, (key | rn) ^ (rk & nonce), PairState(key ^ rn, rk ^ nonce)
 
 
 class _Record:
@@ -133,25 +129,19 @@ class TagState(_Record):
         """Pseudonym broadcast during identification. No state change."""
         return self.previous.idt if use_previous else self.current.idt
 
-    def pair(self, use_previous: bool) -> PairState:
-        return self.previous if use_previous else self.current
-
     def respond(self, use_previous: bool, a: int, b: int) -> int | None:
         """Verify the reader's challenge and answer with C, or stay silent.
 
-        Recovers N' = a xor K from the selected pair, recomputes B and
-        compares with the received b. On a match the tag sends C and
-        immediately commits its update: the used pair becomes previous,
-        next_pair(used, N') becomes current. On a mismatch it returns
-        None and keeps its state bit-identical.
+        Recovers N' = a xor K from the selected pair and builds B, C and
+        next_pair(used, N') in one _session_words call. If B is the received
+        b, the tag sends C and commits at once: the used pair becomes
+        previous, the next one current. Else it returns None, state unchanged.
         """
-        # pair() inlined: one call fewer on the reject path
         used = self.previous if use_previous else self.current
-        words = _session_words(used.key, a ^ used.key, self.width, b)
-        if words is None:
+        expected, c, updated = _session_words(used.key, a ^ used.key, self.width)
+        if b != expected:
             return None
-        _, c, self.current = words
-        self.previous = used
+        self.current, self.previous = updated, used
         return c
 
     def respond_sweep(
@@ -170,7 +160,7 @@ class TagState(_Record):
         that reveals nothing new. On a miss it returns None and keeps its
         state bit-identical.
         """
-        used = self.pair(use_previous)
+        used = self.previous if use_previous else self.current
         expected = compute_b(used.key, a ^ used.key, self.width)
         index = index_of(expected ^ b)
         if index is None:

@@ -152,14 +152,13 @@ def bitflip_weight_cost(width: int, cap: int = 64) -> tuple[BitflipCost, float]:
 
 
 def literal_desync_bitflip(bench, c1_round_cap=64, followups=3) -> AttackReport:
-    key_before = bench.tag.current.key  # ground truth snapshot
     captured = bench.run_honest()
-    if captured.outcome is not Outcome.MUTUAL_SUCCESS:
+    if captured.outcome != Outcome.MUTUAL_SUCCESS:
         return AttackReport(attack="desync-bitflip", success=False, detail="observation failed")
-    nonce_truth = captured.a ^ key_before
+    tag = bench.tag
+    nonce_truth = captured.a ^ tag.previous.key  # the pair the capture used
 
     width = bench.word_len
-    tag = bench.tag
     c1_rounds = 0
     c2_trials = 0
     accepted = None
@@ -172,7 +171,7 @@ def literal_desync_bitflip(bench, c1_round_cap=64, followups=3) -> AttackReport:
             c2_trials += 1
             tag.present()
             replayed = tag.present(use_previous=True)
-            if replayed != captured.presented_idts[0]:
+            if replayed != captured.presented_idts[-1]:
                 return AttackReport(
                     attack="desync-bitflip",
                     success=False,

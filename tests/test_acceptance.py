@@ -328,7 +328,7 @@ def test_criterion_7_protocol_soundness():
     sync_failures = 0
     for _ in range(10_000):
         t = bench.run_honest()
-        if t.outcome is not Outcome.MUTUAL_SUCCESS or not bench.synchronized():
+        if t.outcome != Outcome.MUTUAL_SUCCESS or not bench.synchronized():
             sync_failures += 1
     honest_ok = sync_failures == 0
 
@@ -341,8 +341,8 @@ def test_criterion_7_protocol_soundness():
         blocked = bench.run_honest(channel)
         recovery = bench.run_honest()
         if not (
-            blocked.outcome is Outcome.BLOCKED
-            and recovery.outcome is Outcome.MUTUAL_SUCCESS
+            blocked.outcome == Outcome.BLOCKED
+            and recovery.outcome == Outcome.MUTUAL_SUCCESS
             and len(recovery.presented_idts) == 2
             and bench.synchronized()
         ):

@@ -35,7 +35,7 @@ class TestQueries:
     def test_execute_returns_full_transcript(self):
         env = make_env()
         t = env.execute(0)
-        assert t.outcome is Outcome.MUTUAL_SUCCESS
+        assert t.outcome == Outcome.MUTUAL_SUCCESS
         assert len(t.events) == 4
         assert [e.label for e in t.events] == ["IDT", "A", "B", "C"]
 
@@ -63,7 +63,7 @@ class TestQueries:
         env = make_env()
         env.send(env.session, MSG_C)
         t = env.execute(0)
-        assert t.outcome is Outcome.BLOCKED
+        assert t.outcome == Outcome.BLOCKED
         tag = env.tags[0]
         assert not env.reader.knows(tag.current.idt)
         assert env.reader.knows(tag.previous.idt)

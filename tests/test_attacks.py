@@ -31,6 +31,8 @@ from umarfid.attacks import (
 )
 from umarfid.harness import TrialConfig, render_records, run_trials
 from umarfid.protocol import (
+    MSG_C,
+    Channel,
     Outcome,
     PairState,
     TagState,
@@ -347,6 +349,15 @@ def _stale_capture(bench):
     return bench
 
 
+def _after_blocked_c(bench):
+    """One honest session whose C is blocked: the tag moves on, the reader
+    does not, so the next session authenticates under the previous pseudonym."""
+    channel = Channel()
+    channel.block(bench.session, MSG_C)
+    bench.run_honest(channel)
+    return bench
+
+
 class TestBitflipAgainstLiteralOracle:
     """The one-evaluation sweep reproduces the per-mask probe loop."""
 
@@ -376,6 +387,19 @@ class TestBitflipAgainstLiteralOracle:
         assert attack_record(sweep, 0, 16) == attack_record(literal, 0, 16)
         assert sweep.detail == "tag no longer holds the captured pair"
         assert (sweep.c1_rounds, sweep.c2_trials) == (1, 1)
+
+    @pytest.mark.parametrize("width, seeds", [(16, 40), (128, 3)])
+    def test_capture_that_needed_the_fallback(self, width, seeds):
+        # the captured session authenticated under the tag's previous
+        # pseudonym, the last one it presented, and that pair's key
+        for seed in range(seeds):
+            bench = _after_blocked_c(Bench(width, seed))
+            assert bench.run_honest().presented_idts[1:]  # the fallback is exercised
+            sweep = attack_desync_bitflip(_after_blocked_c(Bench(width, seed)))
+            literal = literal_desync_bitflip(_after_blocked_c(Bench(width, seed)))
+            assert attack_record(sweep, seed, width) == attack_record(literal, seed, width)
+            assert sweep.success, sweep.detail
+            assert sweep.hw_matched
 
 
 class TestBitflipExhaustive:

@@ -279,7 +279,7 @@ class TestHonestSession:
     def test_mutual_success(self):
         reader, tags, rng = make_system()
         t = run_honest_session(reader, tags[0], rng)
-        assert t.outcome is Outcome.MUTUAL_SUCCESS
+        assert t.outcome == Outcome.MUTUAL_SUCCESS
         assert synchronized(reader, tags[0])
         entry = reader.entries[tags[0].current.idt]
         assert entry.key == tags[0].current.key
@@ -307,8 +307,8 @@ class TestHonestSession:
                 channel.block(session, MSG_C)
             pairs = (tag.current, tag.previous)
             t = run_honest_session(reader, tag, rng, channel=channel, session=session)
-            if t.outcome is not Outcome.MUTUAL_SUCCESS:
-                assert t.outcome is Outcome.BLOCKED
+            if t.outcome != Outcome.MUTUAL_SUCCESS:
+                assert t.outcome == Outcome.BLOCKED
                 continue
             key = pairs[len(t.presented_idts) - 1].key
             assert t.b ^ tag.current.idt == rot(key, key, 128) ^ key
@@ -343,7 +343,7 @@ class TestHonestSession:
         for _ in range(50):
             key = tags[0].current.key
             t = run_honest_session(reader, tags[0], rng)
-            assert t.outcome is Outcome.MUTUAL_SUCCESS
+            assert t.outcome == Outcome.MUTUAL_SUCCESS
             assert t.b ^ tags[0].current.idt == rot(key, key, 128) ^ key
 
     def test_unregistered_tag_fails_identification(self):
@@ -351,7 +351,7 @@ class TestHonestSession:
         ones = 2**128 - 1
         stray = TagState.fresh(id=0, pair=PairState(idt=ones, key=ones), width=128)
         t = run_honest_session(reader, stray, rng)
-        assert t.outcome is Outcome.IDENTIFICATION_FAILED
+        assert t.outcome == Outcome.IDENTIFICATION_FAILED
         assert len(t.presented_idts) == 2
         assert t.a is None and t.b is None and t.c is None
 
@@ -363,7 +363,7 @@ class TestHonestSession:
         run_honest_session(reader, tag, rng, session=0)
 
         blocked = run_honest_session(reader, tag, rng, channel=channel, session=1)
-        assert blocked.outcome is Outcome.BLOCKED
+        assert blocked.outcome == Outcome.BLOCKED
         assert blocked.events[-1].disposition == "blocked"
         assert blocked.events[-1].payload == blocked.c  # still broadcast
         # tag moved ahead, reader kept the stale pair
@@ -371,7 +371,7 @@ class TestHonestSession:
         assert reader.knows(tag.previous.idt)
 
         recovery = run_honest_session(reader, tag, rng, session=2)
-        assert recovery.outcome is Outcome.MUTUAL_SUCCESS
+        assert recovery.outcome == Outcome.MUTUAL_SUCCESS
         assert len(recovery.presented_idts) == 2
         assert recovery.presented_idts[1] == recovery.events[1].payload
         assert synchronized(reader, tag)
@@ -385,7 +385,7 @@ class TestHonestSession:
         channel = Channel()
         channel.block(0, MSG_IDT)
         t = run_honest_session(reader, tag, rng, channel=channel)
-        assert t.outcome is Outcome.BLOCKED
+        assert t.outcome == Outcome.BLOCKED
         assert (tag.current, tag.previous) == snapshot
         assert reader.knows(entry_idt)
         assert reader.pending is None
@@ -398,7 +398,7 @@ class TestHonestSession:
         channel = Channel()
         channel.block(0, label)
         t = run_honest_session(reader, tag, rng, channel=channel)
-        assert t.outcome is Outcome.BLOCKED
+        assert t.outcome == Outcome.BLOCKED
         assert (tag.current, tag.previous) == snapshot
         assert reader.pending is None
 
@@ -409,7 +409,7 @@ class TestHonestSession:
         channel = Channel()
         channel.flip(0, MSG_B, 1 << 17)
         t = run_honest_session(reader, tag, rng, channel=channel)
-        assert t.outcome is Outcome.TAG_REJECTED_READER
+        assert t.outcome == Outcome.TAG_REJECTED_READER
         assert (tag.current, tag.previous) == snapshot
         assert reader.knows(tag.current.idt)  # reader entry untouched
 
@@ -420,12 +420,12 @@ class TestHonestSession:
         channel = Channel()
         channel.flip(0, MSG_C, 1 << 99)
         t = run_honest_session(reader, tag, rng, channel=channel)
-        assert t.outcome is Outcome.READER_REJECTED_TAG
+        assert t.outcome == Outcome.READER_REJECTED_TAG
         # tag updated on send, reader refused: recoverable one-step skew
         assert reader.knows(old_idt)
         assert tag.previous.idt == old_idt
         follow = run_honest_session(reader, tag, rng, session=1)
-        assert follow.outcome is Outcome.MUTUAL_SUCCESS
+        assert follow.outcome == Outcome.MUTUAL_SUCCESS
 
     def test_replaced_event_records_both_payloads(self):
         reader, tags, rng = make_system()
@@ -464,7 +464,7 @@ class TestHonestSession:
         reader, tags, rng = make_system(seed=3)
         for i in range(200):
             t = run_honest_session(reader, tags[0], rng, session=i)
-            assert t.outcome is Outcome.MUTUAL_SUCCESS
+            assert t.outcome == Outcome.MUTUAL_SUCCESS
             assert synchronized(reader, tags[0])
 
     def test_update_onto_another_tags_pseudonym_is_declined(self):
@@ -474,7 +474,7 @@ class TestHonestSession:
         reader.register(DatabaseEntry(idt=updated.idt, key=0x5555, id=0x7777))
         entries = {idt: stored_words(entry) for idt, entry in reader.entries.items()}
         t = run_honest_session(reader, tag, _FixedNonce(nonce))
-        assert t.outcome is Outcome.READER_REJECTED_TAG
+        assert t.outcome == Outcome.READER_REJECTED_TAG
         assert {idt: stored_words(entry) for idt, entry in reader.entries.items()} == entries
         assert tag.current == updated  # the tag committed when it sent C
 
@@ -482,7 +482,7 @@ class TestHonestSession:
         reader, tags, rng = make_system(n_tags=2)
         for tag in tags:
             t = run_honest_session(reader, tag, rng)
-            assert t.outcome is Outcome.MUTUAL_SUCCESS
+            assert t.outcome == Outcome.MUTUAL_SUCCESS
         assert synchronized(reader, tags[0])
         assert synchronized(reader, tags[1])
 
@@ -590,7 +590,7 @@ class TestFusedAgainstReference:
             # tag untouched
             before = stored_words(tag)
             for use_previous in (False, True):
-                used_key = tag.pair(use_previous).key
+                used_key = (tag.previous if use_previous else tag.current).key
                 b2 = compute_b(used_key, nonce, width)
                 delta = rng.next_below((1 << width) - 1) + 1
                 assert tag.respond(use_previous, used_key ^ nonce, b2 ^ delta) is None
@@ -682,7 +682,7 @@ class TestSessionAgainstClosureOracle:
                 assert got.events == want.events
                 seen_outcomes.add(got.outcome)
                 fallbacks += (
-                    len(got.presented_idts) == 2 and got.outcome is Outcome.MUTUAL_SUCCESS)
+                    len(got.presented_idts) == 2 and got.outcome == Outcome.MUTUAL_SUCCESS)
         assert cases >= 1000
         assert seen_outcomes == {
             Outcome.MUTUAL_SUCCESS, Outcome.READER_REJECTED_TAG, Outcome.TAG_REJECTED_READER,

@@ -1,5 +1,6 @@
 """Repository rules that are cheaper to check than to remember."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -14,7 +15,8 @@ import pytest
 
 from umarfid import cli, harness
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "umarfid"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "umarfid"
 README = SRC.parent.parent / "README.md"
 
 
@@ -222,3 +224,49 @@ def test_readme_names_only_options_of_the_cli():
     named = set(FLAG.findall(README.read_text()))
     assert {"--out", "--followups", "--executes"} <= named & options  # both were read
     assert not named - options, f"README names {sorted(named - options)}"
+
+
+def test_every_config_flag_states_its_trial_config_default():
+    # a config flag that is not given leaves its field to TrialConfig, so its
+    # help names that default; --trials is left out, as each experiment sets its own
+    defaults = harness.TrialConfig._field_defaults
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    checked = set()
+    for parser in subcommands.values():
+        for action in parser._actions:
+            if action.dest in defaults and action.dest != "trials":
+                shown = f"(default {defaults[action.dest]})"
+                assert shown in action.help, f"{action.option_strings} help {action.help!r}"
+                checked.add(action.dest)
+    assert checked == set(defaults) - {"trials"}  # every config field has a flag
+
+
+def outcome_identity_checks(source):
+    """Line of each `is` / `is not` comparison with an Outcome.<NAME> operand."""
+    def is_outcome(node):
+        return isinstance(node, ast.Attribute) and (
+            isinstance(node.value, ast.Name) and node.value.id == "Outcome"
+            or isinstance(node.value, ast.Attribute) and node.value.attr == "Outcome")
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for i, op in enumerate(node.ops):
+                if isinstance(op, (ast.Is, ast.IsNot)) and (
+                        is_outcome(operands[i]) or is_outcome(operands[i + 1])):
+                    yield node.lineno
+
+
+def test_the_outcome_check_sees_both_forms():
+    source = "x is not protocol.Outcome.BLOCKED or Outcome.BLOCKED is y or x == Outcome.A"
+    assert list(outcome_identity_checks(source)) == [1, 1]
+
+
+@pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_outcomes_are_compared_by_value(path):
+    # an outcome is a plain string, and one parsed back from a record is
+    # equal to Outcome.X without being the same object
+    found = list(outcome_identity_checks(path.read_text()))
+    assert not found, f"{path.name}: `is` on an Outcome at line(s) {found}"
