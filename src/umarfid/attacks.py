@@ -30,6 +30,8 @@ from .adversary import GameEnvironment
 from .protocol import MSG_C, Bench, Outcome, PairState, TagState, compute_b, compute_c, next_pair
 from .word import WordStream
 
+FOLLOWUPS = 3  # honest recovery attempts verified after a desync
+
 
 def recover_key(a_n: int, b_n: int, idt_next: int) -> int:
     """Current secret key from three public words of sessions n and n+1.
@@ -141,7 +143,7 @@ def attack_clone(bench: Bench) -> AttackReport:
     )
 
 
-def attack_desync_mitm(bench: Bench, followups: int = 3) -> AttackReport:
+def attack_desync_mitm(bench: Bench, followups: int = FOLLOWUPS) -> AttackReport:
     """Desynchronize tag and reader by splitting one session in two.
 
     After one eavesdropped session the attacker knows the live key. In
@@ -169,7 +171,6 @@ def attack_desync_mitm(bench: Bench, followups: int = 3) -> AttackReport:
     width = bench.word_len
     genuine_nonce = key ^ a_genuine
     if compute_b(key, genuine_nonce, width) != b_genuine:
-        bench.reader.abandon()
         return AttackReport(
             attack="desync-mitm",
             success=False,
@@ -239,7 +240,7 @@ C1_ROUND_CAP = 64  # bit-flip mask rounds; reached with chance < 1e-17 at L = 4,
 
 
 def attack_desync_bitflip(
-    bench: Bench, c1_round_cap: int = C1_ROUND_CAP, followups: int = 3
+    bench: Bench, c1_round_cap: int = C1_ROUND_CAP, followups: int = FOLLOWUPS
 ) -> AttackReport:
     """Desynchronize with weight-2 replay masks, no key knowledge needed.
 

@@ -36,7 +36,7 @@ class _TrialFields(NamedTuple):
     word_len: int = DEFAULT_WORD_LEN
     trials: int = 100
     seed: int = 0
-    followups: int = 3  # honest recovery attempts after a desync
+    followups: int = attacks.FOLLOWUPS  # honest recovery attempts after a desync
     execute_budget: int = 2  # game budgets
     send_budget: int = 1
     strategy: str = "distinguish"
@@ -331,10 +331,11 @@ def summarize(experiment: str, reports) -> SummaryStats:
     return _summary(experiment, len(reports), *_tally(EXPERIMENTS[experiment], reports))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("wilson_interval needs at least one trial")
+    z = 1.96  # two-sided 95% standard normal quantile
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -25,7 +25,8 @@ The tag keeps the pair it just used as "previous" so that a reader which
 missed the final C can still identify it next session; the database keeps
 a single pair per tag. The tag commits its update the moment it sends C,
 the reader only after verifying C, which is the asymmetry every
-desynchronization attack in this suite exploits.
+desynchronization attack in this suite exploits. A reader has at most one
+open session; one whose C never arrives is dropped by its next challenge.
 """
 
 from __future__ import annotations
@@ -178,10 +179,9 @@ class DatabaseEntry(_Record):
 
 
 class _Pending(NamedTuple):
-    """In-flight reader session: entry, nonce, expected C, updated pair."""
+    """The reader's one open session, dropped by its next challenge if no C came."""
 
     entry: DatabaseEntry
-    nonce: int
     expected_c: int
     updated: PairState
 
@@ -206,44 +206,37 @@ class ReaderState:
     def begin(self, idt: int, rng: WordStream) -> tuple[int, int] | None:
         """Look up the pseudonym and issue a challenge, or None if unknown.
 
-        On a hit, draws a fresh nonce, remembers the expected C and
-        returns (A, B). An unknown pseudonym is a normal protocol signal
-        (the tag will retry with its previous one), not a fault.
+        On a hit, draws a fresh nonce, remembers the expected C and returns
+        (A, B), dropping the reader's one open session if its C never came,
+        as a timed-out reader would. A miss keeps it: the tag will retry.
         """
-        if self.pending is not None:
-            raise RuntimeError("reader already has a session in flight")
         entry = self.entries.get(idt)
         if entry is None:
             return None
         nonce = rng.next_word()
         b, c, updated = _session_words(entry.key, nonce, self.width)
-        self.pending = _Pending(entry, nonce, c, updated)
+        self.pending = _Pending(entry, c, updated)
         return entry.key ^ nonce, b
 
     def complete(self, c: int) -> bool:
         """Check the tag's response; update the database entry on success.
 
-        An update onto another tag's pseudonym is declined like a wrong C:
-        False, both entries kept. No session in flight is a harness bug.
+        Closes the one open session; one whose C never comes is dropped by
+        the next begin. An update onto another tag's pseudonym is declined
+        like a wrong C: False, both entries kept. No open session is a bug.
         """
         if self.pending is None:
             raise RuntimeError("reader_complete called with no pending session")
-        pending, self.pending = self.pending, None
-        if c != pending.expected_c:
+        (entry, expected_c, updated), self.pending = self.pending, None
+        if c != expected_c:
             return False
-        entry, updated = pending.entry, pending.updated
         if updated.idt != entry.idt:
             if updated.idt in self.entries:
                 return False
             del self.entries[entry.idt]
             self.entries[updated.idt] = entry
-        entry.idt = updated.idt
-        entry.key = updated.key
+        entry.idt, entry.key = updated
         return True
-
-    def abandon(self) -> None:
-        """Drop the in-flight session without updating (C never arrived)."""
-        self.pending = None
 
 
 class Outcome:
@@ -396,12 +389,10 @@ def run_honest_session(
         if MSG_B in rules:
             b = _arrives(rules[MSG_B], b)
         if a is None or b is None:
-            reader.abandon()
             return t
 
     c = tag.respond(use_previous, a, b)
     if c is None:
-        reader.abandon()
         t.outcome = Outcome.TAG_REJECTED_READER
         return t
     t.c = c
@@ -409,7 +400,6 @@ def run_honest_session(
     if rules and MSG_C in rules:
         c = _arrives(rules[MSG_C], c)
         if c is None:
-            reader.abandon()
             return t
 
     t.outcome = Outcome.MUTUAL_SUCCESS if reader.complete(c) else Outcome.READER_REJECTED_TAG

@@ -103,20 +103,17 @@ def run_honest_session(reader, tag, rng, channel=None, session=0) -> OracleTrans
     a_recv = transmit(MSG_A, t.a)
     b_recv = transmit(MSG_B, t.b)
     if a_recv is None or b_recv is None:
-        reader.abandon()
         t.outcome = Outcome.BLOCKED
         return t
 
     c = tag.respond(use_previous, a_recv, b_recv)
     if c is None:
-        reader.abandon()
         t.outcome = Outcome.TAG_REJECTED_READER
         return t
     t.c = c
 
     c_recv = transmit(MSG_C, c)
     if c_recv is None:
-        reader.abandon()
         t.outcome = Outcome.BLOCKED
         return t
 

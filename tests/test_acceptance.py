@@ -365,7 +365,7 @@ def test_criterion_7_protocol_soundness():
         channel = Channel()
         channel.flip(bench.session, label, 1 << position.next_below(128))
         t = bench.run_honest(channel)
-        if t.outcome is expected[label] and bench.synchronized():
+        if t.outcome == expected[label] and bench.synchronized():
             rejected += 1
     corruption_ok = rejected == trials
 

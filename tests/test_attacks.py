@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -122,6 +123,11 @@ class TestDesyncMitm:
         report = attack_desync_mitm(Bench(128, 77), followups=6)
         assert report.success
         assert len(report.followup_outcomes) == 6
+
+    @pytest.mark.parametrize("attack", [attack_desync_mitm, attack_desync_bitflip])
+    def test_followups_default_is_the_trial_config_default(self, attack):
+        default = inspect.signature(attack).parameters["followups"].default
+        assert default == TrialConfig._field_defaults["followups"]
 
     def test_both_tag_pairs_differ_from_entry(self):
         bench = Bench(128, 13)

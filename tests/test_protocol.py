@@ -189,14 +189,32 @@ class TestReader:
         idt = tags[0].present()
         a, b = reader.begin(idt, rng)
         key = reader.pending.entry.key
-        assert a ^ key == reader.pending.nonce
-        assert compute_b(key, reader.pending.nonce) == b
+        assert compute_b(key, a ^ key) == b
+        assert reader.pending.expected_c == compute_c(key, a ^ key)
 
     def test_begin_twice_without_completion(self):
+        # the first challenge is never answered; the next session needs no cleanup
         reader, tags, rng = make_system()
-        reader.begin(tags[0].present(), rng)
-        with pytest.raises(RuntimeError):
-            reader.begin(tags[0].present(), rng)
+        tag = tags[0]
+        entry = reader.entries[tag.present()]
+        before = stored_words(entry)
+        reader.begin(tag.present(), rng)
+        assert stored_words(entry) == before
+        t = run_honest_session(reader, tag, rng, session=1)
+        assert t.outcome == Outcome.MUTUAL_SUCCESS
+        assert synchronized(reader, tag)
+
+    def test_a_second_begin_replaces_the_first(self):
+        # the reader has one open session: the newer challenge drops the older
+        for answered, accepted in ((0, False), (1, True)):
+            reader, tags, rng = make_system()
+            idt = tags[0].present()
+            key = reader.entries[idt].key
+            challenges = [reader.begin(idt, rng), reader.begin(idt, rng)]
+            assert challenges[0] != challenges[1]
+            a = challenges[answered][0]
+            assert reader.complete(compute_c(key, a ^ key, 128)) is accepted
+            assert reader.pending is None
 
     def test_complete_without_pending_is_fatal(self):
         reader, _, _ = make_system()
@@ -224,12 +242,18 @@ class TestReader:
         assert reader.pending is None
 
     def test_blocked_response_leaves_entry(self):
+        # the tag answers and updates, its C never reaches the reader
         reader, tags, rng = make_system()
-        idt = tags[0].present()
-        reader.begin(idt, rng)
-        reader.abandon()
-        assert reader.pending is None
-        assert reader.knows(idt)
+        tag = tags[0]
+        idt = tag.present()
+        before = stored_words(reader.entries[idt])
+        a, b = reader.begin(idt, rng)
+        assert tag.respond(False, a, b) is not None
+        assert stored_words(reader.entries[idt]) == before
+        ahead = tag.current.idt
+        t = run_honest_session(reader, tag, rng, session=1)
+        assert t.outcome == Outcome.MUTUAL_SUCCESS
+        assert t.presented_idts == [ahead, idt]  # recovered through the previous pair
 
     def test_registration_collision_rejected(self):
         reader = ReaderState(8)
@@ -397,10 +421,14 @@ class TestHonestSession:
         snapshot = (tag.current, tag.previous)
         channel = Channel()
         channel.block(0, label)
+        before = stored_words(reader.entries[tag.current.idt])
         t = run_honest_session(reader, tag, rng, channel=channel)
         assert t.outcome == Outcome.BLOCKED
         assert (tag.current, tag.previous) == snapshot
-        assert reader.pending is None
+        assert stored_words(reader.entries[tag.current.idt]) == before
+        t = run_honest_session(reader, tag, rng, channel=channel, session=1)
+        assert t.outcome == Outcome.MUTUAL_SUCCESS
+        assert synchronized(reader, tag)
 
     def test_flipped_b_rejected_by_tag(self):
         reader, tags, rng = make_system()
@@ -675,7 +703,7 @@ class TestSessionAgainstClosureOracle:
                 assert self.state(new[0], new[1]) == self.state(old[0], old[1])
                 assert got.presented_idts == want.presented_idts
                 assert (got.a, got.b, got.c) == (want.a, want.b, want.c)
-                assert got.outcome is want.outcome
+                assert got.outcome == want.outcome
                 assert got.transmissions() == len(want.presented_idts) + (
                     want.a is not None) + (want.c is not None)
                 assert got.lines(width) == want.lines(width)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from umarfid import cli, harness
+from umarfid.protocol import MSG_A, MSG_B, Bench, Channel
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "umarfid"
@@ -209,6 +210,41 @@ def test_readme_command_lines_parse():
         cli.config_from_args(cli.build_parser().parse_args(argv))
 
 
+def transcript_line_patterns():
+    """README's documented transcript lines, each as a regex: <i> is a count,
+    <hex> a word, <x|y> one of its choices and [...] an optional part."""
+    text = README.read_text()
+    forms = [" ".join(span.split()) for span in re.findall(r"`(session=[^`]*)`", text)]
+    forms += [line.strip() for line in text.splitlines() if line.strip().startswith("session=")]
+    patterns = []
+    for form in forms:
+        regex = ""
+        for piece in re.split(r"(<(?:->|[^<>])+>|\[|\])", form):
+            if piece in ("[", "]"):
+                regex += "(?:" if piece == "[" else ")?"
+            elif piece.startswith("<"):
+                name = piece[1:-1]
+                regex += {"i": r"\d+", "hex": "[0-9a-f]+"}.get(
+                    name, "(?:" + "|".join(map(re.escape, name.split("|"))) + ")")
+            else:
+                regex += re.escape(piece)
+        patterns.append(re.compile(regex))
+    return patterns
+
+
+def test_readme_states_the_transcript_line_format():
+    # one session whose IDT is delivered, whose A is blocked and whose B is flipped
+    bench = Bench(16, 0)
+    channel = Channel()
+    channel.block(0, MSG_A)
+    channel.flip(0, MSG_B, 0x0101)
+    lines = bench.run_honest(channel).lines(16)
+    assert all(f"disposition={d}" in "\n".join(lines) for d in ("delivered", "blocked", "replaced"))
+    patterns = transcript_line_patterns()
+    for line in lines:
+        assert any(p.fullmatch(line) for p in patterns), f"README does not state {line!r}"
+
+
 FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
@@ -243,10 +279,12 @@ def test_every_config_flag_states_its_trial_config_default():
 
 
 def outcome_identity_checks(source):
-    """Line of each `is` / `is not` comparison with an Outcome.<NAME> operand."""
+    """Line of each `is` / `is not` comparison with an outcome operand:
+    Outcome.<NAME>, or any attribute named `outcome` (such as t.outcome)."""
     def is_outcome(node):
         return isinstance(node, ast.Attribute) and (
-            isinstance(node.value, ast.Name) and node.value.id == "Outcome"
+            node.attr == "outcome"
+            or isinstance(node.value, ast.Name) and node.value.id == "Outcome"
             or isinstance(node.value, ast.Attribute) and node.value.attr == "Outcome")
 
     for node in ast.walk(ast.parse(source)):
@@ -261,6 +299,8 @@ def outcome_identity_checks(source):
 def test_the_outcome_check_sees_both_forms():
     source = "x is not protocol.Outcome.BLOCKED or Outcome.BLOCKED is y or x == Outcome.A"
     assert list(outcome_identity_checks(source)) == [1, 1]
+    source = "t.outcome is expected[label]\ngot.outcome is want.outcome\nt.outcome == want.outcome"
+    assert list(outcome_identity_checks(source)) == [1, 2]
 
 
 @pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
