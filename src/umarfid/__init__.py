@@ -34,6 +34,6 @@ from .protocol import (
     run_honest_session,
     synchronized,
 )
-from .word import DEFAULT_WORD_LEN, WordStream, check_width, derive_seed, rot, to_hex
+from .word import DEFAULT_WORD_LEN, check_width, derive_seed, rot, stream, to_hex
 
 __version__ = "0.1.0"

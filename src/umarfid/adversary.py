@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .protocol import Bench, Channel, SessionTranscript
-from .word import WordStream, derive_seed
+from .word import derive_seed, stream
 
 class GameError(RuntimeError):
     """Strategy broke the game procedure (harness bug, not a protocol event)."""
@@ -52,7 +52,7 @@ class GameEnvironment(Bench):
     def __init__(self, config, game_seed: int):
         super().__init__(config.word_len, game_seed, n_tags=2)
         self.config = config
-        self._bit_rng = WordStream(config.word_len, derive_seed(game_seed, "bit"))
+        self._bit_rng = stream(game_seed, "bit")
         self.channel = Channel()
         self.executes_used = 0
         self.sends_used = 0
@@ -84,7 +84,7 @@ class GameEnvironment(Bench):
         """
         if self._hidden_bit is not None:
             raise GameError("test query may be invoked only once per game")
-        bit = self._bit_rng.next_bit()
+        bit = self._bit_rng.getrandbits(1)
         self._hidden_bit = bit
         tag = self.tags[bit]
         revealed = [tag.present()]
@@ -123,7 +123,7 @@ def run_untraceability_game(strategy, config, trial: int = 0) -> GameOutcome:
 def random_guess_strategy(env: GameEnvironment) -> int:
     """Null baseline: ask for the challenge, then guess a coin flip."""
     env.test()
-    return env.adv_rng.next_bit()
+    return env.adv_rng.getrandbits(1)
 
 
 # a GameOutcome's record keys (the trial, then its fields), with kinds

@@ -24,11 +24,11 @@ simulator state the attacker could not see.
 from __future__ import annotations
 
 import functools
+import random
 from typing import NamedTuple
 
 from .adversary import GameEnvironment
 from .protocol import MSG_C, Bench, Outcome, PairState, TagState, compute_b, compute_c, next_pair
-from .word import WordStream
 
 FOLLOWUPS = 3  # honest recovery attempts verified after a desync
 
@@ -179,9 +179,9 @@ def attack_desync_mitm(bench: Bench, followups: int = FOLLOWUPS) -> AttackReport
         )
 
     # Attacker-chosen nonce for the tag; must differ from the genuine one.
-    fake_nonce = bench.adv_rng.next_word()
+    fake_nonce = bench.adv_rng.getrandbits(width)
     while fake_nonce == genuine_nonce:
-        fake_nonce = bench.adv_rng.next_word()
+        fake_nonce = bench.adv_rng.getrandbits(width)
 
     c_from_tag = bench.tag.respond(
         False, key ^ fake_nonce, compute_b(key, fake_nonce, width)
@@ -227,16 +227,16 @@ def weight2_index(mask: int, width: int) -> int | None:
     return lo * (2 * width - lo - 1) // 2 + (hi - lo - 1)
 
 
-def random_weight2(rng: WordStream, width: int) -> int:
+def random_weight2(rng: random.Random, width: int) -> int:
     """Uniform word of hamming weight exactly 2."""
-    lo = rng.next_below(width)
-    hi = rng.next_below(width)
+    lo = rng.randrange(width)
+    hi = rng.randrange(width)
     while hi == lo:
-        hi = rng.next_below(width)
+        hi = rng.randrange(width)
     return (1 << lo) | (1 << hi)
 
 
-C1_ROUND_CAP = 64  # bit-flip mask rounds; reached with chance < 1e-17 at L = 4, 8 and 128
+C1_ROUND_CAP = 64  # mask rounds; reached with chance < 1e-17 at L = 4, 8, 128, < 3e-11 at 12
 
 
 def attack_desync_bitflip(
@@ -253,8 +253,9 @@ def attack_desync_bitflip(
     whose mask_a changes the nonce's weight (half of them) admits a mask_b
     only by a coincidence of rotations, rare at large widths. Rounds stop
     at c1_round_cap. Expected: 11/10 rounds and 41/10 probes at L=4,
-    1.7168 and 34.584 at L=8, 2.000254 and 12194.57 at L=128 (exact
-    models in tests/oracle_bitflip.py).
+    1.7168 and 34.584 at L=8, 1.978418 and 98.07981 at L=12 (the cap
+    is reached with chance < 3e-11 there), 2.000254 and 12194.57 at
+    L=128 (exact models in tests/oracle_bitflip.py).
 
     The tag evaluates each round's sweep once (TagState.respond_sweep),
     which tells the attacker only which probe of its order would have

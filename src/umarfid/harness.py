@@ -23,7 +23,7 @@ from . import adversary, attacks
 from .adversary import GameOutcome
 from .attacks import AttackReport
 from .protocol import MSG_C, Bench, Channel, Outcome, PairState, compute_a, compute_b, next_pair
-from .word import DEFAULT_WORD_LEN, WordStream, check_count, check_width, derive_seed, rot
+from .word import DEFAULT_WORD_LEN, check_count, check_width, derive_seed, rot, stream
 
 STRATEGIES = {
     "distinguish": attacks.distinguish_strategy,
@@ -137,10 +137,10 @@ def _identities_trial(config: TrialConfig, trial: int) -> TrialResult:
     key, and B xor next pseudonym is a key-only constant.
     """
     width = config.word_len
-    rng = WordStream(width, derive_seed(config.seed, config.experiment, trial))
-    key, nonce = rng.next_word(), rng.next_word()
+    rng = stream(config.seed, config.experiment, trial)
+    key, nonce = rng.getrandbits(width), rng.getrandbits(width)
 
-    updated = next_pair(PairState(idt=rng.next_word(), key=key), nonce, width)
+    updated = next_pair(PairState(idt=rng.getrandbits(width), key=key), nonce, width)
     a, b = compute_a(key, nonce), compute_b(key, nonce, width)
     key_identity = a ^ b ^ updated.idt == updated.key
     pseudonym_identity = b ^ updated.idt == rot(key, key, width) ^ key

@@ -32,10 +32,11 @@ open session; one whose C never arrives is dropped by its next challenge.
 from __future__ import annotations
 
 import math
+import random
 from functools import cached_property
 from typing import NamedTuple
 
-from .word import DEFAULT_WORD_LEN, WordStream, check_count, check_width, derive_seed, rot, to_hex
+from .word import DEFAULT_WORD_LEN, check_count, check_width, rot, stream, to_hex
 
 MSG_IDT = "IDT"
 MSG_A = "A"
@@ -203,7 +204,7 @@ class ReaderState:
         """Read-only lookup, used by identification and the Test query."""
         return idt in self.entries
 
-    def begin(self, idt: int, rng: WordStream) -> tuple[int, int] | None:
+    def begin(self, idt: int, rng: random.Random) -> tuple[int, int] | None:
         """Look up the pseudonym and issue a challenge, or None if unknown.
 
         On a hit, draws a fresh nonce, remembers the expected C and returns
@@ -213,7 +214,7 @@ class ReaderState:
         entry = self.entries.get(idt)
         if entry is None:
             return None
-        nonce = rng.next_word()
+        nonce = rng.getrandbits(self.width)
         b, c, updated = _session_words(entry.key, nonce, self.width)
         self.pending = _Pending(entry, c, updated)
         return entry.key ^ nonce, b
@@ -349,7 +350,7 @@ class SessionTranscript(_Record):
 def run_honest_session(
     reader: ReaderState,
     tag: TagState,
-    rng: WordStream,
+    rng: random.Random,
     channel: Channel | None = None,
     session: int = 0,
 ) -> SessionTranscript:
@@ -426,7 +427,7 @@ def synchronized(reader: ReaderState, tag: TagState) -> bool:
 
 
 def fresh_system(
-    init: WordStream, word_len: int, n_tags: int = 1
+    init: random.Random, word_len: int, n_tags: int = 1
 ) -> tuple[ReaderState, list[TagState]]:
     """Reader plus n freshly initialized, registered tags.
 
@@ -441,10 +442,10 @@ def fresh_system(
     reader = ReaderState(word_len)
     tags = []
     for _ in range(n_tags):
-        id, idt = init.next_word(), init.next_word()
+        id, idt = init.getrandbits(word_len), init.getrandbits(word_len)
         while idt in reader.entries:
-            idt = init.next_word()
-        pair = PairState(idt=idt, key=init.next_word())
+            idt = init.getrandbits(word_len)
+        pair = PairState(idt=idt, key=init.getrandbits(word_len))
         reader.register(DatabaseEntry(idt=idt, key=pair.key, id=id))
         tags.append(TagState.fresh(id=id, pair=pair, width=word_len))
     return reader, tags
@@ -464,16 +465,15 @@ class Bench:
         check_count("seed", seed, -math.inf)  # any int, negative included
         self.word_len = word_len
         self._seed = seed
-        init = WordStream(word_len, derive_seed(seed, "init"))
-        self.reader, self.tags = fresh_system(init, word_len, n_tags)
+        self.reader, self.tags = fresh_system(stream(seed, "init"), word_len, n_tags)
         self.tag = self.tags[0]
-        self.nonce_rng = WordStream(word_len, derive_seed(seed, "nonce"))
+        self.nonce_rng = stream(seed, "nonce")
         self.session = 0
 
     @cached_property
-    def adv_rng(self) -> WordStream:
+    def adv_rng(self) -> random.Random:
         """The attacker's own stream, seeded on first use."""
-        return WordStream(self.word_len, derive_seed(self._seed, "adv"))
+        return stream(self._seed, "adv")
 
     def run_honest(self, channel=None, tag=None) -> SessionTranscript:
         """The next session, of tag (the bench's first tag by default)."""

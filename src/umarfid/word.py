@@ -6,12 +6,11 @@ L, so the ultralightweight operation set is Python's own: XOR, OR and
 AND are ^, | and &, hamming weight is int.bit_count(). What ints lack
 lives here: left circular rotation by hamming weight (reduced mod L, so
 rotating by the weight of an all-ones word is the identity), fixed-width
-hex, the one width check, and seeded word streams.
+hex, the one width check, and stream(), which builds every role's generator.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 
@@ -58,17 +57,6 @@ def derive_seed(base: int, *labels) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
-class WordStream:
-    """Deterministic stream of uniform L-bit words."""
-
-    def __init__(self, width: int, seed: int):
-        self.width = width
-        self._rng = random.Random(seed)
-        # next_word(): getrandbits bound to the width, a draw runs no Python frame
-        self.next_word = functools.partial(self._rng.getrandbits, width)
-
-    def next_bit(self) -> int:
-        return self._rng.getrandbits(1)
-
-    def next_below(self, n: int) -> int:
-        return self._rng.randrange(n)
+def stream(base: int, *labels) -> random.Random:
+    """A role's generator; it draws words by getrandbits(L), positions by randrange(n)."""
+    return random.Random(derive_seed(base, *labels))

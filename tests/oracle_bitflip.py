@@ -14,6 +14,7 @@ bitflip_weight_cost gives the same moments for large widths from a sum
 over the nonce's weight, with a bound on what that sum leaves out.
 """
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -70,6 +71,7 @@ class BitflipCost(NamedTuple):
     c2_var: Fraction
 
 
+@functools.cache  # 0.4 s at L=12, asked for by three tests
 def bitflip_cost(width: int) -> BitflipCost:
     """Enumerate every (N, A-mask) pair at this width into exact moments.
 

@@ -19,6 +19,7 @@ must not be loosened:
      corruptions rejected
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -52,7 +53,7 @@ from umarfid.protocol import (
     run_honest_session,
     synchronized,
 )
-from umarfid.word import WordStream, derive_seed, rot
+from umarfid.word import derive_seed, rot
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -147,12 +148,12 @@ def test_criterion_4_desync_mitm():
 
 def test_criterion_5_desync_bitflip():
     # (a) fraction of mask rounds admitting a valid second mask: 0.50 +/- 0.02
-    rng = WordStream(128, 505)
+    rng = random.Random(505)
     rounds = 10_000
     admitted = sum(
         1
         for _ in range(rounds)
-        if bitflip_round_admits(rng.next_word(), random_weight2(rng, 128), 128)
+        if bitflip_round_admits(rng.getrandbits(128), random_weight2(rng, 128), 128)
     )
     fraction = admitted / rounds
     part_a = abs(fraction - 0.5) <= 0.02
@@ -165,10 +166,10 @@ def test_criterion_5_desync_bitflip():
 
     # (a) cross-check at 16 bits: the algebraic predicate agrees with a
     # full enumeration against a live tag
-    probe_rng = WordStream(16, 506)
+    probe_rng = random.Random(506)
     agree = True
     for _ in range(300):
-        key, nonce = probe_rng.next_word(), probe_rng.next_word()
+        key, nonce = probe_rng.getrandbits(16), probe_rng.getrandbits(16)
         c1 = random_weight2(probe_rng, 16)
         a, b = compute_a(key, nonce), compute_b(key, nonce, 16)
         enumerated = False
@@ -237,7 +238,7 @@ def test_criterion_5_desync_bitflip():
     bench = Bench(16, 42)
     captured = bench.run_honest()
     nonce = captured.a ^ bench.tag.previous.key
-    pick = WordStream(16, 43)
+    pick = random.Random(43)
     c1 = random_weight2(pick, 16)
     while bitflip_round_admits(nonce, c1, 16):
         c1 = random_weight2(pick, 16)
@@ -267,10 +268,10 @@ def test_criterion_5_desync_bitflip():
 
 def test_criterion_6_identities():
     # 10^5 random instances at 128 bits
-    rng = WordStream(128, 606)
+    rng = random.Random(606)
     random_failures = 0
     for _ in range(100_000):
-        key, nonce = rng.next_word(), rng.next_word()
+        key, nonce = rng.getrandbits(128), rng.getrandbits(128)
         updated = next_pair(PairState(idt=key, key=key), nonce, 128)
         a, b = compute_a(key, nonce), compute_b(key, nonce, 128)
         if a ^ b ^ updated.idt != updated.key:
@@ -351,7 +352,7 @@ def test_criterion_7_protocol_soundness():
 
     # single-bit corruption of A, B or C is rejected every time
     bench = Bench(128, 709)
-    position = WordStream(128, 710)
+    position = random.Random(710)
     rejected = 0
     trials = 10_000
     expected = {
@@ -363,7 +364,7 @@ def test_criterion_7_protocol_soundness():
     for i in range(trials):
         label = labels[i % 3]
         channel = Channel()
-        channel.flip(bench.session, label, 1 << position.next_below(128))
+        channel.flip(bench.session, label, 1 << position.randrange(128))
         t = bench.run_honest(channel)
         if t.outcome == expected[label] and bench.synchronized():
             rejected += 1

@@ -13,7 +13,7 @@ from umarfid.adversary import (
 from umarfid.attacks import distinguish_strategy
 from umarfid.harness import TrialConfig, render_records, summarize, wilson_interval
 from umarfid.protocol import MSG_C, Outcome, next_pair
-from umarfid.word import WordStream, derive_seed
+from umarfid.word import derive_seed, stream
 
 
 def make_env(execute_budget=2, send_budget=1, game_seed=0, word_len=128):
@@ -25,8 +25,7 @@ def make_env(execute_budget=2, send_budget=1, game_seed=0, word_len=128):
 def env_with_hidden_bit(bit, **kwargs):
     """Deterministically search for a game seed whose challenge bit is `bit`."""
     for game_seed in range(64):
-        probe = WordStream(128, derive_seed(game_seed, "bit"))
-        if probe.next_bit() == bit:
+        if stream(game_seed, "bit").getrandbits(1) == bit:
             return make_env(game_seed=game_seed, **kwargs)
     raise AssertionError("no matching seed in range")
 
@@ -105,10 +104,10 @@ class TestLazyAdversaryStream:
 
     def test_stream_matches_eager_seeding(self):
         env = make_env(game_seed=9, word_len=16)
-        eager = WordStream(16, derive_seed(9, "adv"))
-        drawn = [env.adv_rng.next_word() for _ in range(5)]
-        assert drawn == [eager.next_word() for _ in range(5)]
-        assert env.adv_rng.next_bit() == eager.next_bit()
+        eager = stream(9, "adv")
+        drawn = [env.adv_rng.getrandbits(16) for _ in range(5)]
+        assert drawn == [eager.getrandbits(16) for _ in range(5)]
+        assert env.adv_rng.getrandbits(1) == eager.getrandbits(1)
 
 
 class TestGame:

@@ -7,16 +7,18 @@ import io
 import json
 import os
 import pickle
+import random
 import statistics
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umarfid import harness
+from umarfid import harness, word
 from umarfid.attacks import AttackReport, attack_desync_bitflip
 from umarfid.cli import build_parser, config_from_args, main
 from umarfid.harness import (
@@ -861,3 +863,29 @@ class TestCli:
             return [l for l in text.split("\n") if "duration" not in l]
 
         assert strip_duration(first) == strip_duration(second)
+
+
+class _TwoDrawGenerator:
+    """A generator that offers only getrandbits and randrange, each passed
+    to a real random.Random: the two draws any stream must provide."""
+
+    __slots__ = ("getrandbits", "randrange")
+    built = 0
+
+    def __init__(self, seed):
+        real = random.Random(seed)
+        self.getrandbits, self.randrange = real.getrandbits, real.randrange
+        type(self).built += 1
+
+
+@pytest.mark.parametrize("experiment, strategy", [
+    *((name, "distinguish") for name in EXPERIMENTS), ("untraceability", "random-guess")])
+def test_streams_need_only_getrandbits_and_randrange(monkeypatch, experiment, strategy):
+    # a stream that replaces random.Random must offer these two draws and
+    # no other: any further generator method src calls fails here
+    config = TrialConfig(experiment, word_len=16, trials=20, strategy=strategy)
+    reports, _ = run_trials(config)
+    monkeypatch.setattr(word, "random", types.SimpleNamespace(Random=_TwoDrawGenerator))
+    monkeypatch.setattr(_TwoDrawGenerator, "built", 0)
+    assert run_trials(config)[0] == reports
+    assert _TwoDrawGenerator.built >= 20

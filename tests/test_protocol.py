@@ -32,13 +32,12 @@ from umarfid.protocol import (
     run_honest_session,
     synchronized,
 )
-from umarfid.word import WordStream, derive_seed, rot, to_hex
+from umarfid.word import derive_seed, rot, stream, to_hex
 
 
 def make_system(word_len=128, seed=0, n_tags=1):
-    init = WordStream(word_len, seed)
-    reader, tags = fresh_system(init, word_len, n_tags)
-    return reader, tags, WordStream(word_len, seed + 1)
+    reader, tags = fresh_system(random.Random(seed), word_len, n_tags)
+    return reader, tags, random.Random(seed + 1)
 
 
 words16 = st.integers(0, 2**16 - 1)
@@ -134,16 +133,16 @@ class TestTag:
         assert tag.current != orphan
 
     def test_corruption_rejected_over_random_flips(self):
-        rng = WordStream(16, 7)
+        rng = random.Random(7)
         rejected = 0
         trials = 300
         for _ in range(trials):
-            pair = PairState(idt=rng.next_word(), key=rng.next_word())
-            tag = TagState.fresh(id=rng.next_word(), pair=pair, width=16)
-            n = rng.next_word()
+            pair = PairState(idt=rng.getrandbits(16), key=rng.getrandbits(16))
+            tag = TagState.fresh(id=rng.getrandbits(16), pair=pair, width=16)
+            n = rng.getrandbits(16)
             a = compute_a(pair.key, n)
             b = compute_b(pair.key, n, 16)
-            flip = 1 << rng.next_below(16)
+            flip = 1 << rng.randrange(16)
             if tag.respond(False, a, b ^ flip) is None:
                 rejected += 1
         assert rejected == trials
@@ -287,8 +286,7 @@ class TestReader:
             Bench(4, 0, n_tags=0)
 
     def test_every_pseudonym_of_a_width_can_be_registered(self):
-        init = WordStream(4, derive_seed(0, "init"))
-        reader, tags = fresh_system(init, 4, n_tags=16)
+        reader, tags = fresh_system(stream(0, "init"), 4, n_tags=16)
         assert sorted(reader.entries) == sorted(tag.present() for tag in tags) == list(range(16))
         assert len(Bench(4, 0, n_tags=16).reader.entries) == 16
 
@@ -497,7 +495,7 @@ class TestHonestSession:
 
     def test_update_onto_another_tags_pseudonym_is_declined(self):
         width, nonce = 16, 0x1234
-        reader, (tag,) = fresh_system(WordStream(width, 3), width)
+        reader, (tag,) = fresh_system(random.Random(3), width)
         updated = next_pair(tag.current, nonce, width)
         reader.register(DatabaseEntry(idt=updated.idt, key=0x5555, id=0x7777))
         entries = {idt: stored_words(entry) for idt, entry in reader.entries.items()}
@@ -538,17 +536,17 @@ class TestBench:
 
     def test_tags_come_from_the_init_stream_in_order(self):
         bench = Bench(16, 7, n_tags=2)
-        reader, tags = fresh_system(WordStream(16, derive_seed(7, "init")), 16, 2)
+        reader, tags = fresh_system(stream(7, "init"), 16, 2)
         assert bench.tags == tags and bench.tag is bench.tags[0]
         assert bench.reader.entries == reader.entries
 
     def test_run_honest_runs_the_chosen_tag_and_counts_sessions(self):
         bench = Bench(16, 7, n_tags=2)
-        nonces = WordStream(16, derive_seed(7, "nonce"))
+        nonces = stream(7, "nonce")
         second = bench.tags[1].current
         t = bench.run_honest(tag=bench.tags[1])
         assert (t.session, t.outcome, bench.session) == (0, Outcome.MUTUAL_SUCCESS, 1)
-        assert t.a == second.key ^ nonces.next_word()
+        assert t.a == second.key ^ nonces.getrandbits(16)
         assert bench.run_honest().presented_idts == [bench.tags[0].previous.idt]
 
 
@@ -558,7 +556,7 @@ class _FixedNonce:
     def __init__(self, nonce):
         self.nonce = nonce
 
-    def next_word(self):
+    def getrandbits(self, width):
         return self.nonce
 
 
@@ -566,7 +564,10 @@ class _Words:
     """Stands in for a word stream: draws the given words in order."""
 
     def __init__(self, *words):
-        self.next_word = iter(words).__next__
+        self.words = iter(words)
+
+    def getrandbits(self, width):
+        return next(self.words)
 
 
 class TestFusedAgainstReference:
@@ -576,13 +577,13 @@ class TestFusedAgainstReference:
     @staticmethod
     def cases(width, count=1000):
         ones = (1 << width) - 1
-        rng = WordStream(width, derive_seed(width, "fused"))
+        rng = stream(width, "fused")
         # weight 0 and weight L rotate by 0 mod L: the identity
         edges = [(key, nonce) for key in (0, ones) for nonce in (0, ones)]
-        edges += [(0, rng.next_word()), (ones, rng.next_word())]
-        edges += [(rng.next_word(), 0), (rng.next_word(), ones)]
-        for key, nonce in edges + [(rng.next_word(), rng.next_word()) for _ in range(count)]:
-            yield PairState(rng.next_word(), key), nonce, rng
+        edges += [(0, rng.getrandbits(width)), (ones, rng.getrandbits(width))]
+        edges += [(rng.getrandbits(width), 0), (rng.getrandbits(width), ones)]
+        for key, nonce in edges + [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(count)]:
+            yield PairState(rng.getrandbits(width), key), nonce, rng
 
     @pytest.mark.parametrize("width", [4, 8, 16, 128])
     def test_reader_matches_reference(self, width):
@@ -605,7 +606,7 @@ class TestFusedAgainstReference:
             a, b = compute_a(key, nonce), compute_b(key, nonce, width)
 
             tag = TagState.fresh(id=1, pair=pair, width=width)
-            wrong = b ^ (rng.next_below((1 << width) - 1) + 1)
+            wrong = b ^ (rng.randrange((1 << width) - 1) + 1)
             before = stored_words(tag)
             assert tag.respond(False, a, wrong) is None
             assert stored_words(tag) == before
@@ -620,7 +621,7 @@ class TestFusedAgainstReference:
             for use_previous in (False, True):
                 used_key = (tag.previous if use_previous else tag.current).key
                 b2 = compute_b(used_key, nonce, width)
-                delta = rng.next_below((1 << width) - 1) + 1
+                delta = rng.randrange((1 << width) - 1) + 1
                 assert tag.respond(use_previous, used_key ^ nonce, b2 ^ delta) is None
                 assert stored_words(tag) == before
 
@@ -642,11 +643,11 @@ class TestSessionAgainstClosureOracle:
 
     @staticmethod
     def system(width, seed):
-        reader, tags = fresh_system(WordStream(width, seed), width, n_tags=2)
-        stray = WordStream(width, seed + 2)
-        pair = PairState(idt=stray.next_word(), key=stray.next_word())
-        tags.append(TagState.fresh(id=stray.next_word(), pair=pair, width=width))
-        return reader, tags, WordStream(width, seed + 1)
+        reader, tags = fresh_system(random.Random(seed), width, n_tags=2)
+        stray = random.Random(seed + 2)
+        pair = PairState(idt=stray.getrandbits(width), key=stray.getrandbits(width))
+        tags.append(TagState.fresh(id=stray.getrandbits(width), pair=pair, width=width))
+        return reader, tags, random.Random(seed + 1)
 
     def draw_rules(self, draw, width):
         """None (no channel), or the (action, label, word) rules of one session."""

@@ -58,6 +58,31 @@ def test_imports_only_public_standard_library_modules(path):
     assert not found, f"{path.name}: non-standard or private import(s) {found}"
 
 
+def random_module_calls(path):
+    """Lines of a source file that call into the random module: random.X(...),
+    or a name bound by `from random import ...`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "random"
+                for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == "random") or (
+                    isinstance(func, ast.Name) and func.id in imported):
+                yield node.lineno
+
+
+def test_only_word_builds_a_generator():
+    # word.stream is the one place a generator is built, so a new kind of
+    # stream replaces that function and nothing else
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if path.name != "word.py" and (lines := list(random_module_calls(path)))}
+    assert not found, f"random module called outside word.py: {found}"
+    assert list(random_module_calls(SRC / "word.py"))  # the check can see a call
+
+
 # Modules a serial CLI run has no use for: the process pool and what it
 # pulls in, and the two modules the records once needed for their types
 # and their attempt statistics.

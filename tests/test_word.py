@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 import oracle_bits as oracle
 from umarfid.word import (
     DEFAULT_WORD_LEN,
-    WordStream,
     check_count,
     check_width,
     derive_seed,
     rot,
+    stream,
     to_hex,
 )
 
@@ -146,25 +146,25 @@ class TestParams:
 
 class TestStreams:
     def test_same_seed_same_words(self):
-        a = WordStream(128, 42)
-        b = WordStream(128, 42)
-        assert [a.next_word() for _ in range(5)] == [b.next_word() for _ in range(5)]
+        a, b = stream(42, "nonce"), stream(42, "nonce")
+        assert [a.getrandbits(128) for _ in range(5)] == [b.getrandbits(128) for _ in range(5)]
 
     def test_different_seeds_diverge(self):
-        a = WordStream(128, 1)
-        b = WordStream(128, 2)
-        assert a.next_word() != b.next_word()
+        # a different label, label value or base seed gives another stream
+        assert stream(1, "init").getrandbits(128) != stream(1, "nonce").getrandbits(128)
+        assert stream(1, "x", 1).getrandbits(128) != stream(1, "x", 2).getrandbits(128)
+        assert stream(1, "init").getrandbits(128) != stream(2, "init").getrandbits(128)
 
     def test_word_width(self):
-        s = WordStream(16, 0)
-        words = [s.next_word() for _ in range(200)]
+        s = stream(0, "width")
+        words = [s.getrandbits(16) for _ in range(200)]
         assert all(0 <= w < 2**16 for w in words)
         assert max(words) >= 2**15  # the top bit is drawn too
 
     def test_draws_come_from_one_seeded_generator(self):
-        # next_word, next_bit and next_below share the stream's generator
-        s, ref = WordStream(128, 9), random.Random(9)
-        got = [s.next_word(), s.next_bit(), s.next_below(100), s.next_word()]
+        # stream(base, *labels) is random.Random(derive_seed(base, *labels))
+        s, ref = stream(9, "x", 1), random.Random(derive_seed(9, "x", 1))
+        got = [s.getrandbits(128), s.getrandbits(1), s.randrange(100), s.getrandbits(128)]
         want = [ref.getrandbits(128), ref.getrandbits(1), ref.randrange(100),
                 ref.getrandbits(128)]
         assert got == want
