@@ -19,7 +19,6 @@ from .harness import SummaryStats, TrialConfig, run_trials, summarize
 from .protocol import (
     Bench,
     Channel,
-    ChannelEvent,
     DatabaseEntry,
     Outcome,
     PairState,

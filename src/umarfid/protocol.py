@@ -43,9 +43,6 @@ MSG_A = "A"
 MSG_B = "B"
 MSG_C = "C"
 
-TAG_TO_READER = "tag->reader"
-READER_TO_TAG = "reader->tag"
-
 
 def compute_a(key: int, nonce: int) -> int:
     """First challenge half: key xor nonce."""
@@ -250,66 +247,40 @@ class Outcome:
     BLOCKED = "blocked"
 
 
-DELIVERED = "delivered"
-BLOCKED = "blocked"
-REPLACED = "replaced"
-
-_DIRECTION = {MSG_IDT: TAG_TO_READER, MSG_A: READER_TO_TAG,
-              MSG_B: READER_TO_TAG, MSG_C: TAG_TO_READER}
-
-
-class ChannelEvent(NamedTuple):
-    """One radio transmission as an eavesdropper sees it."""
-
-    session: int
-    direction: str  # TAG_TO_READER or READER_TO_TAG
-    label: str  # IDT, A, B or C
-    payload: int  # what the sender emitted
-    disposition: str = DELIVERED
-    replacement: int | None = None  # delivered payload when replaced
-
-    def line(self, width: int) -> str:
-        """Fixed-order structured-text record for transcript dumps."""
-        out = (
-            f"session={self.session} direction={self.direction} "
-            f"message={self.label} word={to_hex(self.payload, width)} "
-            f"disposition={self.disposition}"
-        )
-        if self.replacement is not None:
-            out += f" replacement={to_hex(self.replacement, width)}"
-        return out
+_DIRECTION = {MSG_IDT: "tag->reader", MSG_A: "reader->tag",
+              MSG_B: "reader->tag", MSG_C: "tag->reader"}
 
 
 class Channel:
     """Interception rules an active adversary has placed on the radio.
 
-    A rule targets (session index, message label) and either blocks the
-    transmission or XORs a mask into the in-flight payload (bit flipping).
-    Rules apply to every matching transmission of that session.
+    A rule targets (session index, message label) and is a mask: None
+    blocks the transmission, an int is XORed into the in-flight payload
+    (bit flipping, a replacement even when it is 0). Rules apply to every
+    matching transmission of that session.
     """
 
     def __init__(self):
-        # session -> label -> (disposition, mask; None when blocked)
-        self._rules: dict[int, dict[str, tuple[str, int | None]]] = {}
+        self._rules: dict[int, dict[str, int | None]] = {}  # session -> label -> mask
 
     def block(self, session: int, label: str) -> None:
-        self._rules.setdefault(session, {})[label] = (BLOCKED, None)
+        self._rules.setdefault(session, {})[label] = None
 
     def flip(self, session: int, label: str, mask: int) -> None:
         """Alter the message in flight by XORing a mask into it."""
-        self._rules.setdefault(session, {})[label] = (REPLACED, mask)
+        self._rules.setdefault(session, {})[label] = mask
 
 
-def _arrives(rule: tuple[str, int | None], payload: int) -> int | None:
+def _arrives(mask: int | None, payload: int) -> int | None:
     """What a transmission under a channel rule delivers: None when blocked."""
-    return None if rule[1] is None else payload ^ rule[1]
+    return None if mask is None else payload ^ mask
 
 
 class SessionTranscript(_Record):
     """Everything observable on the radio during one session: the words
     sent, a snapshot of the channel rules placed on the session (label ->
-    rule, None when it had none) and its outcome. `events` rebuilds every
-    transmission from the words and the rules on first read."""
+    mask, None for a block; `rules` is None when it had none) and its
+    outcome. `lines` prints every transmission from the words and the rules."""
 
     _fields = ("session", "presented_idts", "a", "b", "c", "outcome", "rules")
 
@@ -320,29 +291,29 @@ class SessionTranscript(_Record):
         self.outcome, self.rules = outcome, rules
         self.presented_idts = [] if presented_idts is None else presented_idts
 
-    @cached_property
-    def events(self) -> list[ChannelEvent]:
-        """One event per transmission, in the order they were sent."""
+    def transmissions(self) -> int:
+        """Channel sends, with {A, B} grouped as a single transmission."""
+        return len(self.presented_idts) + (self.a is not None) + (self.c is not None)
+
+    def lines(self, width: int) -> list[str]:
+        """One line per transmission, in the order sent, then the outcome line."""
         sent = [(MSG_IDT, idt) for idt in self.presented_idts]
         if self.a is not None:
             sent += [(MSG_A, self.a), (MSG_B, self.b)]
         if self.c is not None:
             sent.append((MSG_C, self.c))
         rules = self.rules or {}
-        return [
-            ChannelEvent(self.session, _DIRECTION[label], label, payload)
-            if (rule := rules.get(label)) is None
-            else ChannelEvent(self.session, _DIRECTION[label], label, payload,
-                              rule[0], _arrives(rule, payload))
-            for label, payload in sent
-        ]
-
-    def transmissions(self) -> int:
-        """Channel sends, with {A, B} grouped as a single transmission."""
-        return len(self.presented_idts) + (self.a is not None) + (self.c is not None)
-
-    def lines(self, width: int) -> list[str]:
-        out = [event.line(width) for event in self.events]
+        out = []
+        for label, word in sent:
+            line = (f"session={self.session} direction={_DIRECTION[label]} "
+                    f"message={label} word={to_hex(word, width)} disposition=")
+            if label not in rules:
+                line += "delivered"
+            elif rules[label] is None:
+                line += "blocked"
+            else:
+                line += f"replaced replacement={to_hex(word ^ rules[label], width)}"
+            out.append(line)
         out.append(f"session={self.session} outcome={self.outcome}")
         return out
 
@@ -360,7 +331,7 @@ def run_honest_session(
     does not recognize it, the tag retries exactly once with its
     previous pseudonym. Both pseudonyms unknown is the observable
     desynchronization state. The optional channel may block or bit-flip
-    any message; the transcript rebuilds every transmission on demand.
+    any message; the transcript prints every transmission on demand.
     """
     # The one per-session look at the channel: a transmission without a rule
     # costs nothing more. The transcript copies the rules, so one placed later

@@ -1,33 +1,41 @@
 """Closure-based honest session, kept as an oracle for the lean session loop.
 
-Every transmission goes through a `transmit` closure that builds a
-ChannelEvent, appends it to the transcript and returns the delivered
-payload, exactly as the loop in umarfid.protocol did before it recorded
-only the events a channel rule acts on. OracleChannel and
-OracleTranscript are the channel and transcript that loop used; the
-session drives the package's own ReaderState and TagState.
+Every transmission goes through a `transmit` closure that builds an
+Event, appends it to the transcript and returns the delivered payload,
+exactly as the loop in umarfid.protocol did before it recorded only the
+channel rules. OracleChannel and OracleTranscript are the channel and
+transcript that loop used; the session drives the package's own
+ReaderState and TagState. Lines are written here, with this module's own
+direction table and hex, so README's line format is checked against a
+writer independent of the package.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from umarfid.protocol import (
-    BLOCKED,
-    DELIVERED,
-    MSG_A,
-    MSG_B,
-    MSG_C,
-    MSG_IDT,
-    READER_TO_TAG,
-    REPLACED,
-    TAG_TO_READER,
-    ChannelEvent,
-    Outcome,
-)
+from umarfid.protocol import MSG_A, MSG_B, MSG_C, MSG_IDT, Outcome
+
+DIRECTION = {MSG_IDT: "tag->reader", MSG_A: "reader->tag",
+             MSG_B: "reader->tag", MSG_C: "tag->reader"}
 
 
-def _event(session, label, payload, disposition, replacement=None) -> ChannelEvent:
-    direction = TAG_TO_READER if label in (MSG_IDT, MSG_C) else READER_TO_TAG
-    return ChannelEvent(session, direction, label, payload, disposition, replacement)
+class Event(NamedTuple):
+    """One radio transmission as an eavesdropper sees it."""
+
+    session: int
+    label: str  # IDT, A, B or C
+    payload: int  # what the sender emitted
+    disposition: str = "delivered"  # or "blocked" or "replaced"
+    replacement: int | None = None  # delivered payload when replaced
+
+    def line(self, width: int) -> str:
+        digits = width // 4
+        out = (f"session={self.session} direction={DIRECTION[self.label]} "
+               f"message={self.label} word={self.payload:0{digits}x} "
+               f"disposition={self.disposition}")
+        if self.replacement is not None:
+            out += f" replacement={self.replacement:0{digits}x}"
+        return out
 
 
 class OracleChannel:
@@ -45,14 +53,14 @@ class OracleChannel:
     def flip(self, session: int, label: str, mask: int) -> None:
         self._rules[(session, label)] = (self._FLIP, mask)
 
-    def apply(self, session: int, label: str, payload: int) -> ChannelEvent:
+    def apply(self, session: int, label: str, payload: int) -> Event:
         rule = self._rules.get((session, label))
         if rule is None:
-            return _event(session, label, payload, DELIVERED)
+            return Event(session, label, payload)
         action, word = rule
         if action == self._BLOCK:
-            return _event(session, label, payload, BLOCKED)
-        return _event(session, label, payload, REPLACED, payload ^ word)
+            return Event(session, label, payload, "blocked")
+        return Event(session, label, payload, "replaced", payload ^ word)
 
 
 @dataclass
@@ -65,7 +73,7 @@ class OracleTranscript:
     b: int | None = None
     c: int | None = None
     outcome: Outcome = Outcome.BLOCKED
-    events: list[ChannelEvent] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
 
     def lines(self, width: int) -> list[str]:
         out = [event.line(width) for event in self.events]
@@ -78,11 +86,11 @@ def run_honest_session(reader, tag, rng, channel=None, session=0) -> OracleTrans
 
     def transmit(label: str, payload: int) -> int | None:
         if channel is None:
-            event = _event(session, label, payload, DELIVERED)
+            event = Event(session, label, payload)
         else:
             event = channel.apply(session, label, payload)
         t.events.append(event)
-        return event.payload if event.disposition == DELIVERED else event.replacement
+        return event.payload if event.disposition == "delivered" else event.replacement
 
     # Identification: current pseudonym, then one retry with the previous.
     for use_previous in (False, True):

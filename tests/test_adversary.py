@@ -35,8 +35,8 @@ class TestQueries:
         env = make_env()
         t = env.execute(0)
         assert t.outcome == Outcome.MUTUAL_SUCCESS
-        assert len(t.events) == 4
-        assert [e.label for e in t.events] == ["IDT", "A", "B", "C"]
+        messages = [line.split()[2] for line in t.lines(env.word_len)[:-1]]
+        assert messages == ["message=IDT", "message=A", "message=B", "message=C"]
 
     def test_consecutive_executes_chain_pseudonyms(self):
         env = make_env()

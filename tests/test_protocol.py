@@ -17,7 +17,6 @@ from umarfid.protocol import (
     MSG_IDT,
     Bench,
     Channel,
-    ChannelEvent,
     DatabaseEntry,
     Outcome,
     PairState,
@@ -38,6 +37,11 @@ from umarfid.word import derive_seed, rot, stream, to_hex
 def make_system(word_len=128, seed=0, n_tags=1):
     reader, tags = fresh_system(random.Random(seed), word_len, n_tags)
     return reader, tags, random.Random(seed + 1)
+
+
+def sent(t, width=128):
+    """Each transmission line of a transcript, parsed into its fields."""
+    return [dict(f.split("=", 1) for f in line.split()) for line in t.lines(width)[:-1]]
 
 
 words16 = st.integers(0, 2**16 - 1)
@@ -159,15 +163,11 @@ class TestStateSizes:
 
 
 class TestRecords:
-    def test_pairs_and_events_are_immutable(self):
+    def test_pairs_are_immutable(self):
         pair = PairState(1, 2)
-        event = ChannelEvent(0, "tag->reader", MSG_IDT, 5)
         with pytest.raises(AttributeError):
             pair.key = 3
-        with pytest.raises(AttributeError):
-            event.payload = 6
         assert tuple(pair) == (1, 2)
-        assert event.disposition == "delivered" and event.replacement is None
 
     def test_outcomes_are_the_strings_records_print(self):
         outcomes = {value for name, value in vars(umarfid.Outcome).items() if name.isupper()}
@@ -343,9 +343,9 @@ class TestHonestSession:
         assert t.session == 9
         assert len(t.presented_idts) == 1
         assert t.transmissions() == 3  # IDT, {A, B}, C
-        assert [e.label for e in t.events] == [MSG_IDT, MSG_A, MSG_B, MSG_C]
-        assert all(e.disposition == "delivered" for e in t.events)
-        assert [e.direction for e in t.events] == [
+        assert [f["message"] for f in sent(t)] == [MSG_IDT, MSG_A, MSG_B, MSG_C]
+        assert all(f["disposition"] == "delivered" for f in sent(t))
+        assert [f["direction"] for f in sent(t)] == [
             "tag->reader", "reader->tag", "reader->tag", "tag->reader",
         ]
 
@@ -386,8 +386,8 @@ class TestHonestSession:
 
         blocked = run_honest_session(reader, tag, rng, channel=channel, session=1)
         assert blocked.outcome == Outcome.BLOCKED
-        assert blocked.events[-1].disposition == "blocked"
-        assert blocked.events[-1].payload == blocked.c  # still broadcast
+        assert sent(blocked)[-1]["disposition"] == "blocked"
+        assert sent(blocked)[-1]["word"] == to_hex(blocked.c, 128)  # still broadcast
         # tag moved ahead, reader kept the stale pair
         assert not reader.knows(tag.current.idt)
         assert reader.knows(tag.previous.idt)
@@ -395,7 +395,7 @@ class TestHonestSession:
         recovery = run_honest_session(reader, tag, rng, session=2)
         assert recovery.outcome == Outcome.MUTUAL_SUCCESS
         assert len(recovery.presented_idts) == 2
-        assert recovery.presented_idts[1] == recovery.events[1].payload
+        assert sent(recovery)[1]["word"] == to_hex(recovery.presented_idts[1], 128)
         assert synchronized(reader, tag)
         assert reader.knows(tag.current.idt)
 
@@ -458,16 +458,25 @@ class TestHonestSession:
         channel = Channel()
         channel.flip(0, MSG_B, 1 << 127)
         t = run_honest_session(reader, tags[0], rng, channel=channel)
-        event = next(e for e in t.events if e.label == MSG_B)
-        assert event.disposition == "replaced"
-        assert event.payload == t.b
+        b = next(f for f in sent(t) if f["message"] == MSG_B)
+        assert b["disposition"] == "replaced"
+        assert b["word"] == to_hex(t.b, 128)
         flipped = t.b ^ 1 << 127
-        assert event.replacement == flipped
-        assert event.line(128).endswith(f"replacement={to_hex(flipped, 128)}")
+        assert b["replacement"] == to_hex(flipped, 128)
+
+    def test_zero_flip_mask_is_a_replacement_not_a_block(self):
+        reader, tags, rng = make_system()
+        channel = Channel()
+        channel.flip(0, MSG_B, 0)
+        t = run_honest_session(reader, tags[0], rng, channel=channel)
+        assert t.outcome == Outcome.MUTUAL_SUCCESS
+        word = to_hex(t.b, 128)
+        assert t.lines(128)[2].endswith(
+            f"message=B word={word} disposition=replaced replacement={word}")
 
     @pytest.mark.parametrize("rule_during_run", [True, False])
     def test_rule_placed_after_the_run_leaves_the_transcript(self, rule_during_run):
-        # events are built on first read, so neither transcript is read
+        # lines are built when asked for, so neither transcript is printed
         # before the later rules are placed
         def session():
             reader, tags, rng = make_system()
@@ -480,11 +489,10 @@ class TestHonestSession:
         channel.block(0, MSG_B)
         channel.flip(0, MSG_IDT, 1)
         unchanged, _ = session()
-        assert later.events == unchanged.events
         assert later.lines(128) == unchanged.lines(128)
         # a flipped B is rejected by the tag, so no C follows it
         expected = ["delivered", "delivered", "replaced"] if rule_during_run else ["delivered"] * 4
-        assert [e.disposition for e in later.events] == expected
+        assert [f["disposition"] for f in sent(later)] == expected
 
     def test_sync_invariant_over_many_sessions(self):
         reader, tags, rng = make_system(seed=3)
@@ -627,8 +635,8 @@ class TestFusedAgainstReference:
 
 
 class TestSessionAgainstClosureOracle:
-    """The session loop that rebuilds its events on demand against the
-    closure-based loop that built one ChannelEvent per transmission.
+    """The session loop that prints its lines from its words and rules against
+    the closure-based loop that built one event per transmission.
 
     Each case runs four sessions on two identical systems, one through
     each loop, with rules drawn at random: none, no channel at all, or
@@ -708,7 +716,6 @@ class TestSessionAgainstClosureOracle:
                 assert got.transmissions() == len(want.presented_idts) + (
                     want.a is not None) + (want.c is not None)
                 assert got.lines(width) == want.lines(width)
-                assert got.events == want.events
                 seen_outcomes.add(got.outcome)
                 fallbacks += (
                     len(got.presented_idts) == 2 and got.outcome == Outcome.MUTUAL_SUCCESS)

@@ -2,7 +2,10 @@
 
 import argparse
 import ast
+import builtins
 import contextlib
+import functools
+import importlib
 import io
 import json
 import os
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import umarfid
 from umarfid import cli, harness
 from umarfid.protocol import MSG_A, MSG_B, Bench, Channel
 
@@ -268,6 +272,30 @@ def test_readme_states_the_transcript_line_format():
     patterns = transcript_line_patterns()
     for line in lines:
         assert any(p.fullmatch(line) for p in patterns), f"README does not state {line!r}"
+
+
+# a backticked name, dotted or not, alone or called: `Bench.adv_rng`, `Bench(...)`
+README_NAME = re.compile(r"`([A-Z]\w*(?:\.\w+)*)[`(]")
+
+
+def resolves(owner, dotted):
+    try:
+        functools.reduce(getattr, dotted.split("."), owner)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_readme_names_only_things_that_exist():
+    # a capitalized name README puts in backticks is a builtin or lives in
+    # the package, so a class or attribute removed from src must leave the
+    # prose too; protocol symbols such as `IDT` or `K` have no lowercase letter
+    owners = [builtins, umarfid, *(importlib.import_module(f"umarfid.{path.stem}")
+                                   for path in sorted(SRC.glob("[!_]*.py")))]
+    names = {name for name in README_NAME.findall(README.read_text()) if re.search("[a-z]", name)}
+    assert {"Bench.adv_rng", "SessionTranscript.lines", "ValueError"} <= names  # all forms read
+    missing = [name for name in sorted(names) if not any(resolves(o, name) for o in owners)]
+    assert not missing, f"README names {missing}, which nothing in umarfid or builtins defines"
 
 
 FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
