@@ -124,7 +124,3 @@ def random_guess_strategy(env: GameEnvironment) -> int:
     """Null baseline: ask for the challenge, then guess a coin flip."""
     env.test()
     return env.adv_rng.getrandbits(1)
-
-
-# a GameOutcome's record keys (the trial, then its fields), with kinds
-OUTCOME_FIELDS = {"trial": int, "b": int, "d": int, "success": bool, "executes": int, "sends": int}

@@ -322,29 +322,3 @@ def attack_desync_bitflip(
         synchronized=still_synchronized,
         followup_outcomes=outcomes,
     )
-
-
-# an AttackReport's record keys in order with their kinds (words as hex); every format renders from it
-ATTACK_FIELDS = {
-    "trial": int, "attack": str, "success": bool, "recovered_key": str, "recovered_nonce": str,
-    "cloned_idt": str, "cloned_key": str, "c1_rounds": int, "c2_trials": int, "a_mask": str,
-    "b_mask": str, "hw_matched": bool, "synchronized": bool, "followups": str, "detail": str,
-}
-
-
-def attack_columns(reports, trials, width: int) -> list:
-    """Record values of reports for trials, a column per ATTACK_FIELDS key;
-    a word becomes width // 4 hex digits (to_hex's), None stays None."""
-    (attack, success, key, nonce, pair, c1_rounds, c2_trials, a_mask, b_mask,
-     hw_matched, synchronized, followups, detail) = zip(*reports)
-    size, odd = (width + 7) // 8, width % 8 // 4  # bytes, and a nibble to drop
-
-    def hx(words):
-        return [None if w is None else w.to_bytes(size, "big").hex()[odd:] for w in words]
-
-    return [
-        trials, attack, success, hx(key), hx(nonce),
-        hx([p and p.idt for p in pair]), hx([p and p.key for p in pair]),
-        c1_rounds, c2_trials, hx(a_mask), hx(b_mask), hw_matched, synchronized,
-        [None if f is None else ";".join(f) for f in followups], detail,
-    ]

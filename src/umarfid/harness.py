@@ -78,8 +78,15 @@ class TrialResult(NamedTuple):
     detail: str = ""
 
 
-# a TrialResult's record keys (the trial, then its fields), with kinds
+# Record keys in order with their kinds, per report type: the trial, then
+# the report's fields (an AttackReport's words as hex). Every format renders from them.
 RESULT_FIELDS = {"trial": int, "label": str, "success": bool, "detail": str}
+OUTCOME_FIELDS = {"trial": int, "b": int, "d": int, "success": bool, "executes": int, "sends": int}
+ATTACK_FIELDS = {
+    "trial": int, "attack": str, "success": bool, "recovered_key": str, "recovered_nonce": str,
+    "cloned_idt": str, "cloned_key": str, "c1_rounds": int, "c2_trials": int, "a_mask": str,
+    "b_mask": str, "hw_matched": bool, "synchronized": bool, "followups": str, "detail": str,
+}
 
 
 class SummaryStats(NamedTuple):
@@ -190,6 +197,24 @@ def _trial_and_fields(reports, trials, width: int) -> list:
     return [trials, *zip(*reports)]
 
 
+def _attack_columns(reports, trials, width: int) -> list:
+    """Record values of reports for trials, a column per ATTACK_FIELDS key;
+    a word becomes width // 4 hex digits (to_hex's), None stays None."""
+    (attack, success, key, nonce, pair, c1_rounds, c2_trials, a_mask, b_mask,
+     hw_matched, synchronized, followups, detail) = zip(*reports)
+    size, odd = (width + 7) // 8, width % 8 // 4  # bytes, and a nibble to drop
+
+    def hx(words):
+        return [None if w is None else w.to_bytes(size, "big").hex()[odd:] for w in words]
+
+    return [
+        trials, attack, success, hx(key), hx(nonce),
+        hx([p and p.idt for p in pair]), hx([p and p.key for p in pair]),
+        c1_rounds, c2_trials, hx(a_mask), hx(b_mask), hw_matched, synchronized,
+        [None if f is None else ";".join(f) for f in followups], detail,
+    ]
+
+
 class Experiment(NamedTuple):
     """A row of the experiment table: all the CLI, trials, summary and records need."""
 
@@ -203,7 +228,7 @@ class Experiment(NamedTuple):
 
 
 _ATTACK_HELP = "run one attack as a Monte Carlo experiment"
-_ATTACKS = _report_type(AttackReport, attacks.ATTACK_FIELDS, attacks.attack_columns)
+_ATTACKS = _report_type(AttackReport, ATTACK_FIELDS, _attack_columns)
 _RESULTS = _report_type(TrialResult, RESULT_FIELDS, _trial_and_fields)
 
 # Every experiment, in CLI order. A name but "untraceability" (seeded
@@ -217,7 +242,7 @@ EXPERIMENTS = {
         ("game",), "untraceability distinguishing games",
         lambda config, trial: adversary.run_untraceability_game(
             STRATEGIES[config.strategy], config, trial),
-        _report_type(GameOutcome, adversary.OUTCOME_FIELDS, _trial_and_fields), 1000,
+        _report_type(GameOutcome, OUTCOME_FIELDS, _trial_and_fields), 1000,
         ("execute_budget", "send_budget", "strategy"), "advantage"),
     "full-disclosure": Experiment(
         ("attack", "full-disclosure"), _ATTACK_HELP,
@@ -284,12 +309,13 @@ def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "te
     run_range = functools.partial(_run_range, config, fmt if write else None)
     reports, successes, attempts = [], 0, []
     emit = write or reports.extend
+    ranges = trial_ranges(config.trials, workers)
+    workers = min(workers, len(ranges))  # a worker per range at most
     pool = None
     if workers > 1:  # imported here, so a serial run never loads the pool's modules
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        ranges = trial_ranges(config.trials, workers)
         for part, (ok, part_attempts) in (
             _in_order(pool, run_range, ranges, IN_FLIGHT * workers)
             if pool else map(run_range, ranges)

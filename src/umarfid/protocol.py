@@ -89,32 +89,14 @@ def _session_words(key: int, nonce: int, width: int) -> tuple[int, int, PairStat
     return rk ^ rn, (key | rn) ^ (rk & nonce), PairState(key ^ rn, rk ^ nonce)
 
 
-class _Record:
-    """Value equality and a field-by-field repr over the names in _fields."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class TagState(_Record):
+class TagState:
     """Tag memory: static ID plus current and previous {IDT, K} pairs.
 
     Exactly 5 words of storage, each `width` bits. The static ID is
     never transmitted.
     """
 
-    __slots__ = _fields = ("id", "current", "previous", "width")
+    __slots__ = ("id", "current", "previous", "width")
 
     def __init__(self, id: int, current: PairState, previous: PairState, width: int):
         self.id, self.current, self.previous, self.width = id, current, previous, width
@@ -167,10 +149,10 @@ class TagState(_Record):
         return index, expected ^ b, self.respond(use_previous, a, expected)
 
 
-class DatabaseEntry(_Record):
+class DatabaseEntry:
     """Back-end record for one tag: {IDT, K, ID}, exactly 3 words."""
 
-    __slots__ = _fields = ("idt", "key", "id")
+    __slots__ = ("idt", "key", "id")
 
     def __init__(self, idt: int, key: int, id: int):
         self.idt, self.key, self.id = idt, key, id
@@ -276,13 +258,13 @@ def _arrives(mask: int | None, payload: int) -> int | None:
     return None if mask is None else payload ^ mask
 
 
-class SessionTranscript(_Record):
+class SessionTranscript:
     """Everything observable on the radio during one session: the words
     sent, a snapshot of the channel rules placed on the session (label ->
     mask, None for a block; `rules` is None when it had none) and its
     outcome. `lines` prints every transmission from the words and the rules."""
 
-    _fields = ("session", "presented_idts", "a", "b", "c", "outcome", "rules")
+    __slots__ = ("session", "presented_idts", "a", "b", "c", "outcome", "rules")
 
     def __init__(self, session: int, presented_idts: list[int] | None = None,
                  a: int | None = None, b: int | None = None, c: int | None = None,

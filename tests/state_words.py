@@ -7,7 +7,7 @@ def stored_words(record) -> tuple[int, ...]:
     A pair gives its two words; a tag's width is not a stored word.
     """
     out = ()
-    for name in record._fields:
+    for name in type(record).__slots__:
         if name != "width":
             value = getattr(record, name)
             out += tuple(value) if isinstance(value, tuple) else (value,)

@@ -317,6 +317,31 @@ class _CountingExecutor:
         pass
 
 
+class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    """A real process pool that records the worker count of each one built."""
+
+    built = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.built.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.mark.parametrize("trials, workers, pools", [
+    (3, 4, [3]),  # three one-trial ranges need three workers, not four
+    (1, 4, []),  # one range runs in process
+    (1, 2, []),
+    (9, 2, [2]),
+])
+def test_pool_has_at_most_a_worker_per_range(monkeypatch, trials, workers, pools):
+    monkeypatch.setattr(_RecordingPool, "built", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    config = TrialConfig("clone", trials=trials)
+    reports, stats = run_trials(config, workers)
+    assert _RecordingPool.built == pools
+    assert (reports, stats.successes) == (run_trials(config)[0], trials)
+
+
 class TestInFlightWindow:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_submissions_stay_within_the_window(self, monkeypatch, workers):

@@ -511,6 +511,28 @@ class TestHonestSession:
         assert t.outcome == Outcome.READER_REJECTED_TAG
         assert {idt: stored_words(entry) for idt, entry in reader.entries.items()} == entries
         assert tag.current == updated  # the tag committed when it sent C
+        # Stuck: the reader knows the tag's current pseudonym under the other
+        # entry's key, so the tag never falls back to the pair the reader holds.
+        assert_stuck(reader, tag, random.Random(4))
+
+    def test_fixed_point_update_with_blocked_c_is_stuck(self):
+        # IDT' = K xor rot(N, N) equals IDT for exactly one nonce, since
+        # N -> rot(N, N) is a permutation of the words
+        width = 16
+        reader, (tag,) = fresh_system(random.Random(3), width)
+        used = tag.current
+        fixed = [n for n in range(1 << width) if rot(n, n, width) == used.key ^ used.idt]
+        assert len(fixed) == 1
+        channel = Channel()
+        channel.block(0, MSG_C)
+        t = run_honest_session(reader, tag, _FixedNonce(fixed[0]), channel)
+        assert t.outcome == Outcome.BLOCKED and t.c is not None
+        assert tag.current == next_pair(used, fixed[0], width)
+        assert tag.current.idt == tag.previous.idt == used.idt
+        entry = reader.entries[used.idt]
+        assert (entry.idt, entry.key) == used  # the reader kept the used pair
+        # the reader answers the current pseudonym with the key the tag left behind
+        assert_stuck(reader, tag, random.Random(4))
 
     def test_two_tags_share_one_reader(self):
         reader, tags, rng = make_system(n_tags=2)
@@ -545,8 +567,10 @@ class TestBench:
     def test_tags_come_from_the_init_stream_in_order(self):
         bench = Bench(16, 7, n_tags=2)
         reader, tags = fresh_system(stream(7, "init"), 16, 2)
-        assert bench.tags == tags and bench.tag is bench.tags[0]
-        assert bench.reader.entries == reader.entries
+        assert list(map(stored_words, bench.tags)) == list(map(stored_words, tags))
+        assert bench.tag is bench.tags[0]
+        assert {idt: stored_words(e) for idt, e in bench.reader.entries.items()} == {
+            idt: stored_words(e) for idt, e in reader.entries.items()}
 
     def test_run_honest_runs_the_chosen_tag_and_counts_sessions(self):
         bench = Bench(16, 7, n_tags=2)
@@ -556,6 +580,17 @@ class TestBench:
         assert (t.session, t.outcome, bench.session) == (0, Outcome.MUTUAL_SUCCESS, 1)
         assert t.a == second.key ^ nonces.getrandbits(16)
         assert bench.run_honest().presented_idts == [bench.tags[0].previous.idt]
+
+
+def assert_stuck(reader, tag, rng):
+    """Sessions 1 to 3: the tag rejects the reader after one pseudonym,
+    while synchronized holds through the tag's previous pair."""
+    for session in (1, 2, 3):
+        assert synchronized(reader, tag)
+        t = run_honest_session(reader, tag, rng, session=session)
+        assert t.outcome == Outcome.TAG_REJECTED_READER
+        assert len(t.presented_idts) == 1
+    assert synchronized(reader, tag)
 
 
 class _FixedNonce:
@@ -675,7 +710,7 @@ class TestSessionAgainstClosureOracle:
         return (
             [(tag.current, tag.previous) for tag in tags],
             {idt: stored_words(entry) for idt, entry in reader.entries.items()},
-            reader.pending,
+            reader.pending and (stored_words(reader.pending.entry), *reader.pending[1:]),
         )
 
     @staticmethod

@@ -197,6 +197,20 @@ def loaded_definitions(module, tree):
 # benchmarks/workload.py traces it, though the CLI renders through render_records
 UNUSED_BUT_TRACED = {("harness", "render")}
 
+# Channel.flip drives acceptance criterion 7 (a corrupted bit is rejected);
+# SessionTranscript.lines waits for a replay command that prints it
+UNUSED_METHODS = {("protocol", "Channel", "flip"), ("protocol", "SessionTranscript", "lines")}
+
+
+def public_methods(trees):
+    """(module, class, name) of each public function a src class body defines."""
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield module, cls.name, node.name
+
 
 def test_every_public_name_is_exported_or_used_by_the_package():
     # a public name that only tests use is test code living in src; move
@@ -211,6 +225,13 @@ def test_every_public_name_is_exported_or_used_by_the_package():
     assert ("protocol", "Bench") in public and ("attacks", "recover_key") in exported
     unused = sorted(public - exported - used - UNUSED_BUT_TRACED)
     assert not unused, f"public names neither exported nor used in src: {unused}"
+    # a public method counts as used when src loads an attribute of its name
+    methods = set(public_methods(trees))
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert ("protocol", "TagState", "respond") in methods
+    unused = sorted(m for m in methods - UNUSED_METHODS if m[2] not in loaded)
+    assert not unused, f"public methods src never loads: {unused}"
 
 
 def test_readme_lists_exactly_the_package_exports():
@@ -226,6 +247,13 @@ def test_readme_lists_exactly_the_package_exports():
     assert len(rows) == 5
     assert sorted(listed) == sorted(exported)
 
+
+def test_readme_python_blocks_run():
+    # the Library example is code a reader copies; it must still run
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    assert any("attack_clone(Bench(word_len=128, seed=7))" in block for block in blocks)
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
 
 
 def test_readme_command_lines_parse():
