@@ -239,9 +239,7 @@ def random_weight2(rng: random.Random, width: int) -> int:
 C1_ROUND_CAP = 64  # mask rounds; reached with chance < 1e-17 at L = 4, 8, 128, < 3e-11 at 12
 
 
-def attack_desync_bitflip(
-    bench: Bench, c1_round_cap: int = C1_ROUND_CAP, followups: int = FOLLOWUPS
-) -> AttackReport:
+def attack_desync_bitflip(bench: Bench, followups: int = FOLLOWUPS) -> AttackReport:
     """Desynchronize with weight-2 replay masks, no key knowledge needed.
 
     Captures one full honest session, then poses as a reader. Feigning
@@ -252,10 +250,10 @@ def attack_desync_bitflip(
     while the reader kept its state, and no shared pair remains. A round
     whose mask_a changes the nonce's weight (half of them) admits a mask_b
     only by a coincidence of rotations, rare at large widths. Rounds stop
-    at c1_round_cap. Expected: 11/10 rounds and 41/10 probes at L=4,
-    1.7168 and 34.584 at L=8, 1.978418 and 98.07981 at L=12 (the cap
-    is reached with chance < 3e-11 there), 2.000254 and 12194.57 at
-    L=128 (exact models in tests/oracle_bitflip.py).
+    at C1_ROUND_CAP, a module constant. Expected: 11/10 rounds and 41/10
+    probes at L=4, 1.7168 and 34.584 at L=8, 1.978418 and 98.07981 at
+    L=12 (the cap is reached with chance < 3e-11 there), 2.000254 and
+    12194.57 at L=128 (exact models in tests/oracle_bitflip.py).
 
     The tag evaluates each round's sweep once (TagState.respond_sweep),
     which tells the attacker only which probe of its order would have
@@ -283,7 +281,7 @@ def attack_desync_bitflip(
     c2_trials = 0
     b_mask: int | None = None  # the answered B-mask, once a round has one
 
-    while b_mask is None and c1_rounds < c1_round_cap:
+    while b_mask is None and c1_rounds < C1_ROUND_CAP:
         c1_rounds += 1
         a_mask = random_weight2(bench.adv_rng, width)
         state_before = (tag.current, tag.previous)
@@ -304,7 +302,7 @@ def attack_desync_bitflip(
             success=False,
             c1_rounds=c1_rounds,
             c2_trials=c2_trials,
-            detail=f"no accepting mask within {c1_round_cap} rounds",
+            detail=f"no accepting mask within {C1_ROUND_CAP} rounds",
         )
 
     # Ground truth: weight condition of the accepted round and post-state.

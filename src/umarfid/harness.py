@@ -257,8 +257,7 @@ EXPERIMENTS = {
         _ATTACKS, 200, ("followups",)),
     "desync-bitflip": Experiment(
         ("attack", "desync-bitflip"), _ATTACK_HELP,
-        lambda config, trial: attacks.attack_desync_bitflip(
-            _bench(config, trial), followups=config.followups),
+        lambda config, trial: attacks.attack_desync_bitflip(_bench(config, trial), config.followups),
         _ATTACKS, 200, ("followups",), "attempts"),
     "identities": Experiment(
         ("verify-identities",), "check the XOR identities the attacks rely on",

@@ -180,7 +180,7 @@ class ReaderState:
         self.entries[entry.idt] = entry
 
     def knows(self, idt: int) -> bool:
-        """Read-only lookup, used by identification and the Test query."""
+        """Read-only lookup, used only by the game's test(); identification uses begin."""
         return idt in self.entries
 
     def begin(self, idt: int, rng: random.Random) -> tuple[int, int] | None:
@@ -266,12 +266,11 @@ class SessionTranscript:
 
     __slots__ = ("session", "presented_idts", "a", "b", "c", "outcome", "rules")
 
-    def __init__(self, session: int, presented_idts: list[int] | None = None,
-                 a: int | None = None, b: int | None = None, c: int | None = None,
-                 outcome: str = Outcome.BLOCKED, rules: dict | None = None):
-        self.session, self.a, self.b, self.c = session, a, b, c
-        self.outcome, self.rules = outcome, rules
-        self.presented_idts = [] if presented_idts is None else presented_idts
+    def __init__(self, session: int, rules: dict | None):
+        self.session, self.rules = session, rules
+        self.presented_idts: list[int] = []
+        self.a = self.b = self.c = None
+        self.outcome = Outcome.BLOCKED
 
     def transmissions(self) -> int:
         """Channel sends, with {A, B} grouped as a single transmission."""
@@ -319,7 +318,7 @@ def run_honest_session(
     # costs nothing more. The transcript copies the rules, so one placed later
     # cannot rewrite it. A rule's early return leaves the outcome BLOCKED.
     rules = channel._rules.get(session) if channel is not None else None
-    t = SessionTranscript(session, rules=rules and dict(rules))
+    t = SessionTranscript(session, rules and dict(rules))
 
     # Identification: current pseudonym, then one retry with the previous.
     for use_previous in (False, True):

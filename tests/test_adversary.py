@@ -11,7 +11,7 @@ from umarfid.adversary import (
     run_untraceability_game,
 )
 from umarfid.attacks import distinguish_strategy
-from umarfid.harness import TrialConfig, render_records, summarize, wilson_interval
+from umarfid.harness import TrialConfig, render_records, run_trials, summarize, wilson_interval
 from umarfid.protocol import MSG_C, Outcome, next_pair
 from umarfid.word import derive_seed, stream
 
@@ -144,6 +144,32 @@ class TestGame:
         config = TrialConfig("untraceability", word_len=12, seed=seed)
         outcome = run_untraceability_game(distinguish_strategy, config, trial)
         assert (outcome.executes_used, outcome.sends_used) == (2, 1)
+
+    @pytest.mark.parametrize("width, trials", [(4, 1000), (8, 2000)])
+    def test_a_lost_game_has_coincident_pseudonyms(self, width, trials):
+        # ROADMAP item 1: once the strategy has run, one of tag 0's two
+        # pseudonyms is one of tag 1's in every lost game. Won games collide
+        # too, so this is a necessary condition only. A collision through
+        # tag 0's previous pseudonym alone follows a first session whose
+        # update the reader declined, as it would land on tag 1's pseudonym.
+        config = TrialConfig("untraceability", word_len=width, trials=trials)
+        reports, _ = run_trials(config)
+        collided = set()
+        for trial in range(trials):
+            env = GameEnvironment(config, derive_seed(config.seed, "game", trial))
+            sessions, execute = [], env.execute
+            env.execute = lambda tag: sessions.append(execute(tag)) or sessions[-1]
+            distinguish_strategy(env)
+            tag0, tag1 = env.tags
+            theirs = {tag1.current.idt, tag1.previous.idt}
+            if tag0.current.idt in theirs:
+                collided.add(trial)
+            elif tag0.previous.idt in theirs:
+                collided.add(trial)
+                assert sessions[0].outcome == Outcome.READER_REJECTED_TAG, trial
+        lost = {trial for trial, report in enumerate(reports) if not report.success}
+        assert lost <= collided, sorted(lost - collided)
+        assert collided  # the check can see a collision
 
     @pytest.mark.parametrize("executes", [0, 1])
     def test_distinguish_with_fewer_than_two_executes_guesses_one(self, executes):

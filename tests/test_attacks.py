@@ -18,6 +18,7 @@ from oracle_bitflip import (
     weight2_words,
 )
 from state_words import stored_words
+from umarfid import attacks
 from umarfid.attacks import (
     AttackReport,
     Bench,
@@ -330,8 +331,9 @@ class TestDesyncBitflip:
         assert c == twin.tag.respond(True, captured.a ^ c1, captured.b ^ mask)
         assert stored_words(bench.tag) == stored_words(twin.tag)
 
-    def test_round_cap_reports_failure(self):
-        report = attack_desync_bitflip(Bench(16, 7), c1_round_cap=0)
+    def test_round_cap_reports_failure(self, monkeypatch):
+        monkeypatch.setattr(attacks, "C1_ROUND_CAP", 0)
+        report = attack_desync_bitflip(Bench(16, 7))
         assert not report.success
         assert report.c1_rounds == 0
         assert "no accepting mask" in report.detail
@@ -372,9 +374,10 @@ class TestBitflipAgainstLiteralOracle:
         "width, seeds, cap",
         [(16, 500, 64), (128, 50, 64), (8, 500, 64), (16, 200, 1), (16, 20, 0)],
     )
-    def test_records_identical(self, width, seeds, cap):
+    def test_records_identical(self, monkeypatch, width, seeds, cap):
+        monkeypatch.setattr(attacks, "C1_ROUND_CAP", cap)
         for seed in range(seeds):
-            sweep = attack_desync_bitflip(Bench(width, seed), c1_round_cap=cap)
+            sweep = attack_desync_bitflip(Bench(width, seed))
             literal = literal_desync_bitflip(Bench(width, seed), c1_round_cap=cap)
             assert attack_record(sweep, seed, width) == attack_record(literal, seed, width)
 

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import contextlib
 import copy
@@ -12,13 +13,14 @@ import statistics
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umarfid import harness, word
+from umarfid import attacks, harness, word
 from umarfid.attacks import AttackReport, attack_desync_bitflip
 from umarfid.cli import build_parser, config_from_args, main
 from umarfid.harness import (
@@ -35,7 +37,7 @@ from umarfid.harness import (
     summary_text,
     trial_ranges,
 )
-from umarfid.protocol import Bench
+from umarfid.protocol import MSG_C, Bench, Channel
 from umarfid.word import derive_seed
 
 
@@ -464,14 +466,12 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize("x", [])
 
-    def test_zero_success_run(self):
+    def test_zero_success_run(self, monkeypatch):
         # one mask round fails about half of the bit-flip trials, honestly;
         # the summary of ten such failures
-        reports = [
-            attack_desync_bitflip(
-                Bench(16, derive_seed(0, "desync-bitflip", trial)), c1_round_cap=1)
-            for trial in range(40)
-        ]
+        monkeypatch.setattr(attacks, "C1_ROUND_CAP", 1)
+        reports = [attack_desync_bitflip(Bench(16, derive_seed(0, "desync-bitflip", trial)))
+                   for trial in range(40)]
         failed = [r for r in reports if not r.success][:10]
         assert len(failed) == 10
         stats = summarize("desync-bitflip", failed)
@@ -494,6 +494,42 @@ class TestSummarize:
     def test_interval_contains_rate(self):
         reports, stats = run("session", trials=7)
         assert stats.wilson_low <= stats.success_rate <= stats.wilson_high
+
+
+def binomial_interval(trials: int, p: Fraction, level=Fraction(999, 1000)) -> tuple[int, int]:
+    """Central interval of Binomial(trials, p), exact: counts below it, and
+    counts above it, each have probability at most (1 - level) / 2."""
+    tail = (1 - level) / 2
+    cdf, total, pmf = [], 0, (1 - p) ** trials
+    while total < 1 - tail:  # cdf[k] = P(count <= k)
+        total += pmf
+        cdf.append(total)
+        pmf *= Fraction(trials - len(cdf) + 1, len(cdf)) * p / (1 - p)
+    return next(k for k, c in enumerate(cdf) if c > tail), len(cdf) - 1
+
+
+@pytest.mark.parametrize("width, trials", [(4, 1000), (8, 3000), (12, 3000)])
+def test_session_fails_exactly_at_the_fixed_point(width, trials):
+    # ROADMAP item 1: a session trial fails exactly when its blocked third
+    # session updated the tag onto the pseudonym it had (IDT' = IDT). The
+    # reader then knows that pseudonym under the old key, so the recovery
+    # never falls back. N -> rot(N, N) permutes the words, so that has
+    # probability 2^-L per trial.
+    reports, _ = run("session", trials=trials, word_len=width)
+    failed = {trial for trial, report in enumerate(reports) if not report.success}
+    fixed_points = set()
+    for trial in range(trials):
+        bench = Bench(width, derive_seed(0, "session", trial))
+        bench.run_honest()
+        bench.run_honest()
+        channel = Channel()
+        channel.block(bench.session, MSG_C)
+        bench.run_honest(channel)
+        if bench.tag.current.idt == bench.tag.previous.idt:
+            fixed_points.add(trial)
+    assert failed == fixed_points
+    low, high = binomial_interval(trials, Fraction(1, 2**width))
+    assert low <= len(failed) <= high, (len(failed), low, high)
 
 
 class TestRender:
@@ -625,6 +661,16 @@ class TestExperimentTable:
         assert "{full-disclosure,clone,desync-mitm,desync-bitflip,noop}" in (
             capsys.readouterr().out)
         assert build_parser().parse_args(["attack", "noop"]).trials == 200
+
+    def test_rows_of_one_command_agree(self):
+        # build_parser reads a command's help and default trial count from its
+        # first row, so a later row's own values would be silently ignored
+        commands = collections.defaultdict(list)
+        for experiment in EXPERIMENTS.values():
+            commands[experiment.words[0]].append((experiment.help, experiment.trials))
+        assert len(commands["attack"]) == 4  # rows that share a command were found
+        differ = {command: rows for command, rows in commands.items() if len(set(rows)) > 1}
+        assert not differ, f"rows of one command disagree: {differ}"
 
 
 class TestCli:

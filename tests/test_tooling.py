@@ -3,6 +3,7 @@
 import argparse
 import ast
 import builtins
+import collections
 import contextlib
 import functools
 import importlib
@@ -232,6 +233,94 @@ def test_every_public_name_is_exported_or_used_by_the_package():
     assert ("protocol", "TagState", "respond") in methods
     unused = sorted(m for m in methods - UNUSED_METHODS if m[2] not in loaded)
     assert not unused, f"public methods src never loads: {unused}"
+
+
+# cli.main's argv is the console script's entry (None reads sys.argv);
+# harness.render has no src caller at all (ROADMAP item 2)
+DEFAULTS_NO_SRC_CALL_SETS = {("cli", "main", "argv"), ("harness", "render", "fmt")}
+
+
+def src_functions(trees):
+    """(call key, module, qualified name, def, whether its first parameter is
+    bound) of each src function; a constructor's key is its class name, as
+    `Cls(...)` calls it, and a method's first parameter is bound unless static."""
+    for module, tree in trees.items():
+        owner = {item: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for item in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                cls = owner.get(node)
+                if cls is None:
+                    yield node.name, module, node.name, node, False
+                else:
+                    decorators = {getattr(d, "id", None) for d in node.decorator_list}
+                    key = cls.name if node.name == "__init__" else node.name
+                    yield (key, module, f"{cls.name}.{node.name}", node,
+                           "staticmethod" not in decorators)
+
+
+def call_sites(trees):
+    """(call key, call) of each src call: `f(...)` and `x.f(...)` by the name
+    f, `super().__init__(...)` once per base class name of its class."""
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in ast.walk(cls):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "__init__"
+                            and isinstance(node.func.value, ast.Call)
+                            and getattr(node.func.value.func, "id", None) == "super"):
+                        for base in cls.bases:
+                            yield getattr(base, "id", None), node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                yield node.func.id, node
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
+def parameters_set(function, bound, call):
+    """Names of function's parameters that call passes, by position or by
+    keyword; a * or ** argument may pass any of them."""
+    args = function.args
+    positional = [a.arg for a in [*args.posonlyargs, *args.args]][bound:]
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return {*positional, *(a.arg for a in args.kwonlyargs)}
+    return set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def defaulted_parameters(function):
+    """Names of function's parameters that have a default."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    yield from (a.arg for a in positional[len(positional) - len(args.defaults):])
+    yield from (a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def unset_defaults(src):
+    """(module, function, parameter) of each defaulted parameter of a function
+    in the src directory that no call in it passes."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    calls = collections.defaultdict(list)
+    for key, call in call_sites(trees):
+        calls[key].append(call)
+    unset = set()
+    for key, module, qualname, function, bound in src_functions(trees):
+        passed = {name for call in calls[key] for name in parameters_set(function, bound, call)}
+        unset |= {(module, qualname, name) for name in defaulted_parameters(function)
+                  if name not in passed}
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_src():
+    # a default that every src call leaves alone is a constant dressed as an
+    # option: it doubles what tests must cover for no caller's sake
+    found = unset_defaults(SRC)
+    assert ("cli", "main", "argv") in found  # an unset default is seen
+    assert ("protocol", "Bench.__init__", "n_tags") not in found  # as is a super() call
+    unset = sorted(found - DEFAULTS_NO_SRC_CALL_SETS)
+    assert not unset, f"defaulted parameters no src call sets: {unset}"
 
 
 def test_readme_lists_exactly_the_package_exports():
