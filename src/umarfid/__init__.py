@@ -18,7 +18,6 @@ from .attacks import (
 from .harness import SummaryStats, TrialConfig, run_trials, summarize
 from .protocol import (
     Bench,
-    Channel,
     DatabaseEntry,
     Outcome,
     PairState,

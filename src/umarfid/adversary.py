@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .protocol import Bench, Channel, SessionTranscript
+from .protocol import Bench, SessionTranscript
 from .word import derive_seed, stream
 
 class GameError(RuntimeError):
@@ -40,7 +40,7 @@ class GameOutcome(NamedTuple):
 
 
 class GameEnvironment(Bench):
-    """Referee for one game: a bench of two tags, a channel, budgets.
+    """Referee for one game: a bench of two tags, the Send rules, budgets.
 
     config is the game's TrialConfig. The bench's streams are the game's:
     "init" draws both tags, "nonce" the reader's nonces, and strategies
@@ -53,7 +53,7 @@ class GameEnvironment(Bench):
         super().__init__(config.word_len, game_seed, n_tags=2)
         self.config = config
         self._bit_rng = stream(game_seed, "bit")
-        self.channel = Channel()
+        self.rules: dict[int, dict[str, None]] = {}  # session -> label -> block
         self.executes_used = 0
         self.sends_used = 0
         self._hidden_bit: int | None = None
@@ -65,14 +65,14 @@ class GameEnvironment(Bench):
                 f"execute budget {self.config.execute_budget} exhausted"
             )
         self.executes_used += 1
-        return self.run_honest(self.channel, self.tags[tag_index])
+        return self.run_honest(self.rules.get(self.session), self.tags[tag_index])
 
     def send(self, session: int, label: str) -> None:
-        """Register an interception: block the message."""
+        """Register an interception: block the message `label` of `session`."""
         if self.sends_used >= self.config.send_budget:
             raise BudgetError(f"send budget {self.config.send_budget} exhausted")
         self.sends_used += 1
-        self.channel.block(session, label)
+        self.rules.setdefault(session, {})[label] = None
 
     def test(self) -> list[int]:
         """Challenge: identify a secretly chosen tag, reveal its pseudonyms.
@@ -87,9 +87,9 @@ class GameEnvironment(Bench):
         bit = self._bit_rng.getrandbits(1)
         self._hidden_bit = bit
         tag = self.tags[bit]
-        revealed = [tag.present()]
-        if not self.reader.knows(revealed[0]):
-            revealed.append(tag.present(use_previous=True))
+        revealed = [tag.current.idt]
+        if tag.current.idt not in self.reader.entries:
+            revealed.append(tag.previous.idt)
         self.session += 1
         return revealed
 

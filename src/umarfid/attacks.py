@@ -161,7 +161,7 @@ def attack_desync_mitm(bench: Bench, followups: int = FOLLOWUPS) -> AttackReport
 
     # Session under attack: tag broadcasts its pseudonym, reader answers,
     # attacker owns the radio in between.
-    idt = bench.tag.present()
+    idt = bench.tag.current.idt
     key = recover_key(first.a, first.b, idt)
     challenge = bench.reader.begin(idt, bench.nonce_rng)
     if challenge is None:
@@ -269,7 +269,7 @@ def attack_desync_bitflip(bench: Bench, followups: int = FOLLOWUPS) -> AttackRep
     # the pair the capture used, under its last pseudonym. A rejected sweep keeps
     # that pair, so one look covers every round; a miss costs the first probe.
     tag = bench.tag
-    if tag.present(use_previous=True) != captured.presented_idts[-1]:
+    if tag.previous.idt != captured.presented_idts[-1]:
         return AttackReport(attack="desync-bitflip", success=False, c1_rounds=1, c2_trials=1,
                             detail="tag no longer holds the captured pair")
     nonce_truth = captured.a ^ tag.previous.key  # ground truth, attacker never sees it

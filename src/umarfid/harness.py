@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from . import adversary, attacks
 from .adversary import GameOutcome
 from .attacks import AttackReport
-from .protocol import MSG_C, Bench, Channel, Outcome, PairState, compute_a, compute_b, next_pair
+from .protocol import MSG_C, Bench, Outcome, PairState, compute_a, compute_b, next_pair
 from .word import DEFAULT_WORD_LEN, check_count, check_width, derive_seed, rot, stream
 
 STRATEGIES = {
@@ -120,9 +120,7 @@ def _session_trial(config: TrialConfig, trial: int) -> TrialResult:
                    t.transmissions() == 3]
 
     # Block the closing C: tag moves ahead, reader keeps the stale pair.
-    channel = Channel()
-    channel.block(bench.session, MSG_C)
-    blocked = bench.run_honest(channel)
+    blocked = bench.run_honest({MSG_C: None})
     checks += [blocked.outcome == Outcome.BLOCKED, bench.synchronized()]  # previous pair matches
 
     # Next honest session must identify via the fallback and resync.

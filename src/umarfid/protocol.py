@@ -106,10 +106,6 @@ class TagState:
         # A tag that has never updated has nothing older to remember.
         return cls(id=id, current=pair, previous=pair, width=width)
 
-    def present(self, use_previous: bool = False) -> int:
-        """Pseudonym broadcast during identification. No state change."""
-        return self.previous.idt if use_previous else self.current.idt
-
     def respond(self, use_previous: bool, a: int, b: int) -> int | None:
         """Verify the reader's challenge and answer with C, or stay silent.
 
@@ -179,10 +175,6 @@ class ReaderState:
             raise ValueError(f"pseudonym collision on registration: {to_hex(entry.idt, self.width)}")
         self.entries[entry.idt] = entry
 
-    def knows(self, idt: int) -> bool:
-        """Read-only lookup, used only by the game's test(); identification uses begin."""
-        return idt in self.entries
-
     def begin(self, idt: int, rng: random.Random) -> tuple[int, int] | None:
         """Look up the pseudonym and issue a challenge, or None if unknown.
 
@@ -233,34 +225,14 @@ _DIRECTION = {MSG_IDT: "tag->reader", MSG_A: "reader->tag",
               MSG_B: "reader->tag", MSG_C: "tag->reader"}
 
 
-class Channel:
-    """Interception rules an active adversary has placed on the radio.
-
-    A rule targets (session index, message label) and is a mask: None
-    blocks the transmission, an int is XORed into the in-flight payload
-    (bit flipping, a replacement even when it is 0). Rules apply to every
-    matching transmission of that session.
-    """
-
-    def __init__(self):
-        self._rules: dict[int, dict[str, int | None]] = {}  # session -> label -> mask
-
-    def block(self, session: int, label: str) -> None:
-        self._rules.setdefault(session, {})[label] = None
-
-    def flip(self, session: int, label: str, mask: int) -> None:
-        """Alter the message in flight by XORing a mask into it."""
-        self._rules.setdefault(session, {})[label] = mask
-
-
 def _arrives(mask: int | None, payload: int) -> int | None:
-    """What a transmission under a channel rule delivers: None when blocked."""
+    """What a transmission under a rule's mask delivers: None when blocked."""
     return None if mask is None else payload ^ mask
 
 
 class SessionTranscript:
     """Everything observable on the radio during one session: the words
-    sent, a snapshot of the channel rules placed on the session (label ->
+    sent, a copy of the interception rules placed on the session (label ->
     mask, None for a block; `rules` is None when it had none) and its
     outcome. `lines` prints every transmission from the words and the rules."""
 
@@ -303,7 +275,7 @@ def run_honest_session(
     reader: ReaderState,
     tag: TagState,
     rng: random.Random,
-    channel: Channel | None = None,
+    rules: dict[str, int | None] | None = None,
     session: int = 0,
 ) -> SessionTranscript:
     """Drive one full protocol session between genuine endpoints.
@@ -311,14 +283,15 @@ def run_honest_session(
     Identification presents the current pseudonym first; if the reader
     does not recognize it, the tag retries exactly once with its
     previous pseudonym. Both pseudonyms unknown is the observable
-    desynchronization state. The optional channel may block or bit-flip
-    any message; the transcript prints every transmission on demand.
+    desynchronization state. `rules` are an active adversary's
+    interceptions on this session, label -> mask: None blocks every
+    transmission of that label, an int is XORed into it (a replacement
+    even when it is 0). The transcript prints every transmission on demand.
     """
-    # The one per-session look at the channel: a transmission without a rule
-    # costs nothing more. The transcript copies the rules, so one placed later
-    # cannot rewrite it. A rule's early return leaves the outcome BLOCKED.
-    rules = channel._rules.get(session) if channel is not None else None
-    t = SessionTranscript(session, rules and dict(rules))
+    # A transmission without a rule costs nothing more. The transcript copies
+    # the rules (None for none), so a rule placed later, even into an empty
+    # dict, cannot rewrite it. A rule's early return leaves the outcome BLOCKED.
+    t = SessionTranscript(session, dict(rules) if rules else None)
 
     # Identification: current pseudonym, then one retry with the previous.
     for use_previous in (False, True):
@@ -427,10 +400,11 @@ class Bench:
         """The attacker's own stream, seeded on first use."""
         return stream(self._seed, "adv")
 
-    def run_honest(self, channel=None, tag=None) -> SessionTranscript:
-        """The next session, of tag (the bench's first tag by default)."""
+    def run_honest(self, rules=None, tag=None) -> SessionTranscript:
+        """The next session, of tag (the bench's first tag by default),
+        under the interception rules {label: mask} of run_honest_session."""
         t = run_honest_session(self.reader, self.tag if tag is None else tag,
-                               self.nonce_rng, channel, self.session)
+                               self.nonce_rng, rules, self.session)
         self.session += 1
         return t
 

@@ -171,8 +171,8 @@ def literal_desync_bitflip(bench, c1_round_cap=64, followups=3) -> AttackReport:
         forged_a = captured.a ^ a_mask
         for b_mask in weight2_words(width):
             c2_trials += 1
-            tag.present()
-            replayed = tag.present(use_previous=True)
+            # the rogue reader refuses the current pseudonym; the tag falls back
+            replayed = tag.previous.idt
             if replayed != captured.presented_idts[-1]:
                 return AttackReport(
                     attack="desync-bitflip",

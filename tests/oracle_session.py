@@ -94,7 +94,7 @@ def run_honest_session(reader, tag, rng, channel=None, session=0) -> OracleTrans
 
     # Identification: current pseudonym, then one retry with the previous.
     for use_previous in (False, True):
-        idt = tag.present(use_previous)
+        idt = tag.previous.idt if use_previous else tag.current.idt
         t.presented_idts.append(idt)
         received = transmit(MSG_IDT, idt)
         if received is None:

@@ -43,7 +43,6 @@ from umarfid.protocol import (
     MSG_A,
     MSG_B,
     MSG_C,
-    Channel,
     Outcome,
     PairState,
     TagState,
@@ -245,8 +244,6 @@ def test_criterion_5_desync_bitflip():
     snapshot = (bench.tag.current, bench.tag.previous)
     untouched = True
     for c2 in weight2_words(16):
-        bench.tag.present()
-        bench.tag.present(use_previous=True)
         if bench.tag.respond(True, captured.a ^ c1, captured.b ^ c2) is not None:
             untouched = False
         if (bench.tag.current, bench.tag.previous) != snapshot:
@@ -337,9 +334,7 @@ def test_criterion_7_protocol_soundness():
     bench = Bench(128, 708)
     recovery_failures = 0
     for _ in range(2000):
-        channel = Channel()
-        channel.block(bench.session, MSG_C)
-        blocked = bench.run_honest(channel)
+        blocked = bench.run_honest({MSG_C: None})
         recovery = bench.run_honest()
         if not (
             blocked.outcome == Outcome.BLOCKED
@@ -363,9 +358,7 @@ def test_criterion_7_protocol_soundness():
     labels = [MSG_A, MSG_B, MSG_C]
     for i in range(trials):
         label = labels[i % 3]
-        channel = Channel()
-        channel.flip(bench.session, label, 1 << position.randrange(128))
-        t = bench.run_honest(channel)
+        t = bench.run_honest({label: 1 << position.randrange(128)})
         if t.outcome == expected[label] and bench.synchronized():
             rejected += 1
     corruption_ok = rejected == trials

@@ -64,8 +64,14 @@ class TestQueries:
         t = env.execute(0)
         assert t.outcome == Outcome.BLOCKED
         tag = env.tags[0]
-        assert not env.reader.knows(tag.current.idt)
-        assert env.reader.knows(tag.previous.idt)
+        assert tag.current.idt not in env.reader.entries
+        assert tag.previous.idt in env.reader.entries
+
+    def test_a_send_acts_only_on_its_own_session(self):
+        env = make_env()
+        env.send(env.session + 1, MSG_C)
+        assert env.execute(0).outcome == Outcome.MUTUAL_SUCCESS
+        assert env.execute(0).outcome == Outcome.BLOCKED
 
     def test_test_reveals_single_pseudonym_when_synchronized(self):
         env = env_with_hidden_bit(0)

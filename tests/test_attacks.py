@@ -35,7 +35,6 @@ from umarfid.attacks import (
 from umarfid.harness import TrialConfig, render_records, run_trials
 from umarfid.protocol import (
     MSG_C,
-    Channel,
     Outcome,
     PairState,
     TagState,
@@ -145,7 +144,7 @@ class TestDesyncMitm:
         # forwarding the genuine challenge unchanged updates both sides alike
         bench = Bench(128, 21)
         first = bench.run_honest()
-        idt = bench.tag.present()
+        idt = bench.tag.current.idt
         key = recover_key(first.a, first.b, idt)
         a, b = bench.reader.begin(idt, bench.nonce_rng)
         nonce = key ^ a
@@ -291,8 +290,6 @@ class TestDesyncBitflip:
             c1 = random_weight2(rng, 16)
         snapshot = (tag.current, tag.previous)
         for c2 in weight2_words(16):
-            tag.present()
-            tag.present(use_previous=True)
             assert tag.respond(True, captured.a ^ c1, captured.b ^ c2) is None
             assert (tag.current, tag.previous) == snapshot
 
@@ -361,9 +358,7 @@ def _stale_capture(bench):
 def _after_blocked_c(bench):
     """One honest session whose C is blocked: the tag moves on, the reader
     does not, so the next session authenticates under the previous pseudonym."""
-    channel = Channel()
-    channel.block(bench.session, MSG_C)
-    bench.run_honest(channel)
+    bench.run_honest({MSG_C: None})
     return bench
 
 

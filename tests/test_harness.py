@@ -37,7 +37,7 @@ from umarfid.harness import (
     summary_text,
     trial_ranges,
 )
-from umarfid.protocol import MSG_C, Bench, Channel
+from umarfid.protocol import MSG_C, Bench
 from umarfid.word import derive_seed
 
 
@@ -522,9 +522,7 @@ def test_session_fails_exactly_at_the_fixed_point(width, trials):
         bench = Bench(width, derive_seed(0, "session", trial))
         bench.run_honest()
         bench.run_honest()
-        channel = Channel()
-        channel.block(bench.session, MSG_C)
-        bench.run_honest(channel)
+        bench.run_honest({MSG_C: None})
         if bench.tag.current.idt == bench.tag.previous.idt:
             fixed_points.add(trial)
     assert failed == fixed_points

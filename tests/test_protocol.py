@@ -16,7 +16,6 @@ from umarfid.protocol import (
     MSG_C,
     MSG_IDT,
     Bench,
-    Channel,
     DatabaseEntry,
     Outcome,
     PairState,
@@ -100,10 +99,10 @@ class TestTag:
         pair = PairState(idt=0x11, key=0xC5)
         return TagState.fresh(id=0xEE, pair=pair, width=8)
 
-    def test_present(self):
+    def test_fresh_tag_has_one_pair(self):
         tag = self.fresh_tag()
-        assert tag.present() == 0x11
-        assert tag.present(use_previous=True) == 0x11  # never updated
+        assert tag.current.idt == 0x11
+        assert tag.previous.idt == 0x11  # never updated
 
     def test_respond_accepts_genuine_challenge(self):
         tag = self.fresh_tag()
@@ -185,7 +184,7 @@ class TestReader:
 
     def test_begin_issues_consistent_challenge(self):
         reader, tags, rng = make_system()
-        idt = tags[0].present()
+        idt = tags[0].current.idt
         a, b = reader.begin(idt, rng)
         key = reader.pending.entry.key
         assert compute_b(key, a ^ key) == b
@@ -195,9 +194,9 @@ class TestReader:
         # the first challenge is never answered; the next session needs no cleanup
         reader, tags, rng = make_system()
         tag = tags[0]
-        entry = reader.entries[tag.present()]
+        entry = reader.entries[tag.current.idt]
         before = stored_words(entry)
-        reader.begin(tag.present(), rng)
+        reader.begin(tag.current.idt, rng)
         assert stored_words(entry) == before
         t = run_honest_session(reader, tag, rng, session=1)
         assert t.outcome == Outcome.MUTUAL_SUCCESS
@@ -207,7 +206,7 @@ class TestReader:
         # the reader has one open session: the newer challenge drops the older
         for answered, accepted in ((0, False), (1, True)):
             reader, tags, rng = make_system()
-            idt = tags[0].present()
+            idt = tags[0].current.idt
             key = reader.entries[idt].key
             challenges = [reader.begin(idt, rng), reader.begin(idt, rng)]
             assert challenges[0] != challenges[1]
@@ -223,28 +222,28 @@ class TestReader:
     def test_complete_updates_entry_and_rekeys_lookup(self):
         reader, tags, rng = make_system()
         tag = tags[0]
-        old_idt = tag.present()
+        old_idt = tag.current.idt
         a, b = reader.begin(old_idt, rng)
         c = tag.respond(False, a, b)
         assert reader.complete(c) is True
-        assert not reader.knows(old_idt)
-        assert reader.knows(tag.current.idt)
+        assert old_idt not in reader.entries
+        assert tag.current.idt in reader.entries
 
     def test_complete_rejects_corrupted_response(self):
         reader, tags, rng = make_system()
         tag = tags[0]
-        idt = tag.present()
+        idt = tag.current.idt
         a, b = reader.begin(idt, rng)
         c = tag.respond(False, a, b)
         assert reader.complete(c ^ 1) is False
-        assert reader.knows(idt)  # entry untouched
+        assert idt in reader.entries  # entry untouched
         assert reader.pending is None
 
     def test_blocked_response_leaves_entry(self):
         # the tag answers and updates, its C never reaches the reader
         reader, tags, rng = make_system()
         tag = tags[0]
-        idt = tag.present()
+        idt = tag.current.idt
         before = stored_words(reader.entries[idt])
         a, b = reader.begin(idt, rng)
         assert tag.respond(False, a, b) is not None
@@ -287,13 +286,13 @@ class TestReader:
 
     def test_every_pseudonym_of_a_width_can_be_registered(self):
         reader, tags = fresh_system(stream(0, "init"), 4, n_tags=16)
-        assert sorted(reader.entries) == sorted(tag.present() for tag in tags) == list(range(16))
+        assert sorted(reader.entries) == sorted(tag.current.idt for tag in tags) == list(range(16))
         assert len(Bench(4, 0, n_tags=16).reader.entries) == 16
 
     def test_determinism(self):
         first = make_system(seed=5)
         second = make_system(seed=5)
-        idt = first[1][0].present()
+        idt = first[1][0].current.idt
         assert first[0].begin(idt, first[2]) == second[0].begin(idt, second[2])
 
 
@@ -312,8 +311,8 @@ class TestHonestSession:
         pair_used = tag.current
         t = run_honest_session(reader, tag, rng)
         nonce = t.a ^ pair_used.key
-        assert tag.present() == next_pair(pair_used, nonce).idt
-        assert tag.present(use_previous=True) == pair_used.idt
+        assert tag.current.idt == next_pair(pair_used, nonce).idt
+        assert tag.previous.idt == pair_used.idt
 
     def test_b_xor_next_pseudonym_is_a_key_constant(self):
         # Transcript identity on every successful session: B xor the next
@@ -324,11 +323,9 @@ class TestHonestSession:
         tag = tags[0]
         successes = 0
         for session in range(1250):
-            channel = Channel()
-            if session % 5 == 4:
-                channel.block(session, MSG_C)
+            rules = {MSG_C: None} if session % 5 == 4 else None
             pairs = (tag.current, tag.previous)
-            t = run_honest_session(reader, tag, rng, channel=channel, session=session)
+            t = run_honest_session(reader, tag, rng, rules, session=session)
             if t.outcome != Outcome.MUTUAL_SUCCESS:
                 assert t.outcome == Outcome.BLOCKED
                 continue
@@ -380,36 +377,32 @@ class TestHonestSession:
     def test_blocked_c_then_fallback_recovery(self):
         reader, tags, rng = make_system()
         tag = tags[0]
-        channel = Channel()
-        channel.block(1, MSG_C)
         run_honest_session(reader, tag, rng, session=0)
 
-        blocked = run_honest_session(reader, tag, rng, channel=channel, session=1)
+        blocked = run_honest_session(reader, tag, rng, {MSG_C: None}, session=1)
         assert blocked.outcome == Outcome.BLOCKED
         assert sent(blocked)[-1]["disposition"] == "blocked"
         assert sent(blocked)[-1]["word"] == to_hex(blocked.c, 128)  # still broadcast
         # tag moved ahead, reader kept the stale pair
-        assert not reader.knows(tag.current.idt)
-        assert reader.knows(tag.previous.idt)
+        assert tag.current.idt not in reader.entries
+        assert tag.previous.idt in reader.entries
 
         recovery = run_honest_session(reader, tag, rng, session=2)
         assert recovery.outcome == Outcome.MUTUAL_SUCCESS
         assert len(recovery.presented_idts) == 2
         assert sent(recovery)[1]["word"] == to_hex(recovery.presented_idts[1], 128)
         assert synchronized(reader, tag)
-        assert reader.knows(tag.current.idt)
+        assert tag.current.idt in reader.entries
 
     def test_blocked_idt_changes_nothing(self):
         reader, tags, rng = make_system()
         tag = tags[0]
         snapshot = (tag.current, tag.previous)
         entry_idt = tag.current.idt
-        channel = Channel()
-        channel.block(0, MSG_IDT)
-        t = run_honest_session(reader, tag, rng, channel=channel)
+        t = run_honest_session(reader, tag, rng, {MSG_IDT: None})
         assert t.outcome == Outcome.BLOCKED
         assert (tag.current, tag.previous) == snapshot
-        assert reader.knows(entry_idt)
+        assert entry_idt in reader.entries
         assert reader.pending is None
 
     @pytest.mark.parametrize("label", [MSG_A, MSG_B])
@@ -417,14 +410,12 @@ class TestHonestSession:
         reader, tags, rng = make_system()
         tag = tags[0]
         snapshot = (tag.current, tag.previous)
-        channel = Channel()
-        channel.block(0, label)
         before = stored_words(reader.entries[tag.current.idt])
-        t = run_honest_session(reader, tag, rng, channel=channel)
+        t = run_honest_session(reader, tag, rng, {label: None})
         assert t.outcome == Outcome.BLOCKED
         assert (tag.current, tag.previous) == snapshot
         assert stored_words(reader.entries[tag.current.idt]) == before
-        t = run_honest_session(reader, tag, rng, channel=channel, session=1)
+        t = run_honest_session(reader, tag, rng, session=1)
         assert t.outcome == Outcome.MUTUAL_SUCCESS
         assert synchronized(reader, tag)
 
@@ -432,32 +423,26 @@ class TestHonestSession:
         reader, tags, rng = make_system()
         tag = tags[0]
         snapshot = (tag.current, tag.previous)
-        channel = Channel()
-        channel.flip(0, MSG_B, 1 << 17)
-        t = run_honest_session(reader, tag, rng, channel=channel)
+        t = run_honest_session(reader, tag, rng, {MSG_B: 1 << 17})
         assert t.outcome == Outcome.TAG_REJECTED_READER
         assert (tag.current, tag.previous) == snapshot
-        assert reader.knows(tag.current.idt)  # reader entry untouched
+        assert tag.current.idt in reader.entries  # reader entry untouched
 
     def test_flipped_c_rejected_by_reader(self):
         reader, tags, rng = make_system()
         tag = tags[0]
         old_idt = tag.current.idt
-        channel = Channel()
-        channel.flip(0, MSG_C, 1 << 99)
-        t = run_honest_session(reader, tag, rng, channel=channel)
+        t = run_honest_session(reader, tag, rng, {MSG_C: 1 << 99})
         assert t.outcome == Outcome.READER_REJECTED_TAG
         # tag updated on send, reader refused: recoverable one-step skew
-        assert reader.knows(old_idt)
+        assert old_idt in reader.entries
         assert tag.previous.idt == old_idt
         follow = run_honest_session(reader, tag, rng, session=1)
         assert follow.outcome == Outcome.MUTUAL_SUCCESS
 
     def test_replaced_event_records_both_payloads(self):
         reader, tags, rng = make_system()
-        channel = Channel()
-        channel.flip(0, MSG_B, 1 << 127)
-        t = run_honest_session(reader, tags[0], rng, channel=channel)
+        t = run_honest_session(reader, tags[0], rng, {MSG_B: 1 << 127})
         b = next(f for f in sent(t) if f["message"] == MSG_B)
         assert b["disposition"] == "replaced"
         assert b["word"] == to_hex(t.b, 128)
@@ -466,9 +451,7 @@ class TestHonestSession:
 
     def test_zero_flip_mask_is_a_replacement_not_a_block(self):
         reader, tags, rng = make_system()
-        channel = Channel()
-        channel.flip(0, MSG_B, 0)
-        t = run_honest_session(reader, tags[0], rng, channel=channel)
+        t = run_honest_session(reader, tags[0], rng, {MSG_B: 0})
         assert t.outcome == Outcome.MUTUAL_SUCCESS
         word = to_hex(t.b, 128)
         assert t.lines(128)[2].endswith(
@@ -477,17 +460,16 @@ class TestHonestSession:
     @pytest.mark.parametrize("rule_during_run", [True, False])
     def test_rule_placed_after_the_run_leaves_the_transcript(self, rule_during_run):
         # lines are built when asked for, so neither transcript is printed
-        # before the later rules are placed
+        # before the later rules are placed into the very dict the run was
+        # given, an empty one when it had no rule
         def session():
             reader, tags, rng = make_system()
-            channel = Channel()
-            if rule_during_run:
-                channel.flip(0, MSG_B, 1 << 5)
-            return run_honest_session(reader, tags[0], rng, channel=channel), channel
+            rules = {MSG_B: 1 << 5} if rule_during_run else {}
+            return run_honest_session(reader, tags[0], rng, rules), rules
 
-        later, channel = session()
-        channel.block(0, MSG_B)
-        channel.flip(0, MSG_IDT, 1)
+        later, rules = session()
+        rules[MSG_B] = None
+        rules[MSG_IDT] = 1
         unchanged, _ = session()
         assert later.lines(128) == unchanged.lines(128)
         # a flipped B is rejected by the tag, so no C follows it
@@ -523,9 +505,7 @@ class TestHonestSession:
         used = tag.current
         fixed = [n for n in range(1 << width) if rot(n, n, width) == used.key ^ used.idt]
         assert len(fixed) == 1
-        channel = Channel()
-        channel.block(0, MSG_C)
-        t = run_honest_session(reader, tag, _FixedNonce(fixed[0]), channel)
+        t = run_honest_session(reader, tag, _FixedNonce(fixed[0]), {MSG_C: None})
         assert t.outcome == Outcome.BLOCKED and t.c is not None
         assert tag.current == next_pair(used, fixed[0], width)
         assert tag.current.idt == tag.previous.idt == used.idt
@@ -674,8 +654,10 @@ class TestSessionAgainstClosureOracle:
     the closure-based loop that built one event per transmission.
 
     Each case runs four sessions on two identical systems, one through
-    each loop, with rules drawn at random: none, no channel at all, or
-    block and flip on IDT, A, B and C (sometimes two at once).
+    each loop, with rules drawn at random: none at all, an empty set, or
+    block and flip on IDT, A, B and C (sometimes two at once). The package
+    gets the session's {label: mask} dict; the oracle gets an OracleChannel
+    that also holds a rule for the next session, which must not act.
     Blocked and altered C leave the tag one step ahead, so later sessions
     fall back to the previous pair; a flipped IDT or an unregistered
     tag fails identification.
@@ -693,12 +675,12 @@ class TestSessionAgainstClosureOracle:
         return reader, tags, random.Random(seed + 1)
 
     def draw_rules(self, draw, width):
-        """None (no channel), or the (action, label, word) rules of one session."""
+        """None (no rules, no channel), or the (action, label, word) rules of one session."""
         kind = draw.randrange(8)
         if kind == 0:
             return None
         if kind == 1:
-            return []  # a channel with no rule for this session
+            return []  # an empty dict; a channel with no rule for this session
         count = 1 if kind < 7 else 2
         return [
             (draw.choice(self.ACTIONS), draw.choice(self.LABELS), draw.getrandbits(width))
@@ -714,9 +696,9 @@ class TestSessionAgainstClosureOracle:
         )
 
     @staticmethod
-    def run(session_fn, system, tag_index, channel, session):
+    def run(session_fn, system, tag_index, rules, session):
         reader, tags, rng = system
-        return session_fn(reader, tags[tag_index], rng, channel=channel, session=session)
+        return session_fn(reader, tags[tag_index], rng, rules, session=session)
 
     @pytest.mark.parametrize("width", [4, 8, 16, 128])
     def test_transcripts_and_state_identical(self, width):
@@ -729,20 +711,20 @@ class TestSessionAgainstClosureOracle:
             for session in range(4):
                 rules = self.draw_rules(draw, width)
                 tag_index = draw.choice((0, 0, 0, 0, 1, 2))
-                channels = [None, None]
+                masks = channel = None
                 if rules is not None:
-                    channels = [Channel(), oracle_session.OracleChannel()]
-                    for channel in channels:
-                        channel.block(session + 1, MSG_IDT)  # another session's rule
-                        for action, label, word in rules:
-                            if action == "block":
-                                channel.block(session, label)
-                            else:
-                                channel.flip(session, label, word)
+                    masks, channel = {}, oracle_session.OracleChannel()
+                    channel.block(session + 1, MSG_IDT)  # another session's rule
+                    for action, label, word in rules:
+                        masks[label] = None if action == "block" else word
+                        if action == "block":
+                            channel.block(session, label)
+                        else:
+                            channel.flip(session, label, word)
                     seen_rules.update((action, label) for action, label, _ in rules)
-                got = self.run(run_honest_session, new, tag_index, channels[0], session)
+                got = self.run(run_honest_session, new, tag_index, masks, session)
                 want = self.run(
-                    oracle_session.run_honest_session, old, tag_index, channels[1], session
+                    oracle_session.run_honest_session, old, tag_index, channel, session
                 )
                 assert self.state(new[0], new[1]) == self.state(old[0], old[1])
                 assert got.presented_idts == want.presented_idts

@@ -19,7 +19,7 @@ import pytest
 
 import umarfid
 from umarfid import cli, harness
-from umarfid.protocol import MSG_A, MSG_B, Bench, Channel
+from umarfid.protocol import MSG_A, MSG_B, Bench
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "umarfid"
@@ -158,6 +158,32 @@ def test_experiment_names_live_only_in_the_table():
     assert "clone" in string_constants(SRC / "harness.py")  # the check can see a name
 
 
+# a namedtuple's own API: its names start with an underscore only so that
+# they cannot clash with a field's
+NAMEDTUPLE_API = {"_fields", "_field_defaults", "_replace", "_make", "_asdict"}
+
+
+def private_uses(source):
+    """(line, expression) of each underscore attribute used on an object other
+    than self or cls; a dunder name is the data model, not a private one."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                and node.attr not in NAMEDTUPLE_API
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_src_uses_no_private_attribute_of_another_object():
+    # a caller that reaches into another object's private state should be
+    # handed that state instead, and the wrapper around it deleted
+    found = [(path.name, *use) for path in sorted(SRC.glob("*.py"))
+             for use in private_uses(path.read_text())]
+    assert not found, f"private attributes used from outside their object: {found}"
+    seen = private_uses("channel._rules.get(0); self._seed; cls._x; s._replace(); f.__name__")
+    assert list(seen) == [(1, "channel._rules")]
+
+
 def top_level_definitions(tree):
     """(name, statement) for each name a module's top level defines."""
     for node in tree.body:
@@ -198,9 +224,8 @@ def loaded_definitions(module, tree):
 # benchmarks/workload.py traces it, though the CLI renders through render_records
 UNUSED_BUT_TRACED = {("harness", "render")}
 
-# Channel.flip drives acceptance criterion 7 (a corrupted bit is rejected);
 # SessionTranscript.lines waits for a replay command that prints it
-UNUSED_METHODS = {("protocol", "Channel", "flip"), ("protocol", "SessionTranscript", "lines")}
+UNUSED_METHODS = {("protocol", "SessionTranscript", "lines")}
 
 
 def public_methods(trees):
@@ -381,10 +406,7 @@ def transcript_line_patterns():
 def test_readme_states_the_transcript_line_format():
     # one session whose IDT is delivered, whose A is blocked and whose B is flipped
     bench = Bench(16, 0)
-    channel = Channel()
-    channel.block(0, MSG_A)
-    channel.flip(0, MSG_B, 0x0101)
-    lines = bench.run_honest(channel).lines(16)
+    lines = bench.run_honest({MSG_A: None, MSG_B: 0x0101}).lines(16)
     assert all(f"disposition={d}" in "\n".join(lines) for d in ("delivered", "blocked", "replaced"))
     patterns = transcript_line_patterns()
     for line in lines:
