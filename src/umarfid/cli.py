@@ -1,7 +1,8 @@
 """Command line front-end: every experiment as a reproducible run.
 
 Exit code 0 means every trial-level assertion held, 1 that a trial
-failed, 2 an argument or config error, found before any trial runs.
+failed, 2 an argument or config error, found before any trial runs, and
+141 (a shell's code for SIGPIPE) that the reader of the output closed it.
 Records are written in trial order while the run goes on, summary last.
 """
 
@@ -14,19 +15,28 @@ import os
 import sys
 
 from .harness import EXPERIMENTS, FORMATS, STRATEGIES, TrialConfig, run_trials, summary_text
+from .word import check_count, check_width
 
 
-def _at_least(low: int):
-    """argparse type: an int no smaller than low, else a usage error."""
+def _checked_int(check):
+    """argparse type: an int that check accepts. Its ValueError, less the
+    field name that leads the library's message, is the flag's usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        try:
+            check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err).partition(" ")[2]) from None
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _at_least(low: int):
+    """argparse type: an int no smaller than low, else a usage error."""
+    return _checked_int(functools.partial(check_count, "count", low=low))
 
 
 _DEFAULT = TrialConfig._field_defaults  # the one home of every config default
@@ -35,7 +45,8 @@ _LOW = TrialConfig.COUNTS  # and of every count's lowest value
 
 def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
     # a config flag that is not given is left out of the namespace; TrialConfig fills it
-    parser.add_argument("--bits", dest="word_len", type=int, default=argparse.SUPPRESS,
+    parser.add_argument("--bits", dest="word_len", type=_checked_int(check_width),
+                        default=argparse.SUPPRESS,
                         metavar="L", help=f"word length in bits (default {_DEFAULT['word_len']})")
     parser.add_argument("--trials", type=_at_least(_LOW["trials"]), default=trials, metavar="N",
                         help=f"number of trials (default {trials})")
@@ -129,12 +140,18 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:  # a directory, a missing parent directory, no permission
         parser.exit(2, f"error: argument --out: {err}\n")
 
-    with _output(fd) if args.out else contextlib.nullcontext(sys.stdout) as out:
-        _, stats = run_trials(config, args.workers, out.write, args.format)
-        out.write(summary_text(stats, args.format))
-    if args.out:
-        print(f"{stats.experiment}: {stats.successes}/{stats.trials} ok, "
-              f"records written to {args.out}")
+    try:
+        with _output(fd) if args.out else contextlib.nullcontext(sys.stdout) as out:
+            _, stats = run_trials(config, args.workers, out.write, args.format)
+            out.write(summary_text(stats, args.format))
+        if args.out:
+            print(f"{stats.experiment}: {stats.successes}/{stats.trials} ok, "
+                  f"records written to {args.out}")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        # what stdout still buffers goes to devnull, so the exit's flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # what a shell shows after SIGPIPE; 1 would say a trial failed
     return 0 if stats.successes == stats.trials else 1
 
 

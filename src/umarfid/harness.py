@@ -23,7 +23,7 @@ from . import adversary, attacks
 from .adversary import GameOutcome
 from .attacks import AttackReport
 from .protocol import MSG_C, Bench, Outcome, PairState, compute_a, compute_b, next_pair
-from .word import DEFAULT_WORD_LEN, check_count, check_width, derive_seed, rot, stream
+from .word import DEFAULT_WORD_LEN, check_count, check_width, derive_seed, rot, stream, to_hex
 
 STRATEGIES = {
     "distinguish": attacks.distinguish_strategy,
@@ -197,13 +197,12 @@ def _trial_and_fields(reports, trials, width: int) -> list:
 
 def _attack_columns(reports, trials, width: int) -> list:
     """Record values of reports for trials, a column per ATTACK_FIELDS key;
-    a word becomes width // 4 hex digits (to_hex's), None stays None."""
+    a word becomes to_hex's width // 4 digits, None stays None."""
     (attack, success, key, nonce, pair, c1_rounds, c2_trials, a_mask, b_mask,
      hw_matched, synchronized, followups, detail) = zip(*reports)
-    size, odd = (width + 7) // 8, width % 8 // 4  # bytes, and a nibble to drop
 
     def hx(words):
-        return [None if w is None else w.to_bytes(size, "big").hex()[odd:] for w in words]
+        return [None if w is None else to_hex(w, width) for w in words]
 
     return [
         trials, attack, success, hx(key), hx(nonce),

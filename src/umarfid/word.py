@@ -43,8 +43,8 @@ def rot(x: int, y: int, width: int) -> int:
 
 
 def to_hex(x: int, width: int) -> str:
-    """Lowercase hex, most-significant nibble first, width // 4 digits."""
-    return format(x, f"0{width // 4}x")
+    """x in [0, 2**width) as lowercase hex, most-significant nibble first, width // 4 digits."""
+    return x.to_bytes((width + 7) // 8, "big").hex()[width % 8 // 4:]
 
 
 def derive_seed(base: int, *labels) -> int:

@@ -1,7 +1,9 @@
 import inspect
+import itertools
 import json
 import math
 import random
+import types
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -35,12 +37,15 @@ from umarfid.attacks import (
 from umarfid.harness import TrialConfig, render_records, run_trials
 from umarfid.protocol import (
     MSG_C,
+    DatabaseEntry,
     Outcome,
     PairState,
+    ReaderState,
     TagState,
     compute_a,
     compute_b,
     compute_c,
+    run_honest_session,
 )
 from umarfid.word import derive_seed, rot, stream, to_hex
 
@@ -67,6 +72,21 @@ class TestRecoverKey:
         b = compute_b(k, n, 16)
         idt_next = k ^ rot(n, n, 16)
         assert recover_key(a, b, idt_next) == rot(k, k, 16) ^ n
+
+    def test_exact_over_every_case_at_4_bits(self):
+        # every (IDT, K, N1, N2): two honest sessions both succeed, and the
+        # three public words give the key the tag holds after the first
+        for idt, key, n1, n2 in itertools.product(range(16), repeat=4):
+            reader = ReaderState(4)
+            reader.register(DatabaseEntry(idt=idt, key=key, id=0))
+            tag = TagState.fresh(id=0, pair=PairState(idt=idt, key=key), width=4)
+            drawn = iter((n1, n2))  # the reader's nonce stream
+            nonces = types.SimpleNamespace(getrandbits=lambda width: next(drawn))
+            first = run_honest_session(reader, tag, nonces)
+            true_key = tag.current.key
+            second = run_honest_session(reader, tag, nonces, session=1)
+            assert (first.outcome, second.outcome) == (Outcome.MUTUAL_SUCCESS,) * 2
+            assert recover_key(first.a, first.b, second.presented_idts[0]) == true_key
 
     @pytest.mark.parametrize("word_len", [8, 16, 128])
     def test_exact_on_live_systems(self, word_len):

@@ -60,7 +60,7 @@ GOLDEN = {
         "183ac4a32ccaf49d81f52499c289eaf637ee0126712e7c38458838842ec98dfe",
     ),
     # small widths, where rotation by weight mod L wraps; 12 of the 200
-    # 4-bit session trials fail (the small-width faults of ROADMAP item 2)
+    # 4-bit session trials fail (the small-width faults of ROADMAP item 1)
     "session --bits 4 --trials 200": (
         1,
         "c7208598d04488945b88a1cbc6ae795ae1d0b48f9f2a5cc6c2937ce67ef98048",

@@ -837,22 +837,39 @@ class TestCli:
         assert config_from_args(build_parser().parse_args(argv)) == config
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, flag, reason",
         [
-            (["session", "--trials", "0"], "--trials"),
-            (["session", "--workers", "0"], "--workers"),
-            (["session", "--workers", "-3"], "--workers"),
-            (["attack", "desync-mitm", "--followups", "-1"], "--followups"),
-            (["game", "--executes", "-1"], "--executes"),
-            (["game", "--sends", "-1"], "--sends"),
+            (["session", "--trials", "0"], "--trials", "must be >= 1, got 0"),
+            (["session", "--workers", "0"], "--workers", "must be >= 1, got 0"),
+            (["session", "--workers", "-3"], "--workers", "must be >= 1, got -3"),
+            (["attack", "desync-mitm", "--followups", "-1"], "--followups", "must be >= 0, got -1"),
+            (["game", "--executes", "-1"], "--executes", "must be >= 0, got -1"),
+            (["game", "--sends", "-1"], "--sends", "must be >= 0, got -1"),
+            (["session", "--bits", "10"], "--bits", "must be divisible by 4, got 10"),
+            (["session", "--bits", "2"], "--bits", "must be >= 4, got 2"),
         ],
     )
-    def test_usage_error_names_the_flag(self, capsys, argv, flag):
+    def test_usage_error_names_the_flag(self, capsys, argv, flag, reason):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
-        message = capsys.readouterr().err
-        assert f"argument {flag}: must be >=" in message
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {reason}\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_reader_that_closes_early_ends_the_run_quietly(self, workers):
+        # as `umarfid verify-identities --trials 20000 | head -1` does: the
+        # records (about 1 MB) fill the pipe long before the run ends
+        run = subprocess.Popen(
+            [sys.executable, "-m", "umarfid.cli", "verify-identities",
+             "--trials", "20000", "--workers", workers],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert run.stdout.readline() == b"trial=0 label=identities success=True detail=\n"
+        run.stdout.close()
+        with run.stderr:
+            stderr = run.stderr.read()
+        assert (run.wait(timeout=120), stderr) == (141, b"")
 
     def test_non_integer_flag_keeps_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -88,6 +88,50 @@ def test_only_word_builds_a_generator():
     assert list(random_module_calls(SRC / "word.py"))  # the check can see a call
 
 
+# a %-format or str.format template with a hex conversion: "%04x", "{:x}"
+HEX_TEMPLATE = re.compile(r"%[-#0 +]*\d*(\.\d+)?[xX]|\{[^{}]*:[^{}]*[xX]\}")
+
+
+def spec_ends_in_hex(spec):
+    """Does a format spec (a str constant or an f-string's parts) end in x or X?"""
+    if isinstance(spec, ast.JoinedStr):
+        spec = spec.values[-1] if spec.values else None
+    return (isinstance(spec, ast.Constant) and isinstance(spec.value, str)
+            and spec.value.endswith(("x", "X")))
+
+
+def hex_conversions(source):
+    """(line, expression) of each int-to-hex conversion: a .hex() or hex()
+    call, an f-string or format() spec ending in x, or a hex template."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "hex"
+                    or isinstance(func, ast.Name) and func.id == "hex"
+                    or isinstance(func, ast.Name) and func.id == "format"
+                    and len(node.args) > 1 and spec_ends_in_hex(node.args[1])):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.FormattedValue) and spec_ends_in_hex(node.format_spec):
+            yield node.lineno, ast.unparse(node.value)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and HEX_TEMPLATE.search(node.value)):
+            yield node.lineno, node.value
+
+
+def test_only_word_turns_an_int_into_hex():
+    # README's word format lives in word.to_hex alone; records, transcript
+    # lines and errors print words through it, so the format cannot split
+    found = [(path.name, *conversion) for path in sorted(SRC.glob("*.py"))
+             if path.name != "word.py" for conversion in hex_conversions(path.read_text())]
+    assert not found, f"int to hex outside word.py: {found}"
+    assert list(hex_conversions((SRC / "word.py").read_text()))  # the check can see word's
+    seen = hex_conversions(
+        'w.to_bytes(2, "big").hex(); hex(w); f"{a:02x}"; f"{b:0{n}X}"; format(c, "x")\n'
+        '"%04x" % w; "{:x}".format(w); f"{w:>8}"; "%s" % w; format(w, "b"); "x, y"')
+    assert {expression for _, expression in seen} == {
+        "w.to_bytes(2, 'big').hex()", "hex(w)", "format(c, 'x')", "a", "b", "%04x", "{:x}"}
+
+
 # Modules a serial CLI run has no use for: the process pool and what it
 # pulls in, and the two modules the records once needed for their types
 # and their attempt statistics.

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_bits as oracle
@@ -17,6 +17,14 @@ from umarfid.word import (
 
 words8 = st.integers(0, 255)
 words16 = st.integers(0, 2**16 - 1)
+WIDTHS = range(4, 257, 4)  # every width the simulator accepts, up to 256
+
+
+def with_edge_words(test):
+    """A test of (x, width) cases, also run on 0 and 2**width - 1 at every width."""
+    for width in WIDTHS:
+        test = example(case=(0, width))(example(case=((1 << width) - 1, width))(test))
+    return test
 
 
 def rotl(x, n, width):
@@ -39,6 +47,15 @@ class TestConstruction:
     def test_hex_round_trip(self):
         assert to_hex(0x0A3F, 16) == "0a3f"
         assert int(to_hex(0x0A3F, 16), 16) == 0x0A3F
+
+    @given(case=st.sampled_from(WIDTHS).flatmap(
+        lambda width: st.tuples(st.integers(0, (1 << width) - 1), st.just(width))))
+    @with_edge_words
+    @settings(max_examples=300)
+    def test_hex_is_the_zero_padded_format(self, case):
+        # format is the oracle for README's word format, independent of the package
+        x, width = case
+        assert to_hex(x, width) == format(x, f"0{width // 4}x")
 
     def test_hex_needs_whole_nibbles(self):
         with pytest.raises(ValueError):
