@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .protocol import Bench, SessionTranscript
+from .protocol import Bench, SessionTranscript, check_rule
 from .word import derive_seed, stream
 
 class GameError(RuntimeError):
@@ -69,6 +69,7 @@ class GameEnvironment(Bench):
 
     def send(self, session: int, label: str) -> None:
         """Register an interception: block the message `label` of `session`."""
+        check_rule(label, None, self.word_len)
         if self.sends_used >= self.config.send_budget:
             raise BudgetError(f"send budget {self.config.send_budget} exhausted")
         self.sends_used += 1

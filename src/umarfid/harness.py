@@ -90,14 +90,15 @@ ATTACK_FIELDS = {
 
 
 class SummaryStats(NamedTuple):
-    """Aggregate over one experiment's reports."""
+    """Aggregate over one experiment's reports. Its fields that are not
+    None, in order, are the summary record's keys (summary_record)."""
 
     experiment: str
     trials: int
     successes: int
     success_rate: float
-    wilson_low: float
-    wilson_high: float
+    wilson95_low: float
+    wilson95_high: float
     advantage: float | None = None  # games only
     attempts_mean: float | None = None  # bit-flip interaction counts
     attempts_median: float | None = None
@@ -303,7 +304,7 @@ def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "te
     _check_format(fmt)
     check_count("workers", workers, 1)
     run_range = functools.partial(_run_range, config, fmt if write else None)
-    reports, successes, attempts = [], 0, []
+    reports, successes, attempts = [], 0, collections.Counter()
     emit = write or reports.extend
     ranges = trial_ranges(config.trials, workers)
     workers = min(workers, len(ranges))  # a worker per range at most
@@ -318,7 +319,7 @@ def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "te
         ):
             emit(part)
             successes += ok
-            attempts += part_attempts
+            attempts.update(part_attempts)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
@@ -337,13 +338,13 @@ def _in_order(pool, run_range, ranges, window: int):
         pending.extend(map(submit, itertools.islice(ranges, 1)))
 
 
-def _tally(experiment: Experiment, reports) -> tuple[int, list[int]]:
+def _tally(experiment: Experiment, reports) -> tuple[int, collections.Counter]:
     """What a summary needs of some reports: (successes, and for an
-    experiment with attempts the c2_trials ints)."""
+    experiment with attempts how often each c2_trials int occurs)."""
     successes = sum(1 for r in reports if r.success)
     if experiment.extras != "attempts":
-        return successes, []
-    return successes, [r.c2_trials for r in reports if r.c2_trials is not None]
+        return successes, collections.Counter()
+    return successes, collections.Counter(r.c2_trials for r in reports if r.c2_trials is not None)
 
 
 def summarize(experiment: str, reports) -> SummaryStats:
@@ -371,35 +372,27 @@ def _summary(experiment, trials, successes, attempts) -> SummaryStats:
     return SummaryStats(
         experiment, trials, successes, rate, *wilson_interval(successes, trials),
         advantage=abs(rate - 0.5) if EXPERIMENTS[experiment].extras == "advantage" else None,
-        attempts_mean=sum(attempts) / len(attempts) if attempts else None,
-        attempts_median=_median(sorted(attempts)) if attempts else None,
+        attempts_mean=sum(v * n for v, n in attempts.items()) / attempts.total()
+        if attempts else None,
+        attempts_median=_median(attempts) if attempts else None,
         attempts_max=max(attempts) if attempts else None,
     )
 
 
-def _median(ordered: list[int]) -> float:
-    """Median of a sorted list: the middle item, or the mean of the two."""
-    middle, odd = divmod(len(ordered), 2)
-    return ordered[middle] if odd else (ordered[middle - 1] + ordered[middle]) / 2
+def _median(counts: collections.Counter) -> float:
+    """Median of the counted ints: the middle one, or the mean of the two."""
+    middle, odd = divmod(counts.total(), 2)
+    ordered = itertools.chain.from_iterable(
+        itertools.repeat(v, n) for v, n in sorted(counts.items()))
+    middles = list(itertools.islice(ordered, middle - (not odd), middle + 1))
+    return middles[0] if odd else sum(middles) / 2
 
 
 def summary_record(stats: SummaryStats) -> dict:
-    record = {
-        "experiment": stats.experiment,
-        "trials": stats.trials,
-        "successes": stats.successes,
-        "success_rate": round(stats.success_rate, 6),
-        "wilson95_low": round(stats.wilson_low, 6),
-        "wilson95_high": round(stats.wilson_high, 6),
-    }
-    if stats.advantage is not None:
-        record["advantage"] = round(stats.advantage, 6)
-    if stats.attempts_mean is not None:
-        record["attempts_mean"] = round(stats.attempts_mean, 3)
-        record["attempts_median"] = stats.attempts_median
-        record["attempts_max"] = stats.attempts_max
-    record["duration_s"] = round(stats.duration_s, 3)
-    return record
+    """The summary's fields that are not None; floats rounded to 6 digits,
+    attempts_mean and duration_s to 3."""
+    return {k: round(v, 3 if k in ("attempts_mean", "duration_s") else 6) if isinstance(v, float)
+            else v for k, v in stats._asdict().items() if v is not None}
 
 
 def render_records(experiment: str, reports, first_trial: int, width: int, fmt: str) -> str:

@@ -121,13 +121,11 @@ class TagState:
         self.current, self.previous = updated, used
         return c
 
-    def respond_sweep(
-        self, use_previous: bool, a: int, b: int, index_of
-    ) -> tuple[int, int, int] | None:
-        """Answer a prober's whole sweep of B-masks with one evaluation.
+    def respond_sweep(self, a: int, b: int, index_of) -> tuple[int, int, int] | None:
+        """Answer a prober's sweep of B-masks on the previous pair in one evaluation.
 
         The prober sends (a, b xor mask) for every mask in its own fixed
-        order and stops at the first answer. With a and the selected
+        order and stops at the first answer. With a and the previous
         pair fixed the tag accepts exactly one B, so at most one mask can
         be answered: expected_B xor b. index_of(mask) is the prober's
         position for that mask, or None when its order does not contain
@@ -137,12 +135,12 @@ class TagState:
         that reveals nothing new. On a miss it returns None and keeps its
         state bit-identical.
         """
-        used = self.previous if use_previous else self.current
-        expected = compute_b(used.key, a ^ used.key, self.width)
+        key = self.previous.key
+        expected = compute_b(key, a ^ key, self.width)
         index = index_of(expected ^ b)
         if index is None:
             return None
-        return index, expected ^ b, self.respond(use_previous, a, expected)
+        return index, expected ^ b, self.respond(True, a, expected)
 
 
 class DatabaseEntry:
@@ -225,6 +223,13 @@ _DIRECTION = {MSG_IDT: "tag->reader", MSG_A: "reader->tag",
               MSG_B: "reader->tag", MSG_C: "tag->reader"}
 
 
+def check_rule(label: str, mask: int | None, width: int) -> None:
+    """An interception rule blocks (None) or XORs a width-bit word into IDT, A, B or C."""
+    if label not in _DIRECTION or mask is not None and not 0 <= mask < 1 << width:
+        raise ValueError(f"rule {label!r}: {mask!r} at width {width}; need IDT, A, B or C and "
+                         f"None or a mask in [0, 2**{width})")
+
+
 def _arrives(mask: int | None, payload: int) -> int | None:
     """What a transmission under a rule's mask delivers: None when blocked."""
     return None if mask is None else payload ^ mask
@@ -288,9 +293,11 @@ def run_honest_session(
     transmission of that label, an int is XORed into it (a replacement
     even when it is 0). The transcript prints every transmission on demand.
     """
-    # A transmission without a rule costs nothing more. The transcript copies
-    # the rules (None for none), so a rule placed later, even into an empty
-    # dict, cannot rewrite it. A rule's early return leaves the outcome BLOCKED.
+    # Rules are checked once; a transmission without one costs nothing more. The
+    # transcript copies the rules (None for none), so a rule placed later, even into
+    # an empty dict, cannot rewrite it. A rule's early return leaves the outcome BLOCKED.
+    for label, mask in rules.items() if rules else ():
+        check_rule(label, mask, tag.width)
     t = SessionTranscript(session, dict(rules) if rules else None)
 
     # Identification: current pseudonym, then one retry with the previous.

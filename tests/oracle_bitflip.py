@@ -172,15 +172,6 @@ def literal_desync_bitflip(bench, c1_round_cap=64, followups=3) -> AttackReport:
         for b_mask in weight2_words(width):
             c2_trials += 1
             # the rogue reader refuses the current pseudonym; the tag falls back
-            replayed = tag.previous.idt
-            if replayed != captured.presented_idts[-1]:
-                return AttackReport(
-                    attack="desync-bitflip",
-                    success=False,
-                    c1_rounds=c1_rounds,
-                    c2_trials=c2_trials,
-                    detail="tag no longer holds the captured pair",
-                )
             state_before = (tag.current, tag.previous)
             c = tag.respond(True, forged_a, captured.b ^ b_mask)
             if c is None:

@@ -58,6 +58,13 @@ class TestQueries:
         with pytest.raises(BudgetError):
             env.send(1, MSG_C)
 
+    def test_send_of_an_unknown_label_is_refused_and_spends_nothing(self):
+        env = make_env(send_budget=1)
+        with pytest.raises(ValueError, match="^rule 'Z': None at width 128;"):
+            env.send(0, "Z")
+        assert (env.sends_used, env.rules) == (0, {})
+        env.send(0, MSG_C)
+
     def test_blocked_c_splits_states(self):
         env = make_env()
         env.send(env.session, MSG_C)
@@ -234,7 +241,7 @@ class TestAdvantage:
         est = summarize("untraceability", self.outcomes(750, 250))
         assert est.success_rate == 0.75
         assert est.advantage == 0.25
-        assert est.wilson_low < 0.75 < est.wilson_high
+        assert est.wilson95_low < 0.75 < est.wilson95_high
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

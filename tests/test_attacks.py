@@ -174,6 +174,29 @@ class TestDesyncMitm:
         assert bench.synchronized()
 
 
+class TestAttacksOnADesynchronizedTag:
+    """Every attack first eavesdrops an honest session; on a tag the reader
+    no longer knows that session fails, and the attack reports it."""
+
+    @pytest.mark.parametrize("attack", [
+        attack_full_disclosure, attack_clone, attack_desync_mitm, attack_desync_bitflip])
+    def test_observation_failed_is_reported(self, attack):
+        bench = Bench(128, 5)
+        assert attack_desync_mitm(bench).success
+        report = attack(bench)
+        assert not report.success
+        assert report.detail == "observation failed"
+        assert not bench.synchronized()
+
+    def test_a_rejected_sweep_that_changes_the_tag_is_a_bug(self, monkeypatch):
+        def sweep_that_moves_the_tag(tag, a, b, index_of):
+            tag.current = tag.current._replace(key=tag.current.key ^ 1)
+
+        monkeypatch.setattr(TagState, "respond_sweep", sweep_that_moves_the_tag)
+        with pytest.raises(RuntimeError, match="^tag state changed on a rejected probe$"):
+            attack_desync_bitflip(Bench(16, 3))
+
+
 class TestWeight2Machinery:
     def test_count_formula(self):
         assert weight2_count(16) == 120
@@ -323,9 +346,7 @@ class TestDesyncBitflip:
         while bitflip_round_admits(nonce, c1, 16):
             c1 = random_weight2(rng, 16)
         snapshot = stored_words(tag)
-        hit = tag.respond_sweep(
-            True, captured.a ^ c1, captured.b, lambda m: weight2_index(m, 16)
-        )
+        hit = tag.respond_sweep(captured.a ^ c1, captured.b, lambda m: weight2_index(m, 16))
         assert hit is None
         assert stored_words(tag) == snapshot
 
@@ -340,8 +361,7 @@ class TestDesyncBitflip:
         twin = Bench(16, 6)
         twin.run_honest()
         index, answered, c = bench.tag.respond_sweep(
-            True, captured.a ^ c1, captured.b, lambda m: weight2_index(m, 16)
-        )
+            captured.a ^ c1, captured.b, lambda m: weight2_index(m, 16))
         mask = required_b_mask(nonce, c1, 16)
         assert answered == mask
         assert index == weight2_index(mask, 16)
@@ -359,20 +379,6 @@ class TestDesyncBitflip:
         a = attack_desync_bitflip(Bench(16, 11))
         b = attack_desync_bitflip(Bench(16, 11))
         assert attack_record(a, 0, 16) == attack_record(b, 0, 16)
-
-
-def _stale_capture(bench):
-    """The tag runs one more honest session right after the captured one."""
-    run = bench.run_honest
-
-    def run_then_move_on():
-        bench.run_honest = run
-        captured = run()
-        run()
-        return captured
-
-    bench.run_honest = run_then_move_on
-    return bench
 
 
 def _after_blocked_c(bench):
@@ -405,13 +411,6 @@ class TestBitflipAgainstLiteralOracle:
             assert [stored_words(e) for e in sweep.reader.entries.values()] == [
                 stored_words(e) for e in literal.reader.entries.values()
             ]
-
-    def test_stale_capture_reported_after_one_probe(self):
-        sweep = attack_desync_bitflip(_stale_capture(Bench(16, 3)))
-        literal = literal_desync_bitflip(_stale_capture(Bench(16, 3)))
-        assert attack_record(sweep, 0, 16) == attack_record(literal, 0, 16)
-        assert sweep.detail == "tag no longer holds the captured pair"
-        assert (sweep.c1_rounds, sweep.c2_trials) == (1, 1)
 
     @pytest.mark.parametrize("width, seeds", [(16, 40), (128, 3)])
     def test_capture_that_needed_the_fallback(self, width, seeds):

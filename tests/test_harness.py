@@ -34,6 +34,7 @@ from umarfid.harness import (
     render_records,
     run_trials,
     summarize,
+    summary_record,
     summary_text,
     trial_ranges,
 )
@@ -459,8 +460,8 @@ class TestSummarize:
         reports, stats = run("full-disclosure", trials=10)
         assert stats.successes == 10
         assert stats.success_rate == 1.0
-        assert 0.69 < stats.wilson_low < 0.73
-        assert stats.wilson_high == 1.0
+        assert 0.69 < stats.wilson95_low < 0.73
+        assert stats.wilson95_high == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -477,7 +478,7 @@ class TestSummarize:
         stats = summarize("desync-bitflip", failed)
         assert stats.successes == 0
         assert stats.success_rate == 0.0
-        assert stats.wilson_low == 0.0
+        assert stats.wilson95_low == 0.0
 
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
     def test_attempt_statistics_match_the_statistics_module(self, counts):
@@ -491,9 +492,16 @@ class TestSummarize:
         assert type(stats.attempts_median) is type(median)
         assert stats.attempts_max == max(counts)
 
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_summary_keys_are_the_fields_that_are_not_none(self, experiment):
+        _, stats = run(experiment, trials=20, word_len=16)
+        record = summary_record(stats)
+        assert list(record) == [k for k, v in stats._asdict().items() if v is not None]
+        assert summary_text(stats, "json-lines") == json.dumps({"summary": record}) + "\n"
+
     def test_interval_contains_rate(self):
         reports, stats = run("session", trials=7)
-        assert stats.wilson_low <= stats.success_rate <= stats.wilson_high
+        assert stats.wilson95_low <= stats.success_rate <= stats.wilson95_high
 
 
 def binomial_interval(trials: int, p: Fraction, level=Fraction(999, 1000)) -> tuple[int, int]:

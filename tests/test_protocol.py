@@ -476,6 +476,19 @@ class TestHonestSession:
         expected = ["delivered", "delivered", "replaced"] if rule_during_run else ["delivered"] * 4
         assert [f["disposition"] for f in sent(later)] == expected
 
+    @pytest.mark.parametrize("width, rules, named", [
+        (4, {MSG_C: 16}, "'C': 16 at width 4"),  # a 5-bit C at L=4
+        (8, {MSG_C: -1}, "'C': -1 at width 8"),
+        (8, {"c": None}, "'c': None at width 8"),  # a typo would block nothing
+    ])
+    def test_a_rule_outside_its_domain_is_refused_on_entry(self, width, rules, named):
+        reader, tags, rng = make_system(word_len=width)
+        before = stored_words(tags[0]), rng.getstate()
+        with pytest.raises(ValueError, match=f"^rule {named}; need IDT, A, B or C and None "
+                           fr"or a mask in \[0, 2\*\*{width}\)$"):
+            run_honest_session(reader, tags[0], rng, rules)
+        assert (stored_words(tags[0]), rng.getstate()) == before
+
     def test_sync_invariant_over_many_sessions(self):
         reader, tags, rng = make_system(seed=3)
         for i in range(200):
