@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .protocol import Bench, SessionTranscript, check_rule
-from .word import derive_seed, stream
+from .word import check_count, derive_seed, stream
 
 class GameError(RuntimeError):
     """Strategy broke the game procedure (harness bug, not a protocol event)."""
@@ -68,7 +68,8 @@ class GameEnvironment(Bench):
         return self.run_honest(self.rules.get(self.session), self.tags[tag_index])
 
     def send(self, session: int, label: str) -> None:
-        """Register an interception: block the message `label` of `session`."""
+        """Register an interception: block `label` of `session`, the next one or later."""
+        check_count("session", session, self.session)
         check_rule(label, None, self.word_len)
         if self.sends_used >= self.config.send_budget:
             raise BudgetError(f"send budget {self.config.send_budget} exhausted")

@@ -143,6 +143,20 @@ def attack_clone(bench: Bench) -> AttackReport:
     )
 
 
+def _desync_report(bench: Bench, followups: int, attack: str, accepted: bool, **fields):
+    """Ground truth after a desync attack, whose success is the claim itself: its
+    exchange was `accepted`, no pair is shared and no follow-up authenticates."""
+    synchronized = bench.synchronized()
+    outcomes = tuple(bench.run_honest().outcome for _ in range(followups))
+    return AttackReport(
+        attack=attack,
+        success=accepted and not synchronized and Outcome.MUTUAL_SUCCESS not in outcomes,
+        synchronized=synchronized,
+        followup_outcomes=outcomes,
+        **fields,
+    )
+
+
 def attack_desync_mitm(bench: Bench, followups: int = FOLLOWUPS) -> AttackReport:
     """Desynchronize tag and reader by splitting one session in two.
 
@@ -152,8 +166,7 @@ def attack_desync_mitm(bench: Bench, followups: int = FOLLOWUPS) -> AttackReport
     a different nonce of its own. Both parties accept and update, but
     under different nonces, leaving no shared pair. The old-pair
     fallback cannot recover because the tag's previous pair is the one
-    the reader just replaced. Success is the claim itself: no shared
-    pair remains and no follow-up session authenticates.
+    the reader just replaced.
     """
     first = bench.run_honest()
     if first.outcome != Outcome.MUTUAL_SUCCESS:
@@ -189,22 +202,13 @@ def attack_desync_mitm(bench: Bench, followups: int = FOLLOWUPS) -> AttackReport
     tag_accepted = c_from_tag is not None  # tag updates under fake_nonce
     reader_accepted = bench.reader.complete(compute_c(key, genuine_nonce, width))
     bench.session += 1
-
-    # Ground truth: no pair shared anymore, and recovery stays impossible.
-    still_synchronized = bench.synchronized()
-    outcomes = bench.followup_outcomes(followups)
-    return AttackReport(
-        attack="desync-mitm",
-        success=(
-            tag_accepted
-            and reader_accepted
-            and not still_synchronized
-            and Outcome.MUTUAL_SUCCESS not in outcomes
-        ),
+    return _desync_report(
+        bench,
+        followups,
+        "desync-mitm",
+        tag_accepted and reader_accepted,
         recovered_key=key,
         recovered_nonce=genuine_nonce,
-        synchronized=still_synchronized,
-        followup_outcomes=outcomes,
     )
 
 
@@ -302,18 +306,16 @@ def attack_desync_bitflip(bench: Bench, followups: int = FOLLOWUPS) -> AttackRep
             detail=f"no accepting mask within {C1_ROUND_CAP} rounds",
         )
 
-    # Ground truth: weight condition of the accepted round and post-state.
+    # Ground truth: the weight condition of the accepted round.
     hw_matched = (nonce_truth ^ a_mask).bit_count() == nonce_truth.bit_count()
-    still_synchronized = bench.synchronized()
-    outcomes = bench.followup_outcomes(followups)
-    return AttackReport(
-        attack="desync-bitflip",
-        success=not still_synchronized and Outcome.MUTUAL_SUCCESS not in outcomes,
+    return _desync_report(
+        bench,
+        followups,
+        "desync-bitflip",
+        True,
         c1_rounds=c1_rounds,
         c2_trials=c2_trials,
         a_mask=a_mask,
         b_mask=b_mask,
         hw_matched=hw_matched,
-        synchronized=still_synchronized,
-        followup_outcomes=outcomes,
     )

@@ -415,9 +415,5 @@ class Bench:
         self.session += 1
         return t
 
-    def followup_outcomes(self, count: int) -> tuple[str, ...]:
-        """Outcomes of `count` honest recovery attempts after an attack."""
-        return tuple(self.run_honest().outcome for _ in range(count))
-
     def synchronized(self) -> bool:
         return synchronized(self.reader, self.tag)

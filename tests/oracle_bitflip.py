@@ -193,7 +193,7 @@ def literal_desync_bitflip(bench, c1_round_cap=64, followups=3) -> AttackReport:
     a_mask, b_mask = accepted
     hw_matched = (nonce_truth ^ a_mask).bit_count() == nonce_truth.bit_count()
     still_synchronized = bench.synchronized()
-    outcomes = bench.followup_outcomes(followups)
+    outcomes = tuple(bench.run_honest().outcome for _ in range(followups))
     return AttackReport(
         attack="desync-bitflip",
         success=not still_synchronized and str(Outcome.MUTUAL_SUCCESS) not in outcomes,

@@ -65,6 +65,22 @@ class TestQueries:
         assert (env.sends_used, env.rules) == (0, {})
         env.send(0, MSG_C)
 
+    def test_send_of_a_session_that_is_not_an_int_is_refused_and_spends_nothing(self):
+        env = make_env(send_budget=1)
+        with pytest.raises(ValueError, match="^session must be an int, got '0'$"):
+            env.send("0", MSG_C)
+        assert (env.sends_used, env.rules) == (0, {})
+        env.send(0, MSG_C)
+
+    def test_send_of_a_past_session_is_refused_and_spends_nothing(self):
+        env = make_env(send_budget=1)
+        env.execute(0)
+        with pytest.raises(ValueError, match="^session must be >= 1, got 0$"):
+            env.send(env.session - 1, MSG_C)
+        assert (env.sends_used, env.rules) == (0, {})
+        env.send(env.session, MSG_C)
+        assert env.execute(0).outcome == Outcome.BLOCKED
+
     def test_blocked_c_splits_states(self):
         env = make_env()
         env.send(env.session, MSG_C)

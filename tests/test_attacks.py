@@ -20,7 +20,7 @@ from oracle_bitflip import (
     weight2_words,
 )
 from state_words import stored_words
-from umarfid import attacks
+from umarfid import attacks, cli
 from umarfid.attacks import (
     AttackReport,
     Bench,
@@ -195,6 +195,50 @@ class TestAttacksOnADesynchronizedTag:
         monkeypatch.setattr(TagState, "respond_sweep", sweep_that_moves_the_tag)
         with pytest.raises(RuntimeError, match="^tag state changed on a rejected probe$"):
             attack_desync_bitflip(Bench(16, 3))
+
+
+def foreign_key_bench(seed, key, n_tags=1):
+    """A 4-bit bench whose first tag keeps its pseudonym under another key
+    than the reader's, so eavesdropped sessions succeed only by coincidence."""
+    bench = Bench(4, seed, n_tags)
+    assert bench.reader.entries[bench.tag.current.idt].key != key
+    bench.tag.current = bench.tag.previous = PairState(bench.tag.current.idt, key)
+    return bench
+
+
+class TestForeignKeyReturns:
+    """The early returns that honest benches never reach: the seeds were
+    found by a search over foreign_key_bench."""
+
+    def test_clone_cross_check(self):
+        report = attack_clone(foreign_key_bench(336, 1))
+        assert report == AttackReport(
+            attack="clone", success=False, recovered_key=5, recovered_nonce=11,
+            detail="challenge cross-check failed, observation corrupted")
+
+    def test_mitm_lookup_miss(self):
+        report = attack_desync_mitm(foreign_key_bench(0, 0))
+        assert report == AttackReport(
+            attack="desync-mitm", success=False, detail="reader lookup miss")
+
+    def test_mitm_cross_check(self):
+        # with one tag a lookup hit means both sides derived the same
+        # pseudonym, and then the recovered key is the reader's; here the
+        # lookup lands on the second tag's entry
+        report = attack_desync_mitm(foreign_key_bench(16, 1, n_tags=2))
+        assert report == AttackReport(
+            attack="desync-mitm", success=False, recovered_key=5,
+            detail="challenge cross-check failed, observation corrupted")
+
+    def test_mitm_exchange_refused(self):
+        # no pair is shared and nothing re-authenticates, but the split
+        # session itself was refused, so the desync is not the attack's
+        report = attack_desync_mitm(foreign_key_bench(164, 7, n_tags=2))
+        assert report == AttackReport(
+            attack="desync-mitm", success=False, recovered_key=2, recovered_nonce=0,
+            synchronized=False,
+            followup_outcomes=("tag-rejected-reader", "tag-rejected-reader",
+                               "reader-rejected-tag"))
 
 
 class TestWeight2Machinery:
@@ -541,6 +585,26 @@ class TestDesyncSuccessPredicate:
         assert "tag-rejected-reader" in report.followup_outcomes
         assert "mutual-success" not in report.followup_outcomes
         assert report.success
+
+    @pytest.mark.parametrize(
+        "experiment, still_synchronized, resynced",
+        [("desync-mitm", 29, 11), ("desync-bitflip", 2, 12)],
+    )
+    def test_every_record_follows_the_rule(self, capsys, experiment, still_synchronized, resynced):
+        # seed-0 runs at L=4 hold failures of both kinds; each record's
+        # success is the rule applied to its own fields
+        code = cli.main(["attack", experiment, "--bits", "4", "--trials", "1000",
+                         "--format", "json-lines"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()][:-1]
+        assert code == 1
+        assert len(records) == 1000
+        for record in records:
+            followups = (record["followups"] or "").split(";")
+            rule = record["synchronized"] is False and "mutual-success" not in followups
+            assert record["success"] == rule, record
+        failed = [r for r in records if not r["success"]]
+        assert sum(r["synchronized"] is True for r in failed) == still_synchronized
+        assert sum(r["synchronized"] is False for r in failed) == resynced
 
 
 class TestTraceabilityAttack:

@@ -123,6 +123,16 @@ GOLDEN = {
         0,
         "d831d42fb99a3a490a548263857b236dd8c3a2f90f9584ab7adb89ae99b77013",
     ),
+    # failed desync records: at 4 bits 40 mitm trials fail (29 still
+    # synchronized, 11 resynced by a follow-up) and 14 bit-flip trials (2, 12)
+    "attack desync-mitm --bits 4 --trials 1000": (
+        1,
+        "e4f8670def1959a4897399747559a060245039a16356a693c6773c3bab46bc1b",
+    ),
+    "attack desync-bitflip --bits 4 --trials 1000": (
+        1,
+        "595d20b3584923952caab27b91fbddeb09778e9b8147ef5186e4f3c1730c5051",
+    ),
 }
 
 
