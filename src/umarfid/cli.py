@@ -1,8 +1,9 @@
 """Command line front-end: every experiment as a reproducible run.
 
 Exit code 0 means every trial-level assertion held, 1 that a trial
-failed, 2 an argument or config error, found before any trial runs, and
-141 (a shell's code for SIGPIPE) that the reader of the output closed it.
+failed, 2 an argument or config error, found before any trial runs, 74
+(EX_IOERR) that the output could not be written, and 141 (a shell's code
+for SIGPIPE) that the reader of the output closed it.
 Records are written in trial order while the run goes on, summary last.
 """
 
@@ -114,17 +115,46 @@ def config_from_args(args: argparse.Namespace) -> TrialConfig:
                                 for field in TrialConfig._fields[1:] if field in args})
 
 
+class _WriteError(Exception):
+    """An output, the file at path or stdout for None, could not be written,
+    flushed or closed; str() says which and why."""
+
+    def __init__(self, path: str | None, err: OSError):
+        super().__init__(f"cannot write {path or 'stdout'}: {err}")
+        self.path = path
+
+
 @contextlib.contextmanager
-def _output(fd: int):
+def _writing(path: str | None):
+    """Raise an OSError of the block as _WriteError, a closed pipe's excepted."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as err:
+        raise _WriteError(path, err) from None
+
+
+@contextlib.contextmanager
+def _output(fd: int, path: str):
     """fd as a text file; as it was opened without truncating, what lies past
     the run's bytes is cut off when the run ends, by success or error."""
-    with open(fd, "w") as out:
-        try:
-            yield out
-        finally:
-            # a pipe has no position to cut at, and a device such as /dev/null no size
-            if out.seekable() and os.fstat(out.fileno()).st_size > out.tell():
-                out.truncate()
+    out = open(fd, "w")
+    try:
+        yield out
+    finally:
+        with _writing(path):
+            try:
+                # a pipe has no position to cut at, and a device such as /dev/null no size
+                if out.seekable() and os.fstat(out.fileno()).st_size > out.tell():
+                    out.truncate()
+            finally:
+                out.close()
+
+
+def _quiet_stdout() -> None:
+    """What stdout still buffers goes to devnull, so the exit's flush is silent."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,17 +171,23 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, f"error: argument --out: {err}\n")
 
     try:
-        with _output(fd) if args.out else contextlib.nullcontext(sys.stdout) as out:
-            _, stats = run_trials(config, args.workers, out.write, args.format)
-            out.write(summary_text(stats, args.format))
-        if args.out:
-            print(f"{stats.experiment}: {stats.successes}/{stats.trials} ok, "
-                  f"records written to {args.out}")
-        sys.stdout.flush()
+        with _output(fd, args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+            write = _writing(args.out)(out.write)  # each call runs inside a fresh _writing
+            _, stats = run_trials(config, args.workers, write, args.format)
+            write(summary_text(stats, args.format))
+        with _writing(None):
+            if args.out:
+                print(f"{stats.experiment}: {stats.successes}/{stats.trials} ok, "
+                      f"records written to {args.out}")
+            sys.stdout.flush()
     except BrokenPipeError:  # the reader left early, as `| head` does
-        # what stdout still buffers goes to devnull, so the exit's flush is silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _quiet_stdout()
         return 141  # what a shell shows after SIGPIPE; 1 would say a trial failed
+    except _WriteError as err:  # a full disk, say
+        if err.path is None:
+            _quiet_stdout()
+        print(f"error: {err}", file=sys.stderr)
+        return 74  # EX_IOERR of sysexits.h
     return 0 if stats.successes == stats.trials else 1
 
 

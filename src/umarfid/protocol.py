@@ -75,8 +75,8 @@ def next_pair(used: PairState, nonce: int, width: int = DEFAULT_WORD_LEN) -> Pai
     )
 
 
-def _session_words(key: int, nonce: int, width: int) -> tuple[int, int, PairState]:
-    """(B, C, updated pair) from one rot(K, K) and one rot(N, N).
+def _session_words(key: int, nonce: int, width: int) -> tuple[int, int, int, int]:
+    """(B, C, IDT', K') from one rot(K, K) and one rot(N, N).
 
     compute_b, compute_c and next_pair fused for reader and tag, with both
     rotations written out as in word.rot.
@@ -86,7 +86,7 @@ def _session_words(key: int, nonce: int, width: int) -> tuple[int, int, PairStat
     rk = ((key << n) | (key >> (width - n))) & mask
     n = nonce.bit_count() % width
     rn = ((nonce << n) | (nonce >> (width - n))) & mask
-    return rk ^ rn, (key | rn) ^ (rk & nonce), PairState(key ^ rn, rk ^ nonce)
+    return rk ^ rn, (key | rn) ^ (rk & nonce), key ^ rn, rk ^ nonce
 
 
 class TagState:
@@ -109,16 +109,16 @@ class TagState:
     def respond(self, use_previous: bool, a: int, b: int) -> int | None:
         """Verify the reader's challenge and answer with C, or stay silent.
 
-        Recovers N' = a xor K from the selected pair and builds B, C and
-        next_pair(used, N') in one _session_words call. If B is the received
-        b, the tag sends C and commits at once: the used pair becomes
-        previous, the next one current. Else it returns None, state unchanged.
+        Recovers N' = a xor K from the selected pair and computes B, C, IDT'
+        and K' in one _session_words call. If B is the received b, the tag sends
+        C and commits at once: the used pair becomes previous, PairState(IDT',
+        K') current. Else it returns None, state unchanged and no pair built.
         """
         used = self.previous if use_previous else self.current
-        expected, c, updated = _session_words(used.key, a ^ used.key, self.width)
+        expected, c, idt, key = _session_words(used.key, a ^ used.key, self.width)
         if b != expected:
             return None
-        self.current, self.previous = updated, used
+        self.current, self.previous = PairState(idt, key), used
         return c
 
     def respond_sweep(self, a: int, b: int, index_of) -> tuple[int, int, int] | None:
@@ -152,21 +152,13 @@ class DatabaseEntry:
         self.idt, self.key, self.id = idt, key, id
 
 
-class _Pending(NamedTuple):
-    """The reader's one open session, dropped by its next challenge if no C came."""
-
-    entry: DatabaseEntry
-    expected_c: int
-    updated: PairState
-
-
 class ReaderState:
     """Reader plus back-end database of `width`-bit words, keyed by pseudonym."""
 
     def __init__(self, width: int):
         self.width = width
         self.entries: dict[int, DatabaseEntry] = {}
-        self.pending: _Pending | None = None
+        self.pending: tuple[DatabaseEntry, int, int, int] | None = None  # entry, C, IDT', K'
 
     def register(self, entry: DatabaseEntry) -> None:
         if entry.idt in self.entries:
@@ -176,16 +168,16 @@ class ReaderState:
     def begin(self, idt: int, rng: random.Random) -> tuple[int, int] | None:
         """Look up the pseudonym and issue a challenge, or None if unknown.
 
-        On a hit, draws a fresh nonce, remembers the expected C and returns
-        (A, B), dropping the reader's one open session if its C never came,
-        as a timed-out reader would. A miss keeps it: the tag will retry.
+        On a hit, draws a fresh nonce, keeps (entry, C, IDT', K') open until
+        C verifies and returns (A, B), dropping an open session whose C never
+        came, as a timed-out reader would. A miss keeps it: the tag will retry.
         """
         entry = self.entries.get(idt)
         if entry is None:
             return None
         nonce = rng.getrandbits(self.width)
-        b, c, updated = _session_words(entry.key, nonce, self.width)
-        self.pending = _Pending(entry, c, updated)
+        b, c, new_idt, new_key = _session_words(entry.key, nonce, self.width)
+        self.pending = entry, c, new_idt, new_key
         return entry.key ^ nonce, b
 
     def complete(self, c: int) -> bool:
@@ -197,15 +189,15 @@ class ReaderState:
         """
         if self.pending is None:
             raise RuntimeError("reader_complete called with no pending session")
-        (entry, expected_c, updated), self.pending = self.pending, None
+        (entry, expected_c, idt, key), self.pending = self.pending, None
         if c != expected_c:
             return False
-        if updated.idt != entry.idt:
-            if updated.idt in self.entries:
+        if idt != entry.idt:
+            if idt in self.entries:
                 return False
             del self.entries[entry.idt]
-            self.entries[updated.idt] = entry
-        entry.idt, entry.key = updated
+            self.entries[idt] = entry
+        entry.idt, entry.key = idt, key
         return True
 
 
@@ -224,8 +216,9 @@ _DIRECTION = {MSG_IDT: "tag->reader", MSG_A: "reader->tag",
 
 
 def check_rule(label: str, mask: int | None, width: int) -> None:
-    """An interception rule blocks (None) or XORs a width-bit word into IDT, A, B or C."""
-    if label not in _DIRECTION or mask is not None and not 0 <= mask < 1 << width:
+    """An interception rule blocks (None) or XORs a width-bit int, no bool, into IDT, A, B or C."""
+    if label not in _DIRECTION or mask is not None and (
+            isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < 1 << width):
         raise ValueError(f"rule {label!r}: {mask!r} at width {width}; need IDT, A, B or C and "
                          f"None or a mask in [0, 2**{width})")
 

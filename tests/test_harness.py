@@ -879,6 +879,24 @@ class TestCli:
             stderr = run.stderr.read()
         assert (run.wait(timeout=120), stderr) == (141, b"")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("target", ["--out", "stdout"])
+    @pytest.mark.parametrize("trials", ["10", "3000"])  # fails at the close; mid-run
+    def test_an_output_that_cannot_be_written_exits_74(self, target, trials):
+        # a full disk is one line and EX_IOERR, not a traceback and the 1 of a failed trial
+        argv = [sys.executable, "-m", "umarfid.cli", "verify-identities", "--trials", trials]
+        with open("/dev/full", "w") as full:
+            run = subprocess.run(
+                argv + ["--out", "/dev/full"] if target == "--out" else argv,
+                stdout=subprocess.PIPE if target == "--out" else full,
+                stderr=subprocess.PIPE, cwd=ROOT, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            )
+        name = "/dev/full" if target == "--out" else "stdout"
+        assert (run.returncode, run.stdout, run.stderr) == (
+            74, b"" if target == "--out" else None,
+            f"error: cannot write {name}: [Errno 28] No space left on device\n".encode())
+
     def test_non_integer_flag_keeps_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["session", "--trials", "many"])

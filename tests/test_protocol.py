@@ -186,9 +186,9 @@ class TestReader:
         reader, tags, rng = make_system()
         idt = tags[0].current.idt
         a, b = reader.begin(idt, rng)
-        key = reader.pending.entry.key
+        key = reader.pending[0].key
         assert compute_b(key, a ^ key) == b
-        assert reader.pending.expected_c == compute_c(key, a ^ key)
+        assert reader.pending[1] == compute_c(key, a ^ key)
 
     def test_begin_twice_without_completion(self):
         # the first challenge is never answered; the next session needs no cleanup
@@ -480,6 +480,8 @@ class TestHonestSession:
         (4, {MSG_C: 16}, "'C': 16 at width 4"),  # a 5-bit C at L=4
         (8, {MSG_C: -1}, "'C': -1 at width 8"),
         (8, {"c": None}, "'c': None at width 8"),  # a typo would block nothing
+        (8, {MSG_C: 1.0}, "'C': 1.0 at width 8"),  # else the tag commits, then C ^ 1.0 fails
+        (8, {MSG_A: True}, "'A': True at width 8"),  # a bool is no mask, as it is no count
     ])
     def test_a_rule_outside_its_domain_is_refused_on_entry(self, width, rules, named):
         reader, tags, rng = make_system(word_len=width)
@@ -629,7 +631,7 @@ class TestFusedAgainstReference:
             reader.register(DatabaseEntry(idt=pair.idt, key=key, id=1))
             challenge = reader.begin(pair.idt, _FixedNonce(nonce))
             assert challenge == (compute_a(key, nonce), compute_b(key, nonce, width))
-            assert reader.pending.expected_c == compute_c(key, nonce, width)
+            assert reader.pending[1] == compute_c(key, nonce, width)
             assert reader.complete(compute_c(key, nonce, width))
             (entry,) = reader.entries.values()
             assert PairState(entry.idt, entry.key) == next_pair(pair, nonce, width)
@@ -705,7 +707,7 @@ class TestSessionAgainstClosureOracle:
         return (
             [(tag.current, tag.previous) for tag in tags],
             {idt: stored_words(entry) for idt, entry in reader.entries.items()},
-            reader.pending and (stored_words(reader.pending.entry), *reader.pending[1:]),
+            reader.pending and (stored_words(reader.pending[0]), *reader.pending[1:]),
         )
 
     @staticmethod

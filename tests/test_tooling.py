@@ -63,6 +63,21 @@ def test_imports_only_public_standard_library_modules(path):
     assert not found, f"{path.name}: non-standard or private import(s) {found}"
 
 
+def package_imports(path):
+    """Lines of path that import umarfid or one of its modules."""
+    return [line for line, name in imported_modules(path) if name == "umarfid"]
+
+
+@pytest.mark.parametrize("name", ["oracle_bits.py", "oracle_render.py"])
+def test_the_naive_oracles_import_nothing_of_the_package(name):
+    # an oracle built on the package would agree with it by construction
+    assert package_imports(TESTS / name) == []
+
+
+def test_the_oracle_import_check_sees_a_package_import():
+    assert package_imports(TESTS / "oracle_session.py")
+
+
 def random_module_calls(path):
     """Lines of a source file that call into the random module: random.X(...),
     or a name bound by `from random import ...`."""
