@@ -3,7 +3,9 @@
 Exit code 0 means every trial-level assertion held, 1 that a trial
 failed, 2 an argument or config error, found before any trial runs, 74
 (EX_IOERR) that the output could not be written, and 141 (a shell's code
-for SIGPIPE) that the reader of the output closed it.
+for SIGPIPE) that the reader of the output, stdout or an --out pipe,
+closed it. Only a failed stdout is pointed at devnull, so that the exit's
+flush is silent.
 Records are written in trial order while the run goes on, summary last.
 """
 
@@ -115,46 +117,36 @@ def config_from_args(args: argparse.Namespace) -> TrialConfig:
                                 for field in TrialConfig._fields[1:] if field in args})
 
 
-class _WriteError(Exception):
-    """An output, the file at path or stdout for None, could not be written,
-    flushed or closed; str() says which and why."""
+class _Unwritable(Exception):
+    """An output could not be written, flushed or closed: the file at path,
+    or stdout for None. str() says which and why; code is the exit code."""
 
     def __init__(self, path: str | None, err: OSError):
         super().__init__(f"cannot write {path or 'stdout'}: {err}")
         self.path = path
+        # a reader that left early, as `| head` does, is what a shell shows
+        # after SIGPIPE; anything else (a full disk, say) is EX_IOERR of sysexits.h
+        self.code = 141 if isinstance(err, BrokenPipeError) else 74
 
 
 @contextlib.contextmanager
 def _writing(path: str | None):
-    """Raise an OSError of the block as _WriteError, a closed pipe's excepted."""
+    """Raise an OSError of the block as _Unwritable(path)."""
     try:
         yield
-    except BrokenPipeError:
-        raise
     except OSError as err:
-        raise _WriteError(path, err) from None
+        raise _Unwritable(path, err) from None
 
 
-@contextlib.contextmanager
-def _output(fd: int, path: str):
-    """fd as a text file; as it was opened without truncating, what lies past
-    the run's bytes is cut off when the run ends, by success or error."""
-    out = open(fd, "w")
+def _close(out) -> None:
+    """Close --out; as it was opened without truncating, what lies past the
+    run's bytes is cut off first."""
     try:
-        yield out
+        # a pipe has no position to cut at, and a device such as /dev/null no size
+        if out.seekable() and os.fstat(out.fileno()).st_size > out.tell():
+            out.truncate()
     finally:
-        with _writing(path):
-            try:
-                # a pipe has no position to cut at, and a device such as /dev/null no size
-                if out.seekable() and os.fstat(out.fileno()).st_size > out.tell():
-                    out.truncate()
-            finally:
-                out.close()
-
-
-def _quiet_stdout() -> None:
-    """What stdout still buffers goes to devnull, so the exit's flush is silent."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        out.close()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -170,24 +162,28 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:  # a directory, a missing parent directory, no permission
         parser.exit(2, f"error: argument --out: {err}\n")
 
+    out = open(fd, "w") if args.out else sys.stdout
     try:
-        with _output(fd, args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+        try:
             write = _writing(args.out)(out.write)  # each call runs inside a fresh _writing
             _, stats = run_trials(config, args.workers, write, args.format)
             write(summary_text(stats, args.format))
+        finally:  # so an aborted run's file holds exactly what it wrote
+            if args.out:
+                with _writing(args.out):
+                    _close(out)
         with _writing(None):
             if args.out:
                 print(f"{stats.experiment}: {stats.successes}/{stats.trials} ok, "
                       f"records written to {args.out}")
             sys.stdout.flush()
-    except BrokenPipeError:  # the reader left early, as `| head` does
-        _quiet_stdout()
-        return 141  # what a shell shows after SIGPIPE; 1 would say a trial failed
-    except _WriteError as err:  # a full disk, say
-        if err.path is None:
-            _quiet_stdout()
-        print(f"error: {err}", file=sys.stderr)
-        return 74  # EX_IOERR of sysexits.h
+    except _Unwritable as err:
+        if err.path is None:  # what stdout buffers goes to devnull: the exit's flush is silent
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if err.code == 74:
+            print(f"error: {err}", file=sys.stderr)
+        return err.code
     return 0 if stats.successes == stats.trials else 1
 
 

@@ -17,7 +17,7 @@ import json
 import math
 import time
 import types
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import adversary, attacks
 from .adversary import GameOutcome
@@ -273,11 +273,17 @@ RANGE_CAP = 1000
 IN_FLIGHT = 2
 
 
-def trial_ranges(trials: int, workers: int) -> list[range]:
-    """Split trials into contiguous ranges: about four per worker, or
-    RANGE_CAP each for one process, which has no load to balance."""
-    size = RANGE_CAP if workers == 1 else min(RANGE_CAP, -(-trials // (4 * workers)))
-    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+def _range_size(trials: int, workers: int) -> int:
+    """Trials per range: about four ranges per worker, or RANGE_CAP for
+    one process, which has no load to balance."""
+    return RANGE_CAP if workers == 1 else min(RANGE_CAP, -(-trials // (4 * workers)))
+
+
+def trial_ranges(trials: int, workers: int) -> Iterator[range]:
+    """Split trials into contiguous ranges of _range_size, each made only
+    when it is taken, so that no list grows with the trial count."""
+    size = _range_size(trials, workers)
+    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
 
 
 def _run_range(config: TrialConfig, fmt: str | None, trials: range):
@@ -307,7 +313,8 @@ def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "te
     reports, successes, attempts = [], 0, collections.Counter()
     emit = write or reports.extend
     ranges = trial_ranges(config.trials, workers)
-    workers = min(workers, len(ranges))  # a worker per range at most
+    # a worker per range at most
+    workers = min(workers, -(-config.trials // _range_size(config.trials, workers)))
     pool = None
     if workers > 1:  # imported here, so a serial run never loads the pool's modules
         from concurrent.futures import ProcessPoolExecutor

@@ -206,6 +206,59 @@ def foreign_key_bench(seed, key, n_tags=1):
     return bench
 
 
+def hooked(bench, block_c=None, move_tag_after=None):
+    """bench whose run_honest blocks C of session block_c and, once session
+    move_tag_after ran, flips a bit of the tag's key; sessions count from 0
+    and their outcomes are kept in bench.outcomes."""
+    honest, bench.outcomes = bench.run_honest, []
+
+    def run_honest(rules=None, tag=None):
+        n = len(bench.outcomes)
+        transcript = honest({MSG_C: None} if n == block_c else rules, tag)
+        if n == move_tag_after:
+            bench.tag.current = bench.tag.current._replace(key=bench.tag.current.key ^ 1)
+        bench.outcomes.append(transcript.outcome)
+        return transcript
+
+    bench.run_honest = run_honest
+    return bench
+
+
+class TestEveryTermOfTheVerdict:
+    """Each term of an attack's success or failure test decides some trial:
+    one observed session fails, or one ground truth moves, and the others
+    hold."""
+
+    @pytest.mark.parametrize("attack", [attack_full_disclosure, attack_clone])
+    @pytest.mark.parametrize("blocked", [0, 1], ids=["first", "second"])
+    def test_one_failed_observation_is_a_failed_observation(self, attack, blocked):
+        # the tag commits when it sends C, so a key recovered across a blocked
+        # C is still its live key; the attack must not claim it
+        bench = hooked(Bench(128, 5), block_c=blocked)
+        report = attack(bench)
+        succeeded = [outcome == Outcome.MUTUAL_SUCCESS for outcome in bench.outcomes]
+        assert succeeded == [n != blocked for n in (0, 1)]
+        assert (report.success, report.detail) == (False, "observation failed")
+
+    def test_a_clone_whose_pair_differs_from_the_tag_fails(self):
+        # the tag moves on after the second session; the clone still
+        # authenticates, since the reader holds the pair it cloned
+        bench = hooked(Bench(128, 5), move_tag_after=1)
+        report = attack_clone(bench)
+        assert report.cloned_pair != bench.tag.current
+        assert bench.outcomes == [Outcome.MUTUAL_SUCCESS] * 3
+        assert (report.success, report.detail) == (False, "")
+
+    def test_a_clone_that_does_not_authenticate_fails(self):
+        # the pair matches the tag's, but C of the verification session is blocked
+        bench = hooked(Bench(128, 5), block_c=2)
+        report = attack_clone(bench)
+        assert report.cloned_pair == bench.tag.current
+        assert bench.outcomes[:2] == [Outcome.MUTUAL_SUCCESS] * 2
+        assert bench.outcomes[2] != Outcome.MUTUAL_SUCCESS
+        assert (report.success, report.detail) == (False, "")
+
+
 class TestForeignKeyReturns:
     """The early returns that honest benches never reach: the seeds were
     found by a search over foreign_key_bench."""

@@ -12,6 +12,8 @@ import random
 import statistics
 import subprocess
 import sys
+import time
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -103,6 +105,17 @@ class TestRunTrials:
         # checked when the config is built, not inside the first game
         with pytest.raises(ValueError, match="unknown strategy 'nope'.*random-guess"):
             TrialConfig(experiment="untraceability", strategy="nope")
+
+    def test_an_identities_trial_fails_on_either_identity(self, monkeypatch):
+        # harness.rot enters only the pseudonym identity; the key identity still holds
+        monkeypatch.setattr(harness, "rot", lambda x, n, width: word.rot(x, n, width) ^ 1)
+        result = EXPERIMENTS["identities"].run(TrialConfig("identities"), 0)
+        assert (result.success, result.detail) == (False, "key=True pseudonym=False")
+
+    def test_duration_is_the_wall_time_of_the_run(self):
+        started = time.perf_counter()
+        _, stats = run("identities", 50)
+        assert 0 <= stats.duration_s <= time.perf_counter() - started
 
     @pytest.mark.parametrize(
         "field, low",
@@ -285,21 +298,37 @@ class TestTrialRanges:
         [(1, 1), (1, 4), (3, 2), (50, 1), (50, 2), (20000, 2), (10**6, 1), (4001, 3)],
     )
     def test_ranges_cover_every_trial_in_order(self, trials, workers):
-        ranges = trial_ranges(trials, workers)
+        ranges = list(trial_ranges(trials, workers))
         assert [t for r in ranges for t in r] == list(range(trials))
         assert all(1 <= len(r) <= RANGE_CAP for r in ranges)
 
     def test_spanning_count_crosses_range_edges(self):
         for workers, trials in ((1, SERIAL_SPANNING_TRIALS), (2, SPANNING_TRIALS)):
-            ranges = trial_ranges(trials, workers)
+            ranges = list(trial_ranges(trials, workers))
             assert len(ranges) >= 3
             assert trials % len(ranges[0]) != 0
 
     def test_one_process_runs_ranges_of_the_cap(self):
         # only workers need smaller ranges, to balance their load
-        assert trial_ranges(10, 1) == [range(10)]
+        assert list(trial_ranges(10, 1)) == [range(10)]
         cap = RANGE_CAP
-        assert trial_ranges(cap + 1, 1) == [range(cap), range(cap, cap + 1)]
+        assert list(trial_ranges(cap + 1, 1)) == [range(cap), range(cap, cap + 1)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ranges_are_made_as_they_are_taken(self, workers):
+        # a list of every range once took about 150 B a range before trial 0:
+        # 1.45 MiB at 10**7 trials, 140 GiB at 10**12, which is tried only
+        # once 10**7 has passed
+        for trials in (10**7, 10**12):
+            tracemalloc.start()
+            try:
+                ranges = iter(trial_ranges(trials, workers))
+                first, second = next(ranges), next(ranges)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, trials
+            assert (first.start, second.start, second.stop) == (0, len(first), 2 * len(first))
 
 
 class _CountingExecutor:
@@ -361,7 +390,7 @@ class TestInFlightWindow:
 
         run_trials(config, workers, write, "json-lines")
         window = harness.IN_FLIGHT * workers
-        ranges = trial_ranges(SPANNING_TRIALS, workers)
+        ranges = list(trial_ranges(SPANNING_TRIALS, workers))
         assert len(ranges) > window
         assert _CountingExecutor.last.submitted == len(ranges)
         assert max(ahead) == window
@@ -380,7 +409,7 @@ class TestStreaming:
         streamed_reports, streamed = run_trials(config, workers, parts.append, "json-lines")
         reports, _ = run_trials(config)
         assert streamed_reports == []
-        assert len(parts) == len(trial_ranges(SPANNING_TRIALS, workers))
+        assert len(parts) == len(list(trial_ranges(SPANNING_TRIALS, workers)))
         expected = summarize(experiment, reports)
         assert streamed._replace(duration_s=0.0) == expected
         if experiment == "untraceability":
@@ -679,6 +708,16 @@ class TestExperimentTable:
         assert not differ, f"rows of one command disagree: {differ}"
 
 
+def unwritable(code):
+    """A text file that no write reaches: /dev/full, whose writes exit 74, or
+    for 141 a pipe whose reader has closed."""
+    if code == 74:
+        return open("/dev/full", "w")
+    read, write = os.pipe()
+    os.close(read)
+    return open(write, "w")
+
+
 class TestCli:
     def test_session_run_exits_zero(self, capsys):
         assert main(["session", "--trials", "5", "--seed", "1"]) == 0
@@ -896,6 +935,66 @@ class TestCli:
         assert (run.returncode, run.stdout, run.stderr) == (
             74, b"" if target == "--out" else None,
             f"error: cannot write {name}: [Errno 28] No space left on device\n".encode())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("stdout", ["capsys", "StringIO"])
+    def test_a_closed_out_pipe_exits_141_and_leaves_stdout_alone(self, request, stdout):
+        # stdout here is no file: the run must not touch it, nor fd 1
+        if stdout == "capsys":
+            request.getfixturevalue("capsys")
+        with unwritable(141) as pipe:
+            fds, fd1 = os.listdir("/proc/self/fd"), os.fstat(1)
+            with contextlib.redirect_stdout(io.StringIO()) if stdout == "StringIO" else (
+                    contextlib.nullcontext()):
+                code = main(["verify-identities", "--trials", "10",
+                             "--out", f"/dev/fd/{pipe.fileno()}"])
+            assert (code, os.listdir("/proc/self/fd"), os.fstat(1)) == (141, fds, fd1)
+
+    def test_a_closed_out_pipe_leaves_the_callers_stdout_working(self, tmp_path):
+        # stdout on a file: what the caller prints after main returns reaches it
+        script = (
+            "import os\n"
+            "from umarfid.cli import main\n"
+            "read, write = os.pipe()\n"
+            "os.close(read)\n"
+            "code = main(['verify-identities', '--trials', '10', '--out', f'/dev/fd/{write}'])\n"
+            "print('main returned', code)\n"
+        )
+        path = tmp_path / "stdout"
+        with path.open("w") as out:
+            run = subprocess.run(
+                [sys.executable, "-c", script], stdout=out, stderr=subprocess.PIPE,
+                cwd=ROOT, timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert path.read_text() == "main returned 141\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("code", [74, 141])
+    def test_a_failed_stdout_leaves_no_fd_open(self, capsys, code):
+        # the failed stream is pointed at devnull, and devnull's own fd is closed
+        with unwritable(code) as stdout:
+            fds = os.listdir("/proc/self/fd")
+            with contextlib.redirect_stdout(stdout):
+                assert main(["verify-identities", "--trials", "10"]) == code
+            assert os.listdir("/proc/self/fd") == fds
+            assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr() == ("", "error: cannot write stdout: [Errno 28] "
+                                           "No space left on device\n" if code == 74 else "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("code", [74, 141])
+    def test_a_failed_buffered_stdout_is_not_flushed_again_at_exit(self, code):
+        # with stdout buffered, what the failed flush left behind would fail
+        # the exit's flush too: "Exception ignored" on stderr and exit 120
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        with unwritable(code) as stdout:
+            run = subprocess.run(
+                [sys.executable, "-m", "umarfid.cli", "verify-identities", "--trials", "10"],
+                stdout=stdout, stderr=subprocess.PIPE, cwd=ROOT, timeout=120, env=env)
+        message = b"error: cannot write stdout: [Errno 28] No space left on device\n"
+        assert (run.returncode, run.stderr) == (code, message if code == 74 else b"")
 
     def test_non_integer_flag_keeps_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as err:
