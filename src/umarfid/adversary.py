@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .protocol import Bench, SessionTranscript, check_rule
+from .protocol import MSG_A, Bench, SessionTranscript, check_rule
 from .word import check_count, derive_seed, stream
 
 class GameError(RuntimeError):
@@ -30,13 +30,13 @@ class BudgetError(GameError):
 
 
 class GameOutcome(NamedTuple):
-    """Result of one game: hidden bit, guess, and query accounting."""
+    """Result of one game: hidden bit b, guess d, and the queries used."""
 
-    hidden_bit: int
-    guess: int
+    b: int
+    d: int
     success: bool
-    executes_used: int
-    sends_used: int
+    executes: int
+    sends: int
 
 
 class GameEnvironment(Bench):
@@ -79,21 +79,17 @@ class GameEnvironment(Bench):
     def test(self) -> list[int]:
         """Challenge: identify a secretly chosen tag, reveal its pseudonyms.
 
-        The environment flips a hidden bit, runs the identification
-        phase of tag_b against the genuine reader, and returns every
-        pseudonym that identification broadcast (one, or two when the
-        fallback fired). May be invoked exactly once per game.
+        The environment flips a hidden bit and runs tag_b's next session
+        against the genuine reader with A blocked, so only identification
+        happens. It returns every pseudonym that identification broadcast
+        (one, or two when the fallback fired). May be invoked exactly
+        once per game.
         """
         if self._hidden_bit is not None:
             raise GameError("test query may be invoked only once per game")
         bit = self._bit_rng.getrandbits(1)
         self._hidden_bit = bit
-        tag = self.tags[bit]
-        revealed = [tag.current.idt]
-        if tag.current.idt not in self.reader.entries:
-            revealed.append(tag.previous.idt)
-        self.session += 1
-        return revealed
+        return self.run_honest({MSG_A: None}, self.tags[bit]).presented_idts
 
     def reveal_hidden_bit(self) -> int:
         """Ground truth for the game runner. Call only after the game ends."""
@@ -113,13 +109,8 @@ def run_untraceability_game(strategy, config, trial: int = 0) -> GameOutcome:
     env = GameEnvironment(config, derive_seed(config.seed, "game", trial))
     guess = int(strategy(env))
     hidden = env.reveal_hidden_bit()
-    return GameOutcome(
-        hidden_bit=hidden,
-        guess=guess,
-        success=guess == hidden,
-        executes_used=env.executes_used,
-        sends_used=env.sends_used,
-    )
+    return GameOutcome(b=hidden, d=guess, success=guess == hidden,
+                       executes=env.executes_used, sends=env.sends_used)
 
 
 def random_guess_strategy(env: GameEnvironment) -> int:

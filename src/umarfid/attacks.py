@@ -49,14 +49,15 @@ class AttackReport(NamedTuple):
     success: bool
     recovered_key: int | None = None
     recovered_nonce: int | None = None
-    cloned_pair: PairState | None = None
+    cloned_idt: int | None = None  # the pair written into the clone
+    cloned_key: int | None = None
     c1_rounds: int | None = None  # mask redraw rounds (bit-flip attack)
     c2_trials: int | None = None  # literal probes across all rounds
     a_mask: int | None = None  # accepted weight-2 mask applied to A
     b_mask: int | None = None  # accepted weight-2 mask applied to B
     hw_matched: bool | None = None  # masked nonce kept its hamming weight
     synchronized: bool | None = None  # post-attack tag/reader sync state
-    followup_outcomes: tuple[str, ...] | None = None
+    followups: tuple[str, ...] | None = None  # outcomes of the follow-up sessions
     detail: str = ""
 
 
@@ -139,7 +140,8 @@ def attack_clone(bench: Bench) -> AttackReport:
         success=pair_matches and verification.outcome == Outcome.MUTUAL_SUCCESS,
         recovered_key=key,
         recovered_nonce=nonce,
-        cloned_pair=cloned,
+        cloned_idt=cloned.idt,
+        cloned_key=cloned.key,
     )
 
 
@@ -152,7 +154,7 @@ def _desync_report(bench: Bench, followups: int, attack: str, accepted: bool, **
         attack=attack,
         success=accepted and not synchronized and Outcome.MUTUAL_SUCCESS not in outcomes,
         synchronized=synchronized,
-        followup_outcomes=outcomes,
+        followups=outcomes,
         **fields,
     )
 

@@ -78,14 +78,15 @@ class TrialResult(NamedTuple):
     detail: str = ""
 
 
-# Record keys in order with their kinds, per report type: the trial, then
-# the report's fields (an AttackReport's words as hex). Every format renders from them.
-RESULT_FIELDS = {"trial": int, "label": str, "success": bool, "detail": str}
-OUTCOME_FIELDS = {"trial": int, "b": int, "d": int, "success": bool, "executes": int, "sends": int}
-ATTACK_FIELDS = {
-    "trial": int, "attack": str, "success": bool, "recovered_key": str, "recovered_nonce": str,
-    "cloned_idt": str, "cloned_key": str, "c1_rounds": int, "c2_trials": int, "a_mask": str,
-    "b_mask": str, "hw_matched": bool, "synchronized": bool, "followups": str, "detail": str,
+# The kind of every record key. A record's keys are its trial, then its report's
+# fields (_report_type); an int, bool or str prints as it is, a "word" as to_hex's
+# width // 4 digits, "outcomes" joined by ";", and None as null or nothing.
+RECORD_KINDS = {
+    "trial": int, "label": str, "success": bool, "detail": str,
+    "b": int, "d": int, "executes": int, "sends": int,
+    "attack": str, "recovered_key": "word", "recovered_nonce": "word", "cloned_idt": "word",
+    "cloned_key": "word", "c1_rounds": int, "c2_trials": int, "a_mask": "word",
+    "b_mask": "word", "hw_matched": bool, "synchronized": bool, "followups": "outcomes",
 }
 
 
@@ -172,7 +173,13 @@ _escape = json.encoder.encode_basestring_ascii  # json.dumps's own string escape
 _NULL, _BLANK = {None: "null"}, {None: ""}
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
 
-# field kind -> a column of its values (None included) made ready for a
+# kind -> its column as the str values a record prints, at the run's width
+_AS_STR = {
+    "word": lambda column, width: [None if w is None else to_hex(w, width) for w in column],
+    "outcomes": lambda column, width: [None if f is None else ";".join(f) for f in column],
+}
+
+# value type -> a column of its values (None included) made ready for a
 # json-lines template; %s writes an int as int.__repr__ does, like json.dumps
 _JSON_COLUMN = {
     int: lambda column: map(_NULL.get, column, column),
@@ -181,36 +188,19 @@ _JSON_COLUMN = {
 }
 
 
-def _report_type(cls: type, fields: dict, columns_of) -> tuple:
-    """A report class, its record keys and kinds, its values as a column per
-    key, and per format a line template and a converter per column."""
-    json_line = "{" + ", ".join(f"{_escape(key)}: %s" for key in fields) + "}\n"
-    text_line = " ".join(f"{key}=%s" for key in fields) + "\n"
-    return cls, fields, columns_of, {
-        "json-lines": (json_line, [_JSON_COLUMN[kind] for kind in fields.values()]),
-        "text": (text_line, [lambda column: map(_BLANK.get, column, column)] * len(fields)),
+def _report_type(cls: type) -> tuple:
+    """A report class, its record keys (the trial, then its fields), per key
+    what makes its column str (None: the column stays as it is), and per
+    format a line template and a converter per column."""
+    keys = ("trial", *cls._fields)
+    kinds = [RECORD_KINDS[key] for key in keys]
+    json_line = "{" + ", ".join(f"{_escape(key)}: %s" for key in keys) + "}\n"
+    text_line = " ".join(f"{key}=%s" for key in keys) + "\n"
+    return cls, keys, [_AS_STR.get(kind) for kind in kinds], {
+        "json-lines": (json_line, [_JSON_COLUMN[str if kind in _AS_STR else kind]
+                                   for kind in kinds]),
+        "text": (text_line, [lambda column: map(_BLANK.get, column, column)] * len(keys)),
     }
-
-
-def _trial_and_fields(reports, trials, width: int) -> list:
-    return [trials, *zip(*reports)]
-
-
-def _attack_columns(reports, trials, width: int) -> list:
-    """Record values of reports for trials, a column per ATTACK_FIELDS key;
-    a word becomes to_hex's width // 4 digits, None stays None."""
-    (attack, success, key, nonce, pair, c1_rounds, c2_trials, a_mask, b_mask,
-     hw_matched, synchronized, followups, detail) = zip(*reports)
-
-    def hx(words):
-        return [None if w is None else to_hex(w, width) for w in words]
-
-    return [
-        trials, attack, success, hx(key), hx(nonce),
-        hx([p and p.idt for p in pair]), hx([p and p.key for p in pair]),
-        c1_rounds, c2_trials, hx(a_mask), hx(b_mask), hw_matched, synchronized,
-        [None if f is None else ";".join(f) for f in followups], detail,
-    ]
 
 
 class Experiment(NamedTuple):
@@ -226,8 +216,8 @@ class Experiment(NamedTuple):
 
 
 _ATTACK_HELP = "run one attack as a Monte Carlo experiment"
-_ATTACKS = _report_type(AttackReport, ATTACK_FIELDS, _attack_columns)
-_RESULTS = _report_type(TrialResult, RESULT_FIELDS, _trial_and_fields)
+_ATTACKS = _report_type(AttackReport)
+_RESULTS = _report_type(TrialResult)
 
 # Every experiment, in CLI order. A name but "untraceability" (seeded
 # under "game") is also the seed label of its trials (derive_seed), so a
@@ -240,7 +230,7 @@ EXPERIMENTS = {
         ("game",), "untraceability distinguishing games",
         lambda config, trial: adversary.run_untraceability_game(
             STRATEGIES[config.strategy], config, trial),
-        _report_type(GameOutcome, OUTCOME_FIELDS, _trial_and_fields), 1000,
+        _report_type(GameOutcome), 1000,
         ("execute_budget", "send_budget", "strategy"), "advantage"),
     "full-disclosure": Experiment(
         ("attack", "full-disclosure"), _ATTACK_HELP,
@@ -410,12 +400,13 @@ def render_records(experiment: str, reports, first_trial: int, width: int, fmt: 
     _check_format(fmt)
     if not reports:
         return ""
-    cls, fields, columns_of, lines = EXPERIMENTS[experiment].report
+    cls, keys, as_str, lines = EXPERIMENTS[experiment].report
     if not all(map(isinstance, reports, itertools.repeat(cls))):
         raise TypeError(f"{experiment} records need {cls.__name__} reports")
-    columns = columns_of(reports, range(first_trial, first_trial + len(reports)), width)
+    columns = [column if convert is None else convert(column, width) for convert, column in
+               zip(as_str, [range(first_trial, first_trial + len(reports)), *zip(*reports)])]
     if fmt == "csv":
-        header = _csv_row(fields) if first_trial == 0 else ""
+        header = _csv_row(keys) if first_trial == 0 else ""
         return header + "".join(map(_csv_row, zip(*columns)))
     line, converters = lines[fmt]
     converted = [convert(column) for convert, column in zip(converters, columns)]

@@ -342,7 +342,10 @@ def synchronized(reader: ReaderState, tag: TagState) -> bool:
     while this is True through its previous pair, when the reader knows
     its current pseudonym under another key: after an update onto the
     same pseudonym (IDT' = IDT) whose C was blocked, and after the reader
-    declined an update onto another tag's pseudonym.
+    declined an update onto another tag's pseudonym. With two or more
+    tags, that decline ends a synchronized tag's session
+    reader-rejected-tag when its IDT' is another tag's registered
+    pseudonym, at about (n_tags - 1) / 2^L per session.
     """
     for pair in (tag.current, tag.previous):
         entry = reader.entries.get(pair.idt)

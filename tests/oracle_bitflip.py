@@ -203,5 +203,5 @@ def literal_desync_bitflip(bench, c1_round_cap=64, followups=3) -> AttackReport:
         b_mask=b_mask,
         hw_matched=hw_matched,
         synchronized=still_synchronized,
-        followup_outcomes=outcomes,
+        followups=outcomes,
     )

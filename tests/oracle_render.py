@@ -31,8 +31,8 @@ def attack_record(report, trial: int, width: int) -> dict:
         "success": report.success,
         "recovered_key": hx(report.recovered_key),
         "recovered_nonce": hx(report.recovered_nonce),
-        "cloned_idt": hx(report.cloned_pair.idt if report.cloned_pair else None),
-        "cloned_key": hx(report.cloned_pair.key if report.cloned_pair else None),
+        "cloned_idt": hx(report.cloned_idt),
+        "cloned_key": hx(report.cloned_key),
         "c1_rounds": report.c1_rounds,
         "c2_trials": report.c2_trials,
         "a_mask": hx(report.a_mask),
@@ -41,8 +41,8 @@ def attack_record(report, trial: int, width: int) -> dict:
         "synchronized": report.synchronized,
         "followups": (
             None
-            if report.followup_outcomes is None
-            else ";".join(report.followup_outcomes)
+            if report.followups is None
+            else ";".join(report.followups)
         ),
         "detail": report.detail,
     }
@@ -52,17 +52,17 @@ def outcome_record(outcome, trial: int) -> dict:
     """Flat serializable record for one game, fixed field order."""
     return {
         "trial": trial,
-        "b": outcome.hidden_bit,
-        "d": outcome.guess,
+        "b": outcome.b,
+        "d": outcome.d,
         "success": outcome.success,
-        "executes": outcome.executes_used,
-        "sends": outcome.sends_used,
+        "executes": outcome.executes,
+        "sends": outcome.sends,
     }
 
 
 def report_record(report, trial: int, width: int) -> dict:
     """Flat record for any report; words become width // 4 hex digits."""
-    if hasattr(report, "hidden_bit"):  # a game outcome
+    if hasattr(report, "sends"):  # a game outcome
         return outcome_record(report, trial)
     if hasattr(report, "attack"):  # an attack report
         return attack_record(report, trial, width)

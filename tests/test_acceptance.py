@@ -135,7 +135,7 @@ def test_criterion_4_desync_mitm():
     )
     irreversible = all(
         r.synchronized is False
-        and r.followup_outcomes == ("identification-failed",) * 3
+        and r.followups == ("identification-failed",) * 3
         for r in reports
     )
     report(

@@ -151,7 +151,7 @@ class TestGame:
             for trial in range(100)
         ]
         assert all(o.success for o in outcomes)
-        assert all(o.executes_used == 2 and o.sends_used == 1 for o in outcomes)
+        assert all(o.executes == 2 and o.sends == 1 for o in outcomes)
         assert summarize("untraceability", outcomes).advantage == 0.5
 
     def test_distinguish_without_send_budget_is_blind(self):
@@ -163,7 +163,7 @@ class TestGame:
         est = summarize("untraceability", outcomes)
         assert est.advantage < 0.1
         # without the block the fingerprint never matches: constant guess 1
-        assert all(o.guess == 1 for o in outcomes)
+        assert all(o.d == 1 for o in outcomes)
 
     @pytest.mark.parametrize("seed, trial", [
         (0, 71), (1, 1902), (2, 201), (3, 757), (4, 397), (5, 1080), (6, 1894), (7, 291)])
@@ -172,7 +172,7 @@ class TestGame:
         # pseudonym, or whose update lands on the other tag's pseudonym
         config = TrialConfig("untraceability", word_len=12, seed=seed)
         outcome = run_untraceability_game(distinguish_strategy, config, trial)
-        assert (outcome.executes_used, outcome.sends_used) == (2, 1)
+        assert (outcome.executes, outcome.sends) == (2, 1)
 
     @pytest.mark.parametrize("width, trials", [(4, 1000), (8, 2000)])
     def test_a_lost_game_has_coincident_pseudonyms(self, width, trials):
@@ -204,7 +204,7 @@ class TestGame:
     def test_distinguish_with_fewer_than_two_executes_guesses_one(self, executes):
         config = TrialConfig("untraceability", execute_budget=executes, seed=26)
         outcomes = [run_untraceability_game(distinguish_strategy, config, t) for t in range(50)]
-        assert all((o.guess, o.executes_used, o.sends_used) == (1, 0, 0) for o in outcomes)
+        assert all((o.d, o.executes, o.sends) == (1, 0, 0) for o in outcomes)
 
     def test_random_guess_is_a_coin_flip(self):
         config = TrialConfig("untraceability", seed=23)

@@ -102,7 +102,7 @@ class TestClone:
             bench = Bench(128, seed)
             report = attack_clone(bench)
             assert report.success
-            assert report.cloned_pair is not None
+            assert report.cloned_idt is not None
 
     def test_nonce_recovery_is_exact(self):
         bench = Bench(128, 5)
@@ -126,8 +126,8 @@ class TestClone:
         record = attack_record(report, trial=4, width=128)
         assert record["trial"] == 4
         assert record["attack"] == "clone"
-        assert record["cloned_idt"] == to_hex(report.cloned_pair.idt, 128)
-        assert record["cloned_key"] == to_hex(report.cloned_pair.key, 128)
+        assert record["cloned_idt"] == to_hex(report.cloned_idt, 128)
+        assert record["cloned_key"] == to_hex(report.cloned_key, 128)
         assert len(record["cloned_key"]) == 32
         assert record["c1_rounds"] is None
 
@@ -138,12 +138,12 @@ class TestDesyncMitm:
             report = attack_desync_mitm(Bench(128, seed))
             assert report.success
             assert report.synchronized is False
-            assert report.followup_outcomes == ("identification-failed",) * 3
+            assert report.followups == ("identification-failed",) * 3
 
     def test_longer_followup_window(self):
         report = attack_desync_mitm(Bench(128, 77), followups=6)
         assert report.success
-        assert len(report.followup_outcomes) == 6
+        assert len(report.followups) == 6
 
     @pytest.mark.parametrize("attack", [attack_desync_mitm, attack_desync_bitflip])
     def test_followups_default_is_the_trial_config_default(self, attack):
@@ -245,7 +245,7 @@ class TestEveryTermOfTheVerdict:
         # authenticates, since the reader holds the pair it cloned
         bench = hooked(Bench(128, 5), move_tag_after=1)
         report = attack_clone(bench)
-        assert report.cloned_pair != bench.tag.current
+        assert (report.cloned_idt, report.cloned_key) != bench.tag.current
         assert bench.outcomes == [Outcome.MUTUAL_SUCCESS] * 3
         assert (report.success, report.detail) == (False, "")
 
@@ -253,7 +253,7 @@ class TestEveryTermOfTheVerdict:
         # the pair matches the tag's, but C of the verification session is blocked
         bench = hooked(Bench(128, 5), block_c=2)
         report = attack_clone(bench)
-        assert report.cloned_pair == bench.tag.current
+        assert (report.cloned_idt, report.cloned_key) == bench.tag.current
         assert bench.outcomes[:2] == [Outcome.MUTUAL_SUCCESS] * 2
         assert bench.outcomes[2] != Outcome.MUTUAL_SUCCESS
         assert (report.success, report.detail) == (False, "")
@@ -290,8 +290,8 @@ class TestForeignKeyReturns:
         assert report == AttackReport(
             attack="desync-mitm", success=False, recovered_key=2, recovered_nonce=0,
             synchronized=False,
-            followup_outcomes=("tag-rejected-reader", "tag-rejected-reader",
-                               "reader-rejected-tag"))
+            followups=("tag-rejected-reader", "tag-rejected-reader",
+                       "reader-rejected-tag"))
 
 
 class TestWeight2Machinery:
@@ -379,7 +379,7 @@ class TestDesyncBitflip:
             report = attack_desync_bitflip(bench)
             assert report.success
             assert report.synchronized is False
-            assert report.followup_outcomes == ("identification-failed",) * 3
+            assert report.followups == ("identification-failed",) * 3
             assert report.a_mask.bit_count() == 2
             assert report.b_mask.bit_count() == 2
 
@@ -635,8 +635,8 @@ class TestDesyncSuccessPredicate:
         # reader knows under a different key, so the tag rejects the challenge
         report = attack(Bench(8, derive_seed(0, experiment, trial)))
         assert report.synchronized is False
-        assert "tag-rejected-reader" in report.followup_outcomes
-        assert "mutual-success" not in report.followup_outcomes
+        assert "tag-rejected-reader" in report.followups
+        assert "mutual-success" not in report.followups
         assert report.success
 
     @pytest.mark.parametrize(
@@ -680,7 +680,7 @@ class TestReportSerialization:
 
     def test_followups_joined(self):
         report = AttackReport(
-            attack="x", success=True, followup_outcomes=("a", "b")
+            attack="x", success=True, followups=("a", "b")
         )
         assert attack_record(report, 0, 128)["followups"] == "a;b"
 

@@ -707,6 +707,16 @@ class TestExperimentTable:
         differ = {command: rows for command, rows in commands.items() if len(set(rows)) > 1}
         assert not differ, f"rows of one command disagree: {differ}"
 
+    def test_a_record_is_its_trial_and_its_reports_fields(self):
+        used = set()
+        for name, experiment in EXPERIMENTS.items():
+            cls, keys = experiment.report[:2]
+            report = experiment.run(TrialConfig(name, word_len=16), 0)
+            record = json.loads(render_records(name, [report], 0, 16, "json-lines"))
+            assert tuple(record) == keys == ("trial", *cls._fields), name
+            used.update(keys)
+        assert used == set(harness.RECORD_KINDS)  # a kind no report has is stale
+
 
 def unwritable(code):
     """A text file that no write reaches: /dev/full, whose writes exit 74, or
@@ -917,6 +927,24 @@ class TestCli:
         with run.stderr:
             stderr = run.stderr.read()
         assert (run.wait(timeout=120), stderr) == (141, b"")
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_workers_started_by_any_method_print_the_serial_bytes(self, capsys, method):
+        # Python 3.14 makes forkserver the default on Linux; workers that import
+        # the package afresh must still change no record
+        argv = ["attack", "desync-bitflip", "--bits", "16", "--trials", "300"]
+        assert main(argv) == 0
+        serial = strip_duration(capsys.readouterr().out)
+        script = ("import multiprocessing, sys\n"
+                  "multiprocessing.set_start_method(sys.argv[1])\n"
+                  "from umarfid.cli import main\n"
+                  "sys.exit(main(sys.argv[2:]))\n")
+        run = subprocess.run(
+            [sys.executable, "-c", script, method, *argv, "--workers", "2"],
+            capture_output=True, text=True, cwd=ROOT, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert (run.returncode, run.stderr) == (0, "")
+        assert strip_duration(run.stdout) == serial
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("target", ["--out", "stdout"])

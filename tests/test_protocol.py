@@ -504,6 +504,7 @@ class TestHonestSession:
         updated = next_pair(tag.current, nonce, width)
         reader.register(DatabaseEntry(idt=updated.idt, key=0x5555, id=0x7777))
         entries = {idt: stored_words(entry) for idt, entry in reader.entries.items()}
+        assert synchronized(reader, tag)  # the session below fails on the collision alone
         t = run_honest_session(reader, tag, _FixedNonce(nonce))
         assert t.outcome == Outcome.READER_REJECTED_TAG
         assert {idt: stored_words(entry) for idt, entry in reader.entries.items()} == entries

@@ -22,7 +22,6 @@ from umarfid.harness import (
     TrialResult,
     render_records,
 )
-from umarfid.protocol import PairState
 
 
 def experiment_reports(experiment: str, width: int, trials: int = 60) -> list:
@@ -60,9 +59,9 @@ def full_words(width: int) -> AttackReport:
     top = (1 << width) - 1
     return AttackReport(
         attack="clone", success=True, recovered_key=top, recovered_nonce=1,
-        cloned_pair=PairState(idt=top >> 1, key=0), c1_rounds=7, c2_trials=1234,
+        cloned_idt=top >> 1, cloned_key=0, c1_rounds=7, c2_trials=1234,
         a_mask=3, b_mask=top ^ 5, hw_matched=True, synchronized=True,
-        followup_outcomes=("reader-rejected", "tag-rejected"), detail="",
+        followups=("reader-rejected", "tag-rejected"), detail="",
     )
 
 
@@ -71,8 +70,8 @@ EMPTY_REPORTS = {
     "attack, every optional field None": ("clone", AttackReport(attack="x", success=False)),
     "attack, every field False or 0": ("desync-bitflip", AttackReport(
         attack="", success=False, recovered_key=0, recovered_nonce=0,
-        cloned_pair=PairState(0, 0), c1_rounds=0, c2_trials=0, a_mask=0, b_mask=0,
-        hw_matched=False, synchronized=False, followup_outcomes=(), detail="",
+        cloned_idt=0, cloned_key=0, c1_rounds=0, c2_trials=0, a_mask=0, b_mask=0,
+        hw_matched=False, synchronized=False, followups=(), detail="",
     )),
     "game, every field False or 0": ("untraceability", GameOutcome(0, 0, False, 0, 0)),
     "result, empty text": ("session", TrialResult(label="", success=False)),
@@ -102,7 +101,7 @@ AWKWARD_TEXT = [
 @pytest.mark.parametrize("text", AWKWARD_TEXT, ids=repr)
 def test_free_text_escaped_and_quoted_like_the_oracle(text):
     attack = full_words(16)._replace(
-        attack=text, detail=text, followup_outcomes=(text, "ok", text)
+        attack=text, detail=text, followups=(text, "ok", text)
     )
     result = TrialResult(label=text, success=False, detail=text)
     for experiment, reports in (("clone", [attack]), ("session", [result]),

@@ -407,6 +407,14 @@ def test_every_defaulted_parameter_is_set_by_src():
     assert not unset, f"defaulted parameters no src call sets: {unset}"
 
 
+def test_pyproject_names_the_package_its_script_and_version():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
+    assert project["name"] == "umarfid"
+    assert project["scripts"]["umarfid"] == "umarfid.cli:main"
+    assert project["version"] == umarfid.__version__
+
+
 def test_readme_lists_exactly_the_package_exports():
     # README's Library section has a table, one row per module, of the
     # names `import umarfid` gives
