@@ -80,16 +80,17 @@ class GameEnvironment(Bench):
         """Challenge: identify a secretly chosen tag, reveal its pseudonyms.
 
         The environment flips a hidden bit and runs tag_b's next session
-        against the genuine reader with A blocked, so only identification
-        happens. It returns every pseudonym that identification broadcast
-        (one, or two when the fallback fired). May be invoked exactly
-        once per game.
+        against the genuine reader under the blocks send placed on it,
+        with A blocked too, so at most identification happens. It returns
+        every pseudonym that identification broadcast (one, or two when
+        the fallback fired). May be invoked exactly once per game.
         """
         if self._hidden_bit is not None:
             raise GameError("test query may be invoked only once per game")
         bit = self._bit_rng.getrandbits(1)
         self._hidden_bit = bit
-        return self.run_honest({MSG_A: None}, self.tags[bit]).presented_idts
+        rules = {**self.rules.get(self.session, {}), MSG_A: None}
+        return self.run_honest(rules, self.tags[bit]).presented_idts
 
     def reveal_hidden_bit(self) -> int:
         """Ground truth for the game runner. Call only after the game ends."""

@@ -188,15 +188,16 @@ _JSON_COLUMN = {
 }
 
 
+@functools.cache
 def _report_type(cls: type) -> tuple:
-    """A report class, its record keys (the trial, then its fields), per key
+    """A report class's record keys (the trial, then its fields), per key
     what makes its column str (None: the column stays as it is), and per
     format a line template and a converter per column."""
     keys = ("trial", *cls._fields)
     kinds = [RECORD_KINDS[key] for key in keys]
     json_line = "{" + ", ".join(f"{_escape(key)}: %s" for key in keys) + "}\n"
     text_line = " ".join(f"{key}=%s" for key in keys) + "\n"
-    return cls, keys, [_AS_STR.get(kind) for kind in kinds], {
+    return keys, [_AS_STR.get(kind) for kind in kinds], {
         "json-lines": (json_line, [_JSON_COLUMN[str if kind in _AS_STR else kind]
                                    for kind in kinds]),
         "text": (text_line, [lambda column: map(_BLANK.get, column, column)] * len(keys)),
@@ -204,20 +205,18 @@ def _report_type(cls: type) -> tuple:
 
 
 class Experiment(NamedTuple):
-    """A row of the experiment table: all the CLI, trials, summary and records need."""
+    """A row of the experiment table: all the CLI, trials, summary and records need.
+    Its report class sets its record keys, templates and summary extras."""
 
     words: tuple[str, ...]  # the CLI words that run it
     help: str  # its subcommand's help
     run: Callable  # (config, trial) -> report
-    report: tuple  # _report_type of its reports
+    report: type  # its reports' class
     trials: int  # the CLI's default trial count
     reads: tuple[str, ...] = ()  # config fields it reads besides width, trials, seed
-    extras: str | None = None  # summary extras: game "advantage" or bit-flip "attempts"
 
 
 _ATTACK_HELP = "run one attack as a Monte Carlo experiment"
-_ATTACKS = _report_type(AttackReport)
-_RESULTS = _report_type(TrialResult)
 
 # Every experiment, in CLI order. A name but "untraceability" (seeded
 # under "game") is also the seed label of its trials (derive_seed), so a
@@ -225,31 +224,30 @@ _RESULTS = _report_type(TrialResult)
 # their module, as attacks.attack_clone.
 EXPERIMENTS = {
     "session": Experiment(
-        ("session",), "honest-session smoke scenarios", _session_trial, _RESULTS, 100),
+        ("session",), "honest-session smoke scenarios", _session_trial, TrialResult, 100),
     "untraceability": Experiment(
         ("game",), "untraceability distinguishing games",
         lambda config, trial: adversary.run_untraceability_game(
             STRATEGIES[config.strategy], config, trial),
-        _report_type(GameOutcome), 1000,
-        ("execute_budget", "send_budget", "strategy"), "advantage"),
+        GameOutcome, 1000, ("execute_budget", "send_budget", "strategy")),
     "full-disclosure": Experiment(
         ("attack", "full-disclosure"), _ATTACK_HELP,
         lambda config, trial: attacks.attack_full_disclosure(_bench(config, trial)),
-        _ATTACKS, 200),
+        AttackReport, 200),
     "clone": Experiment(
         ("attack", "clone"), _ATTACK_HELP,
-        lambda config, trial: attacks.attack_clone(_bench(config, trial)), _ATTACKS, 200),
+        lambda config, trial: attacks.attack_clone(_bench(config, trial)), AttackReport, 200),
     "desync-mitm": Experiment(
         ("attack", "desync-mitm"), _ATTACK_HELP,
         lambda config, trial: attacks.attack_desync_mitm(_bench(config, trial), config.followups),
-        _ATTACKS, 200, ("followups",)),
+        AttackReport, 200, ("followups",)),
     "desync-bitflip": Experiment(
         ("attack", "desync-bitflip"), _ATTACK_HELP,
         lambda config, trial: attacks.attack_desync_bitflip(_bench(config, trial), config.followups),
-        _ATTACKS, 200, ("followups",), "attempts"),
+        AttackReport, 200, ("followups",)),
     "identities": Experiment(
         ("verify-identities",), "check the XOR identities the attacks rely on",
-        _identities_trial, _RESULTS, 10000),
+        _identities_trial, TrialResult, 10000),
 }
 
 
@@ -283,7 +281,7 @@ def _run_range(config: TrialConfig, fmt: str | None, trials: range):
     reports = list(map(experiment.run, itertools.repeat(config), trials))
     part = reports if fmt is None else render_records(
         config.experiment, reports, trials.start, config.word_len, fmt)
-    return part, _tally(experiment, reports)
+    return part, _tally(reports)
 
 
 def run_trials(config: TrialConfig, workers: int = 1, write=None, fmt: str = "text"):
@@ -335,20 +333,18 @@ def _in_order(pool, run_range, ranges, window: int):
         pending.extend(map(submit, itertools.islice(ranges, 1)))
 
 
-def _tally(experiment: Experiment, reports) -> tuple[int, collections.Counter]:
-    """What a summary needs of some reports: (successes, and for an
-    experiment with attempts how often each c2_trials int occurs)."""
-    successes = sum(1 for r in reports if r.success)
-    if experiment.extras != "attempts":
-        return successes, collections.Counter()
-    return successes, collections.Counter(r.c2_trials for r in reports if r.c2_trials is not None)
+def _tally(reports) -> tuple[int, collections.Counter]:
+    """What a summary needs of some reports: (successes, and how often
+    each c2_trials int that they carry occurs)."""
+    return sum(1 for r in reports if r.success), collections.Counter(
+        c for r in reports if (c := getattr(r, "c2_trials", None)) is not None)
 
 
 def summarize(experiment: str, reports) -> SummaryStats:
     """Fold reports into counts, a Wilson 95% interval, and extras."""
     if not reports:
         raise ValueError("summarize needs at least one report")
-    return _summary(experiment, len(reports), *_tally(EXPERIMENTS[experiment], reports))
+    return _summary(experiment, len(reports), *_tally(reports))
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -368,7 +364,7 @@ def _summary(experiment, trials, successes, attempts) -> SummaryStats:
     rate = successes / trials
     return SummaryStats(
         experiment, trials, successes, rate, *wilson_interval(successes, trials),
-        advantage=abs(rate - 0.5) if EXPERIMENTS[experiment].extras == "advantage" else None,
+        advantage=abs(rate - 0.5) if EXPERIMENTS[experiment].report is GameOutcome else None,
         attempts_mean=sum(v * n for v, n in attempts.items()) / attempts.total()
         if attempts else None,
         attempts_median=_median(attempts) if attempts else None,
@@ -400,7 +396,8 @@ def render_records(experiment: str, reports, first_trial: int, width: int, fmt: 
     _check_format(fmt)
     if not reports:
         return ""
-    cls, keys, as_str, lines = EXPERIMENTS[experiment].report
+    cls = EXPERIMENTS[experiment].report
+    keys, as_str, lines = _report_type(cls)
     if not all(map(isinstance, reports, itertools.repeat(cls))):
         raise TypeError(f"{experiment} records need {cls.__name__} reports")
     columns = [column if convert is None else convert(column, width) for convert, column in

@@ -12,7 +12,7 @@ from umarfid.adversary import (
 )
 from umarfid.attacks import distinguish_strategy
 from umarfid.harness import TrialConfig, render_records, run_trials, summarize, wilson_interval
-from umarfid.protocol import MSG_C, Outcome, next_pair
+from umarfid.protocol import MSG_C, MSG_IDT, Outcome, next_pair
 from umarfid.word import derive_seed, stream
 
 
@@ -109,6 +109,17 @@ class TestQueries:
         revealed = env.test()
         assert len(revealed) == 2
         assert revealed == [tag.current.idt, tag.previous.idt]
+
+    def test_a_send_on_the_test_session_applies_to_it(self):
+        # the send is charged, so it must act: with IDT blocked the reader
+        # never hears the tag and opens no session, yet the pseudonym shows
+        env = make_env()
+        env.send(env.session, MSG_IDT)
+        revealed = env.test()
+        tag = env.tags[env.reveal_hidden_bit()]
+        assert env.sends_used == 1
+        assert env.reader.pending is None
+        assert revealed == [tag.current.idt]
 
     def test_test_only_once(self):
         env = make_env()

@@ -707,10 +707,22 @@ class TestExperimentTable:
         differ = {command: rows for command, rows in commands.items() if len(set(rows)) > 1}
         assert not differ, f"rows of one command disagree: {differ}"
 
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_a_rows_summary_extras_follow_from_its_reports(self, capsys, name):
+        # the advantage comes with the GameOutcome class, the attempt counts
+        # with a c2_trials int; every other attack leaves c2_trials None
+        main([*EXPERIMENTS[name].words, "--bits", "16", "--trials", "3", "--format", "json-lines"])
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+        assert summary["trials"] == 3
+        assert ("advantage" in summary) == (name == "untraceability")
+        attempts = {key for key in summary if key.startswith("attempts_")}
+        expected = {"attempts_mean", "attempts_median", "attempts_max"}
+        assert attempts == (expected if name == "desync-bitflip" else set())
+
     def test_a_record_is_its_trial_and_its_reports_fields(self):
         used = set()
         for name, experiment in EXPERIMENTS.items():
-            cls, keys = experiment.report[:2]
+            cls, keys = experiment.report, harness._report_type(experiment.report)[0]
             report = experiment.run(TrialConfig(name, word_len=16), 0)
             record = json.loads(render_records(name, [report], 0, 16, "json-lines"))
             assert tuple(record) == keys == ("trial", *cls._fields), name

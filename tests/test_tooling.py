@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import umarfid
-from umarfid import cli, harness
+from umarfid import cli, harness, protocol
 from umarfid.protocol import MSG_A, MSG_B, Bench
 
 TESTS = Path(__file__).resolve().parent
@@ -502,6 +502,38 @@ def test_readme_names_only_things_that_exist():
     assert {"Bench.adv_rng", "SessionTranscript.lines", "ValueError"} <= names  # all forms read
     missing = [name for name in sorted(names) if not any(resolves(o, name) for o in owners)]
     assert not missing, f"README names {missing}, which nothing in umarfid or builtins defines"
+
+
+BENCH_WORKLOAD = TESTS.parent / "benchmarks" / "workload.py"
+
+
+def trace_targets():
+    """The dotted names of the benchmark's TRACE_TARGETS, read from its
+    source, so that the benchmark is neither imported nor run."""
+    tree = ast.parse(BENCH_WORKLOAD.read_text(), filename=str(BENCH_WORKLOAD))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACE_TARGETS":
+            return [name for name, _ in ast.literal_eval(node.value)]
+    raise LookupError(f"no TRACE_TARGETS in {BENCH_WORKLOAD}")
+
+
+def test_the_names_the_benchmark_uses_exist():
+    # benchmarks/run.py traces these names and calls the primitives below;
+    # a refactor that drops one breaks the benchmark, which this suite does
+    # not run
+    targets = trace_targets()
+    assert {"harness.render", "protocol.TagState.respond", "cli.main"} <= set(targets)
+    missing = [name for name in [*targets, "attacks.Bench"] if not resolves(umarfid, name)]
+    assert not missing, f"the benchmark uses {missing}, which umarfid no longer defines"
+    # isolated_loops calls these with two arguments, on an honest session's words
+    bench = umarfid.attacks.Bench(128, 0)
+    used = bench.tag.current
+    transcript = bench.run_honest()
+    nonce = transcript.a ^ used.key
+    assert protocol.compute_a(used.key, nonce) == transcript.a
+    assert protocol.compute_b(used.key, nonce) == transcript.b
+    assert protocol.compute_c(used.key, nonce) == transcript.c
+    assert protocol.next_pair(used, nonce) == bench.tag.current
 
 
 FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
